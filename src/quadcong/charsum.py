@@ -14,8 +14,13 @@ Covers, all in exact integer arithmetic (numpy int8/int64 internally):
 * exponential sums sum_x e_p(y.x) chi(Q(x)) for ternary Q, with the
   adjugate-based magnitude dichotomy.
 
-Sums over F_p grids are table-driven: the character table is rolled by
-each shift via views into a doubled array, so no index arithmetic happens
+Every d x d character grid comes from one builder, ``_grid_rows``: the
+split and inert companion grids, the composite-q grids and the F_{p^2}
+norm table (the grid of x^2 - delta y^2, delta the least non-residue).
+``_grid_table`` keeps the last few whole grids in a small bounded cache,
+enough for the three tables one prime of a scan needs.  Every shifted sum
+reads its table through one helper, ``_rolled``, which doubles the table
+once and hands out its row-rolled views, so no index arithmetic happens
 in the inner loops.
 """
 
@@ -28,10 +33,8 @@ import numpy as np
 
 from .errors import (
     CertificateMismatch,
-    FieldMismatch,
     InvalidInput,
     NotInGoodSet,
-    PrincipalCharacter,
     RegionTooLarge,
     SingularQTilde,
 )
@@ -158,6 +161,9 @@ def incomplete_sum(chi: Character, form: BinaryForm, region) -> int:
     """Exact sum of chi(Q(x, y)) over the lattice points of the region.
 
     Row-major iteration; each row is evaluated with vectorized table lookups.
+    Q is evaluated as (a x + b y) x + c y^2 with a reduction mod d after each
+    sum, so every int64 intermediate stays below d^2 + d (exact for
+    d < 3 * 10^9).
     """
     _guard_points(region.point_count(), "incomplete_sum")
     d = chi.d
@@ -166,29 +172,51 @@ def incomplete_sum(chi: Character, form: BinaryForm, region) -> int:
     total = 0
     for y, lo, hi in region.rows():
         xs = np.arange(lo, hi + 1, dtype=np.int64) % d
-        vals = (a * xs * xs + (b * y % d) * xs + (c * y * y % d)) % d
+        vals = ((a * xs + b * y % d) % d * xs + c * y * y % d) % d
         total += int(t[vals].sum(dtype=np.int64))
     return total
+
+
+def _grid_rows(d: int, a: int, b: int, c: int):
+    """Row blocks of jacobi(a x^2 + b x y + c y^2, d) over the d x d residue
+    grid (rows indexed by x), int8, for coefficients already reduced mod d.
+
+    Each term is reduced mod d before the terms are added, so every int64
+    intermediate stays below d^2 + 2d.
+    """
+    t = jacobi_table(d)
+    ys = np.arange(d, dtype=np.int64)
+    sq = ys * ys % d
+    cy2 = c * sq % d
+    block = max(1, (1 << 16) // d)  # ~2^16 entries: the int64 temporaries stay in cache
+    for x0 in range(0, d, block):
+        x1 = x0 + block
+        vals = (a * sq[x0:x1] % d)[:, None] + (b * ys[x0:x1] % d)[:, None] * ys + cy2
+        vals %= d
+        yield t[vals]
+
+
+@lru_cache(maxsize=4)
+def _grid_table(d: int, a: int, b: int, c: int) -> np.ndarray:
+    """The whole grid of _grid_rows as one read-only d x d int8 array.
+
+    The cache is small on purpose: a table is reused only within its own
+    modulus, and one prime of a scan needs at most three of them (split
+    grid, inert grid, norm table).
+    """
+    t = np.concatenate(list(_grid_rows(d, a, b, c)))
+    t.flags.writeable = False
+    return t
 
 
 def full_grid_sum_direct(form: BinaryForm, d: int) -> int:
-    """Sum of jacobi(Q(x, y), d) over the complete d x d residue grid."""
+    """Sum of jacobi(Q(x, y), d) over the complete d x d residue grid.
+
+    Sums the grid block by block, so the whole table is never held.
+    """
     _guard_points(d * d, "full_grid_sum_direct")
-    t = jacobi_table(d)
-    a, b, c = form.a % d, form.b % d, form.c % d
-    xs = np.arange(d, dtype=np.int64)
-    sq = (xs * xs) % d
-    total = 0
-    block = max(1, (1 << 22) // d)
-    for y0 in range(0, d, block):
-        ys = xs[y0 : y0 + block]
-        vals = (
-            a * sq[None, :]
-            + (b * ys % d)[:, None] * xs[None, :]
-            + (c * sq[y0 : y0 + block] % d)[:, None]
-        ) % d
-        total += int(t[vals].sum(dtype=np.int64))
-    return total
+    rows = _grid_rows(d, form.a % d, form.b % d, form.c % d)
+    return sum(int(blk.sum(dtype=np.int64)) for blk in rows)
 
 
 def full_grid_sum(form: BinaryForm, mod: Modulus) -> int:
@@ -306,8 +334,8 @@ def shift_params(form: BinaryForm, s, x, mod: Modulus, check: bool = True) -> Sh
     """Companion coordinates (a, b) for the shift s and base point x.
 
     Requires Q(s) to be a unit mod q.  When check is set, the defining
-    identity is verified at n = 0..3 (a failure would be a bug, not bad
-    input, hence the assert).
+    identity is verified at n = 0..3; a failure would be a bug, not bad
+    input, and raises CertificateMismatch.
     """
     q = mod.q
     qs = form.evaluate(s) % q
@@ -323,7 +351,8 @@ def shift_params(form: BinaryForm, s, x, mod: Modulus, check: bool = True) -> Sh
         for n in range(4):
             lhs = form.evaluate((x1 + n * s1, x2 + n * s2)) % q
             rhs = qs * qt.evaluate((n + a, b)) % q
-            assert lhs == rhs, "shift identity violated (bug)"
+            if lhs != rhs:
+                raise CertificateMismatch(f"shift identity violated at n = {n} (bug)")
     return ShiftParams(a=a, b=b)
 
 
@@ -436,69 +465,48 @@ def diff_products(ns) -> DiffProducts:
     return DiffProducts(ns=ns, products=tuple(prods), overall_gcd=g)
 
 
-def _require_scan_prime(p: int, chi):
+def _require_scan_prime(p: int):
     if not is_prime(p) or p == 2:
         raise InvalidInput(f"{p} is not an odd prime")
-    if chi is not None:
-        if chi.principal:
-            raise PrincipalCharacter("trivial character gives a degenerate sum")
-        if chi.d != p:
-            raise FieldMismatch(f"character modulus {chi.d} != prime {p}")
 
 
-def linear_shift_sum(p: int, ns, chi: Character = None) -> int:
+def _rolled(t: np.ndarray, shifts):
+    """Yield, for each shift n, the view of t rolled up by n along its first
+    axis (row i holds t[(i + n) mod len(t)]), all cut from one doubled copy."""
+    m = len(t)
+    t2 = np.concatenate([t, t])
+    for n in shifts:
+        n %= m
+        yield t2[n : n + m]
+
+
+def _shift_product_sum(t: np.ndarray, ns) -> int:
+    """Sum over every entry of the product of the tables rolled by each n in ns."""
+    acc = None
+    for view in _rolled(t, ns):
+        acc = view.copy() if acc is None else np.multiply(acc, view, out=acc)
+    return t.size if acc is None else int(acc.sum(dtype=np.int64))
+
+
+def linear_shift_sum(p: int, ns) -> int:
     """sum over a mod p of jacobi(prod_i (n_i + a), p): the one-variable
     shifted product sum.  O(p) via rolled table views."""
-    _require_scan_prime(p, chi)
-    t = _legendre_table(p)
-    t2 = np.concatenate([t, t])
-    ns = tuple(n % p for n in ns)
-    acc = t2[ns[0] : ns[0] + p].copy()
-    for n in ns[1:]:
-        np.multiply(acc, t2[n : n + p], out=acc)
-    return int(acc.sum(dtype=np.int64))
+    _require_scan_prime(p)
+    return _shift_product_sum(_legendre_table(p), ns)
 
 
-@lru_cache(maxsize=None)
-def _norm_table(p: int):
-    """(d, T) with d the least non-residue and T[c, e] = jacobi(c^2 - d e^2, p).
-
-    T is the norm-character table of F_{p^2} = F_p[T]/(T^2 - d): the value at
-    the field element c + eT is jacobi(Norm(c + eT), p).
-    """
-    d = find_nonresidue(p)
-    cs = np.arange(p, dtype=np.int64)
-    vals = (cs[:, None] ** 2 - d * cs[None, :] ** 2) % p
-    t = _legendre_table(p)[vals]
-    t.flags.writeable = False
-    return d, t
-
-
-def norm_shift_sum(p: int, ns, chi: Character = None) -> int:
+def norm_shift_sum(p: int, ns) -> int:
     """Shifted product sum over F_{p^2} through the norm character.
 
-    Equals the two-variable complete sum for any inert companion form: the
-    substitution z = a - (root) b identifies the (a, b) grid with F_{p^2}
-    and sends companion(n + a, b) to Norm(n + z).
+    The table is the grid of c^2 - delta e^2, delta the least non-residue:
+    the norm-character table of F_{p^2} = F_p[T]/(T^2 - delta), whose value
+    at c + eT is jacobi(Norm(c + eT), p).  The sum equals the two-variable
+    complete sum for any inert companion form: the substitution
+    z = a - (root) b identifies the (a, b) grid with F_{p^2} and sends
+    companion(n + a, b) to Norm(n + z).
     """
-    _require_scan_prime(p, chi)
-    _, t = _norm_table(p)
-    t2 = np.vstack([t, t])
-    ns = tuple(n % p for n in ns)
-    acc = t2[ns[0] : ns[0] + p, :].copy()
-    for n in ns[1:]:
-        np.multiply(acc, t2[n : n + p, :], out=acc)
-    return int(acc.sum(dtype=np.int64))
-
-
-@lru_cache(maxsize=None)
-def _form_grid_table(p: int, a: int, b: int, c: int) -> np.ndarray:
-    """T[x, y] = jacobi(a x^2 + b x y + c y^2, p) over the full p x p grid."""
-    xs = np.arange(p, dtype=np.int64)
-    vals = (a * xs[:, None] ** 2 + b * xs[:, None] * xs[None, :] + c * xs[None, :] ** 2) % p
-    t = _legendre_table(p)[vals]
-    t.flags.writeable = False
-    return t
+    _require_scan_prime(p)
+    return _shift_product_sum(_grid_table(p, 1, 0, -find_nonresidue(p) % p), ns)
 
 
 def _check_companion(p: int, qt: BinaryForm):
@@ -508,18 +516,16 @@ def _check_companion(p: int, qt: BinaryForm):
         raise InvalidInput("companion leading coefficient must be a unit")
 
 
+def _form_table(qt: BinaryForm, d: int) -> np.ndarray:
+    return _grid_table(d, qt.a % d, qt.b % d, qt.c % d)
+
+
 def form_shift_sum_direct(p: int, ns, qt: BinaryForm) -> int:
     """Direct O(p^2) evaluation of the shifted companion-form product sum:
     sum over (a, b) mod p of jacobi(prod_i qt(n_i + a, b), p)."""
-    _require_scan_prime(p, None)
+    _require_scan_prime(p)
     _check_companion(p, qt)
-    t = _form_grid_table(p, qt.a % p, qt.b % p, qt.c % p)
-    t2 = np.vstack([t, t])
-    ns = tuple(n % p for n in ns)
-    acc = t2[ns[0] : ns[0] + p, :].copy()
-    for n in ns[1:]:
-        np.multiply(acc, t2[n : n + p, :], out=acc)
-    return int(acc.sum(dtype=np.int64))
+    return _shift_product_sum(_form_table(qt, p), ns)
 
 
 def splits_mod(qt: BinaryForm, p: int) -> bool:
@@ -527,7 +533,7 @@ def splits_mod(qt: BinaryForm, p: int) -> bool:
     return jacobi(qt.disc(), p) == 1
 
 
-def form_shift_sum(p: int, ns, qt: BinaryForm, chi: Character = None, check: bool = True) -> int:
+def form_shift_sum(p: int, ns, qt: BinaryForm, check: bool = True) -> int:
     """Shifted companion-form product sum mod an odd prime p.
 
     Uses the factored route: the square of the one-variable sum when qt
@@ -535,7 +541,7 @@ def form_shift_sum(p: int, ns, qt: BinaryForm, chi: Character = None, check: boo
     (the default) the direct O(p^2) grid enumeration is also computed and
     the two must agree.
     """
-    _require_scan_prime(p, chi)
+    _require_scan_prime(p)
     _check_companion(p, qt)
     if len(ns) == 0 or len(ns) % 2 != 0:
         raise InvalidInput("shift tuple must have positive even length")
@@ -565,25 +571,11 @@ def form_shift_sum_q(qt: BinaryForm, mod: Modulus, ns, check: bool = False) -> i
     return out
 
 
-def _companion_value_table(qt: BinaryForm, q: int) -> np.ndarray:
-    """jacobi(qt(x, y), q) over the full q x q grid, int8."""
-    a, b, c = qt.a % q, qt.b % q, qt.c % q
-    xs = np.arange(q, dtype=np.int64)
-    grid = (a * xs[:, None] ** 2 + b * xs[:, None] * xs[None, :] + c * xs[None, :] ** 2) % q
-    return jacobi_table(q)[grid]
-
-
 def form_shift_sum_q_direct(qt: BinaryForm, mod: Modulus, ns) -> int:
     """O(q^2) direct evaluation over the composite grid, for cross-checking."""
     q = mod.q
     _guard_points(q * q * len(ns), "form_shift_sum_q_direct")
-    tg = _companion_value_table(qt, q)
-    t2 = np.vstack([tg, tg])
-    ns = tuple(n % q for n in ns)
-    acc = t2[ns[0] : ns[0] + q, :].astype(np.int64)
-    for n in ns[1:]:
-        acc *= t2[n : n + q, :]
-    return int(acc.sum(dtype=np.int64))
+    return _shift_product_sum(_form_table(qt, q), ns)
 
 
 def shifted_sum_bound(p: int, r: int, overall_gcd: int) -> int:
@@ -601,12 +593,9 @@ def window_power_sum(qt: BinaryForm, mod: Modulus, h: int, r: int) -> int:
     if h < 1 or r < 1:
         raise InvalidInput("window length and power must be positive")
     _guard_points(q * q * h ** (2 * r), "window_power_sum")
-    tg = _companion_value_table(qt, q)
-    t2 = np.vstack([tg, tg])
     w = np.zeros((q, q), dtype=np.int64)
-    for n in range(1, h + 1):
-        m = n % q
-        w += t2[m : m + q, :]
+    for view in _rolled(_form_table(qt, q), range(1, h + 1)):
+        w += view
     return int((w ** (2 * r)).sum(dtype=np.int64))
 
 
@@ -628,11 +617,9 @@ def max_window_power_sum(qt: BinaryForm, mod: Modulus, n: int, r: int) -> int:
     if n < 1 or r < 1:
         raise InvalidInput("window length and power must be positive")
     _guard_points(q * q * n * n, "max_window_power_sum")
-    tg = _companion_value_table(qt, q)
-    t2 = np.vstack([tg, tg])
     prefix = [np.zeros((q, q), dtype=np.int64)]
-    for m in range(1, n + 1):
-        prefix.append(prefix[-1] + t2[m % q : m % q + q, :])
+    for view in _rolled(_form_table(qt, q), range(1, n + 1)):
+        prefix.append(prefix[-1] + view)
     best = np.zeros((q, q), dtype=np.int64)
     for i in range(n + 1):
         for j in range(i + 1, n + 1):

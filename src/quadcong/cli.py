@@ -20,7 +20,6 @@ named on stderr), 2 configuration errors.
 """
 
 import argparse
-import hashlib
 import math
 import random
 import sys
@@ -38,7 +37,7 @@ from .charsum import (
     shifted_sum_bound,
     splits_mod,
 )
-from .errors import FitError, InvalidModulus, QuadCongError
+from .errors import CertificateMismatch, FitError, InvalidModulus, QuadCongError
 from .modmath import Modulus, find_nonresidue, is_prime, make_modulus
 from .oracle import oracle_scan, rank_two_family_min, restriction_coprime_count, sample_forms
 from .qforms import BinaryForm
@@ -102,6 +101,8 @@ def fit_exponent(rows) -> FitResult:
 
 
 def _hash_ints(vals) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, ~3.5 MB resident
+
     return hashlib.sha1(" ".join(str(v) for v in vals).encode()).hexdigest()[:12]
 
 
@@ -214,7 +215,8 @@ def _task_weil(args):
     rows, ok = [], True
     split_qt = BinaryForm(1, 1, 0)  # disc 1: factors over every F_p
     inert_qt = BinaryForm(1, 0, -find_nonresidue(p))
-    assert splits_mod(split_qt, p) and not splits_mod(inert_qt, p)
+    if not splits_mod(split_qt, p) or splits_mod(inert_qt, p):
+        raise CertificateMismatch(f"companions {split_qt.row()}, {inert_qt.row()} not split, inert mod {p}")
     for r in (2, 3):
         for qt in (split_qt, inert_qt):
             rng = random.Random(f"{seed}:weil:{p}:{r}:{qt.row()}")

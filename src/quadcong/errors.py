@@ -27,15 +27,15 @@ class TooSmall(InvalidModulus):
     pass
 
 
+class BadFactorization(InvalidModulus):
+    pass
+
+
 class NotPrime(QuadCongError):
     pass
 
 
 class InvalidInput(QuadCongError):
-    pass
-
-
-class FieldMismatch(QuadCongError):
     pass
 
 
@@ -63,10 +63,6 @@ class ZeroClass(QuadCongError):
     pass
 
 
-class BoxTooSmall(QuadCongError):
-    pass
-
-
 # -- search / solver ---------------------------------------------------------
 
 class SearchExhausted(QuadCongError):
@@ -84,10 +80,6 @@ class CertificateMismatch(QuadCongError):
 # -- character sums ------------------------------------------------------------
 
 class NotInGoodSet(QuadCongError):
-    pass
-
-
-class PrincipalCharacter(QuadCongError):
     pass
 
 

@@ -39,10 +39,6 @@ def content(v) -> int:
     return g
 
 
-def is_primitive(v) -> bool:
-    return content(v) == 1
-
-
 def vec_key(v):
     """Deterministic tie-break key: per coordinate (|c|, sign-rank).
 

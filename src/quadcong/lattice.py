@@ -1,7 +1,8 @@
 """Exact integer lattice kernels: 2D reduction, orthogonal-plane bases,
 coefficient-lift lattices, short vectors, and congruence box search.
 
-Everything is plain python ints / Fractions; no floating point anywhere.
+Everything is plain python ints, with Fractions only in LLL and the basis
+defect; no floating point anywhere.  The weighted box search is integer-only.
 Canonical tie-breaks use intvec.vec_key so outputs are deterministic.
 """
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import BoxTooSmall, DegenerateBasis, NotPrimitive, ZeroClass
+from .errors import DegenerateBasis, NotPrimitive, ZeroClass
 from .intvec import (
     content,
     dot,
@@ -115,7 +116,8 @@ def kernel_basis3(w):
 
     combine(0, 1)
     combine(0, 2)
-    assert vals == [1, 0, 0] or vals == [-1, 0, 0]
+    if vals not in ([1, 0, 0], [-1, 0, 0]):
+        raise DegenerateBasis(f"column reduction of {w} ended at {vals}")
     return cols[1], cols[2]
 
 
@@ -126,9 +128,9 @@ def orthogonal_basis(a0) -> Basis2:
     """
     v1, v2 = kernel_basis3(a0)
     basis = gauss_reduce(v1, v2)
-    assert basis.det_gram() == norm_sq(a0)
     cr = cross3(basis.b1, basis.b2)
-    assert cr == tuple(a0) or cr == tuple(scale(a0, -1))
+    if basis.det_gram() != norm_sq(a0) or cr not in (tuple(a0), tuple(scale(a0, -1))):
+        raise DegenerateBasis(f"plane basis {basis} does not span the lattice orthogonal to {a0}")
     return basis
 
 
@@ -331,50 +333,49 @@ def congruence_basis2(l1: int, l2: int, m: int) -> Basis2:
     return basis
 
 
-def _wdot(u, v, wu, wv):
+def _wdot(u, v, wu: int, wv: int) -> int:
     return wu * u[0] * v[0] + wv * u[1] * v[1]
 
 
-def weighted_reduce2(basis: Basis2, wu, wv) -> Basis2:
-    """Gauss reduction under the diagonal weighted form wu*u^2 + wv*v^2."""
-    wu, wv = Fraction(wu), Fraction(wv)
+def weighted_reduce2(basis: Basis2, wu: int, wv: int) -> Basis2:
+    """Gauss reduction under the diagonal weighted form wu*u^2 + wv*v^2
+    (positive integer weights)."""
     b1, b2 = basis.b1, basis.b2
     if _wdot(b1, b1, wu, wv) > _wdot(b2, b2, wu, wv):
         b1, b2 = b2, b1
     while True:
         n1 = _wdot(b1, b1, wu, wv)
-        mu = _wdot(b1, b2, wu, wv) / n1
-        r = round_div(mu.numerator, mu.denominator)
-        b2 = sub(b2, scale(b1, r))
+        b2 = sub(b2, scale(b1, round_div(_wdot(b1, b2, wu, wv), n1)))
         if _wdot(b2, b2, wu, wv) >= n1:
             break
         b1, b2 = b2, b1
     return Basis2(b1, b2)
 
 
-def weighted_short_vectors(basis: Basis2, wu, wv, cap):
-    """All nonzero lattice vectors with weighted norm <= cap (exact), as
-    (f, vector) pairs.  Weights and cap are Fractions or ints."""
-    wu, wv, cap = Fraction(wu), Fraction(wv), Fraction(cap)
+def weighted_short_vectors(basis: Basis2, wu: int, wv: int, cap: int):
+    """All nonzero lattice vectors with weighted norm <= cap, as (f, vector)
+    pairs sorted by (f, vec_key).  Weights and cap are integers.
+
+    With f1 = f(b1), g = <b1, b2> and D = f1 f(b2) - g^2 > 0, the vector
+    c1 b1 + c2 b2 has f = (f1 c1 + g c2)^2 / f1 + (D / f1) c2^2, so every
+    bound below is an exact integer comparison.
+    """
     red = weighted_reduce2(basis, wu, wv)
     b1, b2 = red.b1, red.b2
     f1 = _wdot(b1, b1, wu, wv)
-    mu = Fraction(_wdot(b1, b2, wu, wv)) / f1
-    f2star = _wdot(b2, b2, wu, wv) - mu * mu * f1
-    assert f2star > 0
+    g = _wdot(b1, b2, wu, wv)
+    det = f1 * _wdot(b2, b2, wu, wv) - g * g
+    if det <= 0:
+        raise DegenerateBasis(f"weighted Gram determinant {det} is not positive")
     out = []
-    t2 = cap / f2star
-    lim2 = floor_sqrt_ratio(t2.numerator, t2.denominator)
+    lim2 = floor_sqrt_ratio(cap * f1, det)
     for c2 in range(-lim2, lim2 + 1):
-        rem = cap - f2star * c2 * c2
+        rem = cap * f1 - det * c2 * c2  # f1^2 times the budget left for c1
         if rem < 0:
             continue
-        center = -mu * c2
-        t1 = rem / f1
-        w1 = floor_sqrt_ratio(t1.numerator, t1.denominator) + 1
-        lo = round_div(center.numerator, center.denominator) - w1 - 1
-        hi = round_div(center.numerator, center.denominator) + w1 + 1
-        for c1 in range(lo, hi + 1):
+        center = round_div(-g * c2, f1)
+        w1 = floor_sqrt_ratio(rem, f1 * f1) + 1
+        for c1 in range(center - w1 - 1, center + w1 + 2):
             if c1 == 0 and c2 == 0:
                 continue
             v = (c1 * b1[0] + c2 * b2[0], c1 * b1[1] + c2 * b2[1])
@@ -383,22 +384,3 @@ def weighted_short_vectors(basis: Basis2, wu, wv, cap):
                 out.append((f, v))
     out.sort(key=lambda t: (t[0], vec_key(t[1])))
     return out
-
-
-def bounded_root_vector(l1: int, l2: int, m: int, u_sq, v_sq):
-    """Nonzero (u, v) with l1 u + l2 v ≡ 0 (mod m), u^2 <= u_sq, v^2 <= v_sq.
-
-    u_sq, v_sq are the exact squared half-widths of the box (Fraction or int)
-    and must satisfy u_sq * v_sq >= m^2 (else BoxTooSmall); existence is then
-    guaranteed by the pigeonhole/Minkowski argument.  Among admissible vectors
-    the weighted-norm minimizer is returned, tie-broken by vec_key.
-    """
-    u_sq, v_sq = Fraction(u_sq), Fraction(v_sq)
-    if u_sq <= 0 or v_sq <= 0 or u_sq * v_sq < m * m:
-        raise BoxTooSmall(f"box {u_sq} x {v_sq} too small for modulus {m}")
-    basis = congruence_basis2(l1, l2, m)
-    cands = weighted_short_vectors(basis, 1 / u_sq, 1 / v_sq, Fraction(2))
-    for _, v in cands:
-        if v[0] * v[0] <= u_sq and v[1] * v[1] <= v_sq:
-            return v
-    raise AssertionError("pigeonhole guarantee violated (bug)")

@@ -1,15 +1,16 @@
 """Exact modular arithmetic over odd square-free moduli.
 
 Jacobi symbols, prime square roots (canonical representative), CRT glue,
-modulus validation with verified factorization, and a minimal F_{p^2}
-implemented as F_p[T]/(T^2 - d) for the smallest non-residue d.
+modulus validation with verified factorization, and the least quadratic
+non-residue (the d of F_{p^2} = F_p[T]/(T^2 - d) in the norm-character
+tables).
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
-    FieldMismatch,
+    BadFactorization,
     InvalidInput,
     InvalidModulus,
     NotOdd,
@@ -140,11 +141,14 @@ class Modulus:
     primes: tuple
 
     def __post_init__(self):
-        assert all(is_prime(p) for p in self.primes)
-        prod = 1
-        for p in self.primes:
-            prod *= p
-        assert prod == self.q
+        if self.q < 3:
+            raise TooSmall(f"modulus must be >= 3, got {self.q}")
+        if self.q % 2 == 0:
+            raise NotOdd(f"modulus must be odd, got {self.q}")
+        if prod(self.primes) != self.q or not all(is_prime(p) for p in self.primes):
+            raise BadFactorization(f"{self.primes} is not the prime factorization of {self.q}")
+        if len(set(self.primes)) != len(self.primes):
+            raise NotSquareFree(f"{self.q} has a repeated prime factor")
 
 
 def _factor(n: int):
@@ -190,17 +194,15 @@ def _rho_split(n: int):
 
 
 def make_modulus(q: int) -> Modulus:
-    """Validate q as an odd square-free integer >= 3 and factor it."""
+    """Validate q as an odd square-free integer >= 3 and factor it
+    (Modulus itself rejects a repeated prime)."""
     if not isinstance(q, int):
         raise InvalidInput(f"modulus must be int, got {type(q)!r}")
     if q < 3:
         raise TooSmall(f"modulus must be >= 3, got {q}")
     if q % 2 == 0:
         raise NotOdd(f"modulus must be odd, got {q}")
-    primes = _factor(q)
-    if len(set(primes)) != len(primes):
-        raise NotSquareFree(f"{q} has a repeated prime factor")
-    return Modulus(q=q, primes=tuple(primes))
+    return Modulus(q=q, primes=tuple(_factor(q)))
 
 
 def is_square_mod(a: int, mod: Modulus) -> bool:
@@ -222,69 +224,9 @@ def sqrt_mod_squarefree(a: int, mod: Modulus):
     return crt_combine(parts)
 
 
-# -- F_{p^2} -------------------------------------------------------------------
-
-
 def find_nonresidue(p: int) -> int:
     """Smallest d >= 2 with (d/p) = -1."""
     d = 2
     while jacobi(d, p) != -1:
         d += 1
     return d
-
-
-@dataclass(frozen=True)
-class Fp2Elem:
-    """a + b*T in F_p[T]/(T^2 - d), d a fixed non-residue mod p."""
-
-    a: int
-    b: int
-    p: int
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.a % self.p)
-        object.__setattr__(self, "b", self.b % self.p)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-
-def fp2_elem(a: int, b: int, p: int, d=None) -> Fp2Elem:
-    if d is None:
-        d = find_nonresidue(p)
-    return Fp2Elem(a, b, p, d)
-
-
-def _same_field(x: Fp2Elem, y: Fp2Elem):
-    if x.p != y.p or x.d != y.d:
-        raise FieldMismatch(f"({x.p},{x.d}) vs ({y.p},{y.d})")
-
-
-def fp2_mul(x: Fp2Elem, y: Fp2Elem) -> Fp2Elem:
-    _same_field(x, y)
-    p, d = x.p, x.d
-    return Fp2Elem((x.a * y.a + d * x.b * y.b) % p, (x.a * y.b + x.b * y.a) % p, p, d)
-
-
-def fp2_add(x: Fp2Elem, y: Fp2Elem) -> Fp2Elem:
-    _same_field(x, y)
-    return Fp2Elem((x.a + y.a) % x.p, (x.b + y.b) % x.p, x.p, x.d)
-
-
-def fp2_pow(x: Fp2Elem, k: int) -> Fp2Elem:
-    if k < 0:
-        raise InvalidInput("negative exponent")
-    out = Fp2Elem(1, 0, x.p, x.d)
-    base = x
-    while k:
-        if k & 1:
-            out = fp2_mul(out, base)
-        base = fp2_mul(base, base)
-        k >>= 1
-    return out
-
-
-def fp2_norm(x: Fp2Elem) -> int:
-    """Norm to F_p: x * conj(x) = a^2 - d b^2."""
-    return (x.a * x.a - x.d * x.b * x.b) % x.p

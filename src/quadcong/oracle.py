@@ -2,8 +2,8 @@
 
 Exhaustive ball scans (exact, canonical tie-breaks) for the minimal zero and
 minimal square-value vectors of a form mod q, the rank-2 family with
-anomalously large minima, difference-product gcd counts, and coprime-value
-counts with their per-prime main-term prediction.
+anomalously large minima, and coprime-value counts with their per-prime
+main-term prediction.
 
 Scans enumerate complete balls, so returned minima are proven minimal: a
 reported witness means no nonzero vector of smaller (norm, key) satisfies the
@@ -18,7 +18,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import RegionTooLarge
+from .errors import CertificateMismatch, RegionTooLarge
 from .intvec import norm_sq, vec_key
 from .lattice import iter_vectors_by_norm
 from .modmath import Modulus, sqrt_mod_squarefree
@@ -150,7 +150,8 @@ def brute_min_zero(form, mod: Modulus, bound_sq=None, budget: int = POINT_BUDGET
     if best is None:
         return None
     (s, _), v = best
-    assert form.evaluate(v) % mod.q == 0
+    if form.evaluate(v) % mod.q:
+        raise CertificateMismatch(f"ball scan returned {v}, not a zero of {form} mod {mod.q}")
     return BruteResult(norm_sq=s, witness=v, t=0)
 
 
@@ -169,7 +170,8 @@ def brute_min_square(form, mod: Modulus, bound_sq=None, budget: int = POINT_BUDG
         return None
     (s, _), v = best
     t = sqrt_mod_squarefree(form.evaluate(v) % mod.q, mod)
-    assert t is not None
+    if t is None:
+        raise CertificateMismatch(f"ball scan returned {v}, a non-square of {form} mod {mod.q}")
     return BruteResult(norm_sq=s, witness=v, t=t)
 
 
@@ -195,49 +197,9 @@ def rank_two_family_min(a: int, b: int, mod: Modulus, budget: int = POINT_BUDGET
     # both certified and affordable
     cap = b**4 + b * b + 1
     res = brute_min_zero(rank_two_family_form(a, b), mod, bound_sq=cap, budget=budget)
-    assert res is not None
+    if res is None:
+        raise CertificateMismatch(f"rank-2 form ({a}, {b}) has no zero mod {mod.q} within {cap}")
     return res
-
-
-# ------------------------------------------------------- tuple gcd counting
-
-
-@dataclass(frozen=True)
-class DiffGcdCount:
-    """Tuples n in [1, h]^{2r} classified by divisibility of the overall
-    difference-product gcd (0 counts as divisible by everything)."""
-
-    k: int
-    h: int
-    r: int
-    total: int  # tuples with k | gcd
-    degenerate: int  # tuples whose every difference product vanishes
-    nondegenerate: int  # k | gcd with gcd != 0
-
-
-def diff_gcd_count(k: int, h: int, r: int, budget: int = POINT_BUDGET) -> DiffGcdCount:
-    n = 2 * r
-    if h**n > budget:
-        raise RegionTooLarge(f"{h}^{n} tuples exceed budget")
-    degenerate = 0
-    nondeg = 0
-    for ns in product(range(1, h + 1), repeat=n):
-        g = 0
-        for i, ni in enumerate(ns):
-            v = 1
-            for j, nj in enumerate(ns):
-                if j != i:
-                    v *= nj - ni
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g == 0:
-            degenerate += 1
-        elif g % k == 0:
-            nondeg += 1
-    return DiffGcdCount(
-        k=k, h=h, r=r, total=degenerate + nondeg, degenerate=degenerate, nondegenerate=nondeg
-    )
 
 
 # --------------------------------------------------------- coprime counting
@@ -377,9 +339,3 @@ def oracle_scan(mod: Modulus, count: int, seed, budget: int = POINT_BUDGET) -> l
             )
         )
     return rows
-
-
-def worst_min_zero(rows) -> int:
-    """Largest minimal-zero squared norm in the sample: the sampled lower
-    bound for the worst-case minimum at this modulus."""
-    return max(r.min_zero.norm_sq for r in rows)

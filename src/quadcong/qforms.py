@@ -13,7 +13,7 @@ the symmetric interval (-q/2, q/2].
 
 from dataclasses import dataclass
 
-from .errors import ArityError
+from .errors import ArityError, CertificateMismatch
 from .intvec import add
 from .modmath import Modulus, inv_mod
 
@@ -114,14 +114,6 @@ def det_gram2(form) -> int:
     return _det3(form.gram2())
 
 
-def det_mod(form, mod: Modulus) -> int:
-    """det of the Gram matrix as a residue mod q (q odd, so 2 is invertible)."""
-    q = mod.q
-    if isinstance(form, BinaryForm):
-        return form.det4() * inv_mod(4, q) % q
-    return det_gram2(form) * inv_mod(8, q) % q
-
-
 def nonsingular_mod(form, mod: Modulus) -> bool:
     from math import gcd
 
@@ -178,7 +170,8 @@ def covariant(q1: BinaryForm, q2: BinaryForm) -> int:
     """
     s = 2 * (q1.a * q2.c + q2.a * q1.c) - q1.b * q2.b
     num = s * s - q1.det4() * q2.det4()
-    assert num % 4 == 0
+    if num % 4:
+        raise CertificateMismatch(f"covariant numerator {num} is not divisible by 4")
     return num // 4
 
 

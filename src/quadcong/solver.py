@@ -138,8 +138,8 @@ def square_value_ternary(form: TernaryForm, mod: Modulus) -> SquareValueWitness:
     t = sqrt_mod_squarefree(form.evaluate(x), mod)
     if t is None:
         raise CertificateMismatch("restriction produced a non-square value")
-    assert x != (0, 0, 0)
-    assert norm_sq(x) <= 6 * choice.max_abs**2 * (u * u + v * v)
+    if x == (0, 0, 0) or norm_sq(x) > 6 * choice.max_abs**2 * (u * u + v * v):
+        raise CertificateMismatch(f"witness {x} from (u, v) = {(u, v)} breaks its size bound")
     return SquareValueWitness(x=x, t=t, choice=choice, uv=(u, v))
 
 
@@ -267,12 +267,11 @@ def _box_pair(l1: int, l2: int, q1: int, n1: int, n2: int):
     The box is |u| <= (q1 ||x2|| / ||x1||)^(1/2), |v| <= (q1 ||x1|| / ||x2||)^(1/2);
     both bounds are irrational, so membership is tested by the equivalent
     quartic comparisons u^4 n1 <= q1^2 n2 and v^4 n2 <= q1^2 n1.  The weight
-    u^2 n1 + v^2 n2 is the squared triangle-inequality budget.
+    u^2 n1 + v^2 n2 is the squared triangle-inequality budget.  Requires
+    gcd(l1, l2, q1) = 1, as linear_split guarantees, so the lattice has
+    index q1 and only a handful of vectors fall under the cap.
     """
-    if q1 == 1:
-        basis = congruence_basis2(0, 0, 1)
-    else:
-        basis = congruence_basis2(l1, l2, q1)
+    basis = congruence_basis2(l1, l2, q1)
     cap = isqrt(4 * q1 * q1 * n1 * n2)  # floor(2 q1 sqrt(n1 n2)) >= weight of a box point
     q1sq = q1 * q1
     for _, v in weighted_short_vectors(basis, n1, n2, cap):

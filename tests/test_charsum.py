@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcong.errors import (
-    FieldMismatch,
     InvalidInput,
     NotInGoodSet,
-    PrincipalCharacter,
     RegionTooLarge,
     SingularQTilde,
 )
@@ -20,6 +18,9 @@ from quadcong.charsum import (
     Box,
     Character,
     Disc,
+    _grid_table,
+    _rolled,
+    _shift_product_sum,
     diff_products,
     divisor_char_sum,
     divisor_sum_positive,
@@ -113,6 +114,60 @@ def test_incomplete_sum_small_frozen():
     # values mod 3 on [0,2]^2: 0,1,1 / 1,2,2 / 1,2,2 -> chi: 0,1,1 / 1,-1,-1 / 1,-1,-1
     assert incomplete_sum(chi, f, Box(0, 2, 0, 2)) == 0
     assert incomplete_sum(chi, f, Box(0, 1, 0, 1)) == 1  # chi: 0,1 / 1,-1
+
+
+def test_incomplete_sum_large_modulus_exact():
+    # a * x^2 in int64 overflows once d > 2^21 unless each product is reduced
+    d = 4_000_037
+    chi = make_character(d)
+    f = BinaryForm(d - 1, 3, d - 5)
+    for box, expected in ((Box(3999990, 3999998, 1, 9), -5), (Box(3999980, 3999988, 11, 19), -13)):
+        pointwise = sum(
+            jacobi(f.evaluate((x, y)), d)
+            for x in range(box.x_lo, box.x_hi + 1)
+            for y in range(box.y_lo, box.y_hi + 1)
+        )
+        assert pointwise == expected
+        assert incomplete_sum(chi, f, box) == expected
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 15, 21, 35])
+def test_grid_table_matches_pointwise(d):
+    forms = [(1, 1, 0), (2, 3, 5), (0, 1, 0), (d - 1, 0, d - 2)]
+    if d in (3, 5, 7, 11):
+        forms.append((1, 0, -find_nonresidue(d) % d))  # the F_{p^2} norm table, c^2 - delta e^2
+    for a, b, c in forms:
+        t = _grid_table(d, a, b, c)
+        assert t.shape == (d, d) and t.dtype == np.int8 and not t.flags.writeable
+        for x in range(d):
+            for y in range(d):
+                assert t[x, y] == jacobi(a * x * x + b * x * y + c * y * y, d)
+        assert full_grid_sum_direct(BinaryForm(a, b, c), d) == int(t.sum())
+
+
+def test_grid_table_block_seams():
+    # above 256 the grid is built in several row blocks (255 rows at d = 257)
+    d = 257
+    a, b, c = 123, 56, 89
+    t = _grid_table(d, a, b, c)
+    for x in range(d):
+        for y in range(d):
+            assert t[x, y] == jacobi(a * x * x + b * x * y + c * y * y, d)
+    assert full_grid_sum_direct(BinaryForm(a, b, c), d) == int(t.sum(dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [3, 7, 19])
+def test_norm_table_balanced_and_multiplicative(p):
+    delta = find_nonresidue(p)
+    t = _grid_table(p, 1, 0, -delta % p).astype(np.int64)
+    # the norm vanishes only at 0 and takes every nonzero value p + 1 times
+    assert int((t == 0).sum()) == 1
+    assert int((t == 1).sum()) == int((t == -1).sum()) == (p * p - 1) // 2
+    # (c1 + e1 T)(c2 + e2 T) = (c1 c2 + delta e1 e2) + (c1 e2 + c2 e1) T
+    r = np.arange(p)
+    c1, e1, c2, e2 = np.meshgrid(r, r, r, r, indexing="ij")
+    prod = t[(c1 * c2 + delta * e1 * e2) % p, (c1 * e2 + c2 * e1) % p]
+    assert (prod == t[c1, e1] * t[c2, e2]).all()
 
 
 def test_grid_vanishing_exhaustive_small():
@@ -325,21 +380,59 @@ def test_linear_shift_sum_brute():
 
 
 def test_norm_shift_sum_brute():
-    from quadcong.modmath import Fp2Elem, fp2_norm
-
     p = 5
     d = find_nonresidue(p)
-    tbl = jacobi_table(p)
     for ns in [(0, 1), (1, 2, 3, 4), (2, 2)]:
         total = 0
         for c in range(p):
             for e in range(p):
                 prod = 1
                 for n in ns:
-                    z = Fp2Elem((n + c) % p, e, p, d)
-                    prod *= int(tbl[fp2_norm(z)])
+                    prod *= jacobi((n + c) ** 2 - d * e * e, p)
                 total += prod
         assert norm_shift_sum(p, ns) == total
+
+
+def test_rolled_views_pointwise():
+    rng = np.random.default_rng(3)
+    for shape in [(7,), (5, 4)]:
+        t = rng.integers(-1, 2, size=shape).astype(np.int8)
+        m = shape[0]
+        shifts = (0, 3, m, 2 * m + 1, -2)
+        views = list(_rolled(t, shifts))
+        assert len(views) == len(shifts)
+        for n, view in zip(shifts, views):
+            for i in range(m):
+                assert (view[i] == t[(i + n) % m]).all()
+        for ns in [(), (1,), (0, 0), (1, 2, 4), shifts]:
+            expected = 0
+            for i in range(m):
+                prod = np.ones(shape[1:], dtype=np.int64)
+                for n in ns:
+                    prod = prod * t[(i + n) % m]
+                expected += int(prod.sum())
+            assert _shift_product_sum(t, ns) == expected
+
+
+def test_window_sums_pointwise():
+    q = 15
+    mod = make_modulus(q)
+    qt = BinaryForm(1, 1, 3)
+    chi = [[jacobi(qt.evaluate((x, y)), q) for y in range(q)] for x in range(q)]
+    for h, r in [(1, 1), (3, 1), (4, 2)]:
+        expected = sum(
+            sum(chi[(n + a) % q][b] for n in range(1, h + 1)) ** (2 * r)
+            for a in range(q)
+            for b in range(q)
+        )
+        assert window_power_sum(qt, mod, h, r) == expected
+    n, r = 5, 1
+    expected = 0
+    for a in range(q):
+        for b in range(q):
+            vals = [chi[(m + a) % q][b] for m in range(1, n + 1)]
+            expected += max(abs(sum(vals[i:j])) for i in range(n) for j in range(i + 1, n + 1)) ** (2 * r)
+    assert max_window_power_sum(qt, mod, n, r) == expected
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
@@ -376,14 +469,12 @@ def test_form_shift_sum_rejects_singular():
 
 
 def test_scan_prime_character_guards():
-    with pytest.raises(PrincipalCharacter):
-        linear_shift_sum(5, (0, 1), chi=make_character(1))
-    with pytest.raises(FieldMismatch):
-        linear_shift_sum(5, (0, 1), chi=make_character(7))
-    with pytest.raises(FieldMismatch):
-        norm_shift_sum(5, (0, 1), chi=make_character(3))
     with pytest.raises(InvalidInput):
         linear_shift_sum(15, (0, 1))
+    with pytest.raises(InvalidInput):
+        norm_shift_sum(2, (0, 1))
+    with pytest.raises(InvalidInput):
+        form_shift_sum_direct(9, (0, 1), BinaryForm(1, 1, 0))
 
 
 def test_form_shift_sum_q_multiplicative():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from quadcong.charsum import _grid_table
 from quadcong.cli import (
     ExperimentConfig,
     FitResult,
@@ -143,6 +144,19 @@ def test_weil_scan_columns(tmp_path):
         assert q == p and r in (2, 3)
         assert abs(int(parts[5])) <= int(parts[6])
         assert parts[7] == "1"
+
+
+def test_weil_scan_table_cache_stays_bounded(tmp_path):
+    # each prime needs two grids (split companion; inert companion, which is
+    # also the norm table), so a bounded cache builds each once per prime
+    _grid_table.cache_clear()
+    out = tmp_path / "w.csv"
+    assert main(["weil-scan", "--q-range", "3:101", "--samples", "1", "--out", str(out)]) == 0
+    primes = {ln.split(",")[0] for ln in read(out).splitlines()[4:]}
+    assert len(primes) == 25
+    info = _grid_table.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize <= 4
+    assert info.misses == 2 * len(primes)
 
 
 def test_oracle_report_contains_witness(tmp_path):

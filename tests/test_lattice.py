@@ -1,17 +1,15 @@
-from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcong.charsum import in_lift_lattice
-from quadcong.errors import BoxTooSmall, NotPrimitive, ZeroClass
+from quadcong.errors import NotPrimitive, ZeroClass
 from quadcong.intvec import cross3, dot, norm_sq, vec_key
 from quadcong.lattice import (
     Basis2,
-    bounded_root_vector,
     congruence_basis2,
     gauss_reduce,
     iter_vectors_by_norm,
@@ -186,33 +184,9 @@ def test_congruence_basis2_spans(l1, l2, m):
     assert det * roots == m * m
 
 
-def test_bounded_root_vector_frozen():
-    assert bounded_root_vector(1, 0, 5, 25, 25) == (0, 1)
-    assert bounded_root_vector(1, 1, 5, 25, 25) == (1, -1)
-    assert bounded_root_vector(2, 3, 7, 49, 49) == (2, 1)
-
-
-def test_bounded_root_vector_box_guard():
-    with pytest.raises(BoxTooSmall):
-        bounded_root_vector(1, 1, 100, 4, 4)
-
-
-@given(small, small, st.sampled_from([3, 5, 7, 15, 35]), st.integers(1, 6))
-def test_bounded_root_vector_properties(l1, l2, m, slack):
-    u_sq = Fraction(m * slack, 1)
-    v_sq = Fraction(m, slack) + 1
-    if u_sq * v_sq < m * m:
-        u_sq = Fraction(m * m)
-        v_sq = Fraction(1)
-    u, v = bounded_root_vector(l1, l2, m, u_sq, v_sq)
-    assert (u, v) != (0, 0)
-    assert (l1 * u + l2 * v) % m == 0
-    assert u * u <= u_sq and v * v <= v_sq
-
-
 def test_weighted_short_vectors_sorted():
     basis = Basis2((1, 0), (0, 1))
-    out = weighted_short_vectors(basis, Fraction(1), Fraction(2), 10)
+    out = weighted_short_vectors(basis, 1, 2, 10)
     fs = [f for f, _ in out]
     assert fs == sorted(fs)
     assert out[0][1] in {(0, 1), (0, -1), (1, 0), (-1, 0)}
@@ -224,6 +198,32 @@ def test_weighted_short_vectors_sorted():
         for v in range(-2, 3)
         if (u, v) != (0, 0) and u * u + 2 * v * v <= 10
     }
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(small, small).filter(any),
+    st.tuples(small, small).filter(any),
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(0, 200),
+)
+def test_weighted_short_vectors_matches_enumeration(b1, b2, wu, wv, cap):
+    if b1[0] * b2[1] == b1[1] * b2[0]:
+        return
+    basis = Basis2(b1, b2)
+    out = weighted_short_vectors(basis, wu, wv, cap)
+    assert out == sorted(out, key=lambda t: (t[0], vec_key(t[1])))
+    det = abs(b1[0] * b2[1] - b1[1] * b2[0])
+    expected = set()
+    for u in range(-isqrt(cap // wu), isqrt(cap // wu) + 1):
+        for v in range(-isqrt(cap // wv), isqrt(cap // wv) + 1):
+            # (u, v) is in the lattice iff its coordinates in the basis are integers
+            c1 = u * b2[1] - v * b2[0]
+            c2 = v * b1[0] - u * b1[1]
+            if (u, v) != (0, 0) and c1 % det == 0 and c2 % det == 0 and wu * u * u + wv * v * v <= cap:
+                expected.add((wu * u * u + wv * v * v, (u, v)))
+    assert set(out) == expected
 
 
 def test_orthogonal_basis_rejects_zero():

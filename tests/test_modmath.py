@@ -1,15 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadcong.errors import InvalidModulus, NotPrime
+from quadcong.errors import (
+    BadFactorization,
+    InvalidModulus,
+    NotOdd,
+    NotPrime,
+    NotSquareFree,
+    TooSmall,
+)
 from quadcong.modmath import (
-    Fp2Elem,
+    Modulus,
     crt_combine,
     find_nonresidue,
-    fp2_mul,
-    fp2_norm,
-    fp2_pow,
     inv_mod,
     is_prime,
     is_square_mod,
@@ -81,6 +90,38 @@ def test_make_modulus_validation():
     assert mod.q == 105
 
 
+def test_modulus_rejects_bad_factorizations():
+    with pytest.raises(NotSquareFree):
+        Modulus(9, (3, 3))
+    with pytest.raises(TooSmall):
+        Modulus(2, (2,))
+    with pytest.raises(NotOdd):
+        Modulus(6, (2, 3))
+    with pytest.raises(BadFactorization):
+        Modulus(15, (3,))
+    with pytest.raises(BadFactorization):
+        Modulus(15, (15,))
+    assert Modulus(105, (3, 5, 7)).q == 105
+
+
+def test_modulus_validation_survives_optimize_flag():
+    # python -O strips assert statements; the checks must not depend on them
+    code = (
+        "from quadcong.errors import InvalidModulus\n"
+        "from quadcong.modmath import Modulus\n"
+        "for q, primes in ((15, (3,)), (9, (3, 3)), (2, (2,))):\n"
+        "    try:\n"
+        "        Modulus(q, primes)\n"
+        "    except InvalidModulus:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {q} = {primes}')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
 def test_inv_mod():
     from math import gcd
 
@@ -125,26 +166,6 @@ def test_find_nonresidue(p):
     assert jacobi(d, p) == -1
     for smaller in range(1, d):
         assert jacobi(smaller, p) != -1
-
-
-@pytest.mark.parametrize("p", [3, 7, 19])
-def test_fp2_norm_surjective_and_multiplicative(p):
-    d = find_nonresidue(p)
-    seen = set()
-    for c in range(p):
-        for e in range(p):
-            z = Fp2Elem(c, e, p, d)
-            seen.add(fp2_norm(z))
-    assert seen == set(range(p))
-    x = Fp2Elem(1, 2 % p, p, d)
-    y = Fp2Elem(3 % p, 1, p, d)
-    assert fp2_norm(fp2_mul(x, y)) == fp2_norm(x) * fp2_norm(y) % p
-
-
-def test_fp2_pow_order():
-    p, d = 7, find_nonresidue(7)
-    z = Fp2Elem(1, 1, p, d)
-    assert fp2_pow(z, p * p - 1) == Fp2Elem(1, 0, p, d)
 
 
 def test_not_prime_guard():

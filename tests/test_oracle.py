@@ -14,14 +14,12 @@ from quadcong.oracle import (
     brute_min_square,
     brute_min_zero,
     coprime_count,
-    diff_gcd_count,
     oracle_scan,
     rank_two_family_form,
     rank_two_family_min,
     restriction_coprime_count,
     root_count_mod,
     sample_forms,
-    worst_min_zero,
 )
 from quadcong.qforms import BinaryForm, TernaryForm, det_gram2
 from quadcong.solver import solve_ternary, square_value_binary
@@ -97,30 +95,6 @@ def test_rank_two_family_min_reference_growth():
     res = rank_two_family_min(2, 5, mod)
     assert res.norm_sq == 417
     assert rank_two_family_form(2, 5).evaluate(res.witness) % 101 == 0
-
-
-def test_diff_gcd_count_frozen():
-    res = diff_gcd_count(3, 6, 1)
-    assert (res.total, res.degenerate, res.nondegenerate) == (12, 6, 6)
-
-
-def test_diff_gcd_count_brute():
-    from itertools import product as iproduct
-
-    from quadcong.charsum import diff_products
-
-    k, h, r = 5, 8, 1
-    res = diff_gcd_count(k, h, r)
-    total = degenerate = nondeg = 0
-    for ns in iproduct(range(1, h + 1), repeat=2 * r):
-        g = diff_products(ns).overall_gcd
-        if g == 0:
-            degenerate += 1
-            total += 1
-        elif g % k == 0:
-            nondeg += 1
-            total += 1
-    assert (res.total, res.degenerate, res.nondegenerate) == (total, degenerate, nondeg)
 
 
 def test_coprime_count_linear_frozen():
@@ -209,7 +183,6 @@ def test_oracle_scan_dominated_by_solver():
         assert row.min_square.norm_sq <= row.min_zero.norm_sq
         assert row.form.evaluate(row.min_zero.witness) % 35 == 0
         assert is_square_mod(row.form.evaluate(row.min_square.witness), mod)
-    assert worst_min_zero(rows) == max(r.min_zero.norm_sq for r in rows)
 
 
 @settings(max_examples=15, deadline=None)

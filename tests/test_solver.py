@@ -2,7 +2,7 @@ import random
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadcong.errors import (
@@ -16,6 +16,7 @@ from quadcong.modmath import is_square_mod, make_modulus
 from quadcong.oracle import sample_forms
 from quadcong.qforms import TernaryForm, adjoint_mod, det_gram2, negate_mod
 from quadcong.solver import (
+    _box_pair,
     coprime_point_search,
     linear_split,
     parse_trace,
@@ -146,6 +147,34 @@ def test_linear_split_nonresidue_disc_rejected():
     r = BinaryForm(1, 0, 1)  # disc -4, non-residue mod 7
     with pytest.raises(CertificateMismatch):
         linear_split(r, (7,))
+
+
+def test_box_pair_frozen():
+    assert _box_pair(1, 0, 5, 1, 1) == (0, 1)
+    assert _box_pair(1, 1, 5, 1, 1) == (1, -1)
+    assert _box_pair(2, 3, 7, 1, 1) == (2, 1)
+    assert _box_pair(2, 3, 7, 2, 9) == (2, 1)
+    assert _box_pair(5, 11, 105, 3, 14) == (10, 5)
+    assert _box_pair(1, 0, 1, 2, 3) == (1, 0)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(-30, 30),
+    st.integers(-30, 30),
+    st.sampled_from([1, 3, 5, 7, 15, 35, 1155, 15015]),
+    st.integers(1, 10**4),
+    st.integers(1, 10**4),
+)
+def test_box_pair_properties(l1, l2, q1, n1, n2):
+    # linear_split never returns a form vanishing mod a prime of q1
+    assume(gcd(gcd(l1, l2), q1) == 1)
+    u, v = _box_pair(l1, l2, q1, n1, n2)
+    assert (u, v) != (0, 0)
+    assert (l1 * u + l2 * v) % q1 == 0
+    # |u| <= (q1^2 n2 / n1)^(1/4) and |v| <= (q1^2 n1 / n2)^(1/4), exactly
+    assert u**4 * n1 <= q1 * q1 * n2
+    assert v**4 * n2 <= q1 * q1 * n1
 
 
 def test_trace_roundtrip():
