@@ -387,6 +387,9 @@ def good_shift_vectors(form: BinaryForm, lift: BinaryForm, bound: int, mod: Modu
     return out
 
 
+PAIR_Q_LIMIT = 3 * 10**9
+
+
 def shift_pair_counts(
     form: BinaryForm,
     lift: BinaryForm,
@@ -394,43 +397,48 @@ def shift_pair_counts(
     center,
     radius_sq: int,
     shift_bound: int,
-    dense=None,
-):
-    """Count, for each (a, b) mod q, the pairs (s, x) producing those
-    companion coordinates, with s a good shift vector and x in the disc
+) -> np.ndarray:
+    """Nonzero cell counts of the companion coordinates (a, b) mod q over the
+    pairs (s, x), with s a good shift vector and x in the disc
     ||x - center||^2 <= radius_sq.
 
-    Returns a q x q int64 array for q <= 256 and a dict {(a, b): count}
-    beyond (override with dense=True/False); both carry identical counts.
+    Returns a 1-D int64 array with one entry per cell (a, b) that some pair
+    hits, in an unspecified order; its sum is the number of pairs.  Every
+    factor is reduced mod q before each product, so every int64
+    intermediate, the cell key a q + b included, stays below q^2: the counts
+    are exact for q < PAIR_Q_LIMIT = 3 * 10^9, and larger q raises
+    InvalidInput.
     """
     q = mod.q
+    if q >= PAIR_Q_LIMIT:
+        raise InvalidInput(f"q = {q} is not below {PAIR_Q_LIMIT}, the int64 limit of shift_pair_counts")
     shifts = good_shift_vectors(form, lift, shift_bound, mod)
     disc = Disc(center[0], center[1], radius_sq)
     _guard_points(disc.point_count() * max(len(shifts), 1), "shift_pair_counts")
-    pts = [(x1, x2) for x2, lo, hi in disc.rows() for x1 in range(lo, hi + 1)]
+    rows = list(disc.rows())
     # disc rows yield (y, lo, hi); here the pair is (x1, x2) with x2 the row
-    xs1 = np.array([p[0] for p in pts], dtype=np.int64)
-    xs2 = np.array([p[1] for p in pts], dtype=np.int64)
-    use_dense = (q <= 256) if dense is None else dense
-    counts = np.zeros((q, q), dtype=np.int64) if use_dense else {}
-    fa, fb, fc = form.a % q, form.b % q, form.c % q
+    xs1 = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [(lo % q + np.arange(hi - lo + 1, dtype=np.int64)) % q for _, lo, hi in rows]
+    )
+    xs2 = np.repeat(
+        np.array([y % q for y, _, _ in rows], dtype=np.int64),
+        [hi - lo + 1 for _, lo, hi in rows],
+    )
+    keys = [np.zeros(0, dtype=np.int64)]
     for s1, s2 in shifts:
-        qs = form.evaluate((s1, s2)) % q
-        iqs = inv_mod(qs, q)
-        av = (fa * xs1 * s1 + fb * xs1 * s2 + fc * xs2 * s2) * iqs % q
-        bv = (xs2 * s1 - xs1 * s2) * iqs % q
-        if use_dense:
-            np.add.at(counts, (av, bv), 1)
-        else:
-            for key in zip(av.tolist(), bv.tolist()):
-                counts[key] = counts.get(key, 0) + 1
-    return counts
+        iqs = inv_mod(form.evaluate((s1, s2)) % q, q)
+        ka = (form.a * s1 + form.b * s2) * iqs % q
+        kc = form.c * s2 * iqs % q
+        av = (ka * xs1 % q + kc * xs2 % q) % q
+        bv = (s1 * iqs % q * xs2 % q - s2 * iqs % q * xs1 % q) % q
+        keys.append(av * q + bv)
+    _, counts = np.unique(np.concatenate(keys), return_counts=True)
+    return counts.astype(np.int64, copy=False)
 
 
-def second_moment(counts) -> int:
+def second_moment(counts: np.ndarray) -> int:
     """Sum of squared pair counts over the (a, b) grid."""
-    if isinstance(counts, dict):
-        return sum(v * v for v in counts.values())
     return int((counts.astype(np.int64) ** 2).sum(dtype=np.int64))
 
 

@@ -39,7 +39,7 @@ from .charsum import (
 )
 from .errors import CertificateMismatch, FitError, InvalidModulus, QuadCongError
 from .modmath import Modulus, find_nonresidue, is_prime, make_modulus
-from .oracle import oracle_scan, rank_two_family_min, restriction_coprime_count, sample_forms
+from .oracle import POINT_BUDGET, oracle_scan, rank_two_family_min, restriction_coprime_count, sample_forms
 from .qforms import BinaryForm
 from .solver import solve_ternary
 
@@ -63,7 +63,7 @@ class ExperimentConfig:
     q_range: tuple = ()
     samples: int = 0
     seed: str = "0"
-    budget: int = 10**8
+    budget: int = POINT_BUDGET
     out: str = "-"
     jobs: int = 1
 
@@ -275,7 +275,7 @@ def _task_second_moment(args):
         radius_sq = 4 * isqrt(q) ** 2
         shift_bound = max(2, isqrt(isqrt(q)) + 1)
         counts = shift_pair_counts(form, lift, mod, (0, 0), radius_sq, shift_bound)
-        total = int(counts.sum()) if not isinstance(counts, dict) else sum(counts.values())
+        total = int(counts.sum())
         moment = second_moment(counts)
         row_ok = moment >= 0 and total >= 0
         ok &= row_ok
@@ -515,7 +515,7 @@ def build_config(argv) -> ExperimentConfig:
 
     samples = pick(ns.samples, "samples", base.get("samples", 5), int)
     seed = pick(ns.seed, "seed", "0", str)
-    budget = pick(ns.budget, "budget", 10**8, int)
+    budget = pick(ns.budget, "budget", POINT_BUDGET, int)
     out = pick(ns.out, "out", "-", str)
     jobs = pick(ns.jobs, "jobs", 1, int)
     if samples < 0 or budget < 1 or jobs < 1:

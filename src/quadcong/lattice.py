@@ -55,29 +55,37 @@ class Basis3:
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def gauss_reduce(b1, b2) -> Basis2:
-    """Lagrange/Gauss reduction of a rank-2 basis (any ambient dimension).
+def _weighted_dot(wu: int, wv: int):
+    """The diagonal inner product wu u u' + wv v v' on plane vectors."""
+    return lambda u, v: wu * u[0] * v[0] + wv * u[1] * v[1]
 
-    Output basis realizes both successive minima:
+
+def gauss_reduce(b1, b2, weights=None) -> Basis2:
+    """Lagrange/Gauss reduction of a rank-2 basis.
+
+    Without weights the inner product is the dot product (any ambient
+    dimension); with weights = (wu, wv), positive integers, it is the
+    diagonal form wu u u' + wv v v' on plane vectors.  Under that inner
+    product the output basis realizes both successive minima:
     ||b1|| <= ||b2|| and ||b1||^2 ||b2||^2 <= (4/3) det(Gram).
     """
-    n1, n2 = norm_sq(b1), norm_sq(b2)
+    ip = dot if weights is None else _weighted_dot(*weights)
+    n1, n2 = ip(b1, b1), ip(b2, b2)
     if n1 > n2:
         b1, b2, n1, n2 = b2, b1, n2, n1
     if n1 == 0:
         raise DegenerateBasis("zero vector in basis")
     while True:
-        mu = round_div(dot(b1, b2), norm_sq(b1))
-        b2 = sub(b2, scale(b1, mu))
-        if norm_sq(b2) >= norm_sq(b1):
+        b2 = sub(b2, scale(b1, round_div(ip(b1, b2), n1)))
+        n2 = ip(b2, b2)
+        if n2 >= n1:
             break
-        b1, b2 = b2, b1
-        if norm_sq(b1) == 0:
+        b1, b2, n1, n2 = b2, b1, n2, n1
+        if n1 == 0:
             raise DegenerateBasis("basis vectors are dependent")
-    basis = Basis2(b1, b2)
-    if basis.det_gram() == 0:
+    if n1 * n2 == ip(b1, b2) ** 2:  # Gram determinant zero
         raise DegenerateBasis("basis vectors are dependent")
-    return basis
+    return Basis2(b1, b2)
 
 
 def _xgcd(a: int, b: int):
@@ -285,11 +293,7 @@ def iter_vectors_by_norm(dim: int):
     s = 1
     while True:
         shell = []
-        if dim == 1:
-            r = isqrt(s)
-            if r * r == s:
-                shell = [(r,), (-r,)]
-        elif dim == 2:
+        if dim == 2:
             r = isqrt(s)
             for x in range(0, r + 1):
                 y2 = s - x * x
@@ -333,25 +337,6 @@ def congruence_basis2(l1: int, l2: int, m: int) -> Basis2:
     return basis
 
 
-def _wdot(u, v, wu: int, wv: int) -> int:
-    return wu * u[0] * v[0] + wv * u[1] * v[1]
-
-
-def weighted_reduce2(basis: Basis2, wu: int, wv: int) -> Basis2:
-    """Gauss reduction under the diagonal weighted form wu*u^2 + wv*v^2
-    (positive integer weights)."""
-    b1, b2 = basis.b1, basis.b2
-    if _wdot(b1, b1, wu, wv) > _wdot(b2, b2, wu, wv):
-        b1, b2 = b2, b1
-    while True:
-        n1 = _wdot(b1, b1, wu, wv)
-        b2 = sub(b2, scale(b1, round_div(_wdot(b1, b2, wu, wv), n1)))
-        if _wdot(b2, b2, wu, wv) >= n1:
-            break
-        b1, b2 = b2, b1
-    return Basis2(b1, b2)
-
-
 def weighted_short_vectors(basis: Basis2, wu: int, wv: int, cap: int):
     """All nonzero lattice vectors with weighted norm <= cap, as (f, vector)
     pairs sorted by (f, vec_key).  Weights and cap are integers.
@@ -360,11 +345,12 @@ def weighted_short_vectors(basis: Basis2, wu: int, wv: int, cap: int):
     c1 b1 + c2 b2 has f = (f1 c1 + g c2)^2 / f1 + (D / f1) c2^2, so every
     bound below is an exact integer comparison.
     """
-    red = weighted_reduce2(basis, wu, wv)
+    wdot = _weighted_dot(wu, wv)
+    red = gauss_reduce(basis.b1, basis.b2, (wu, wv))
     b1, b2 = red.b1, red.b2
-    f1 = _wdot(b1, b1, wu, wv)
-    g = _wdot(b1, b2, wu, wv)
-    det = f1 * _wdot(b2, b2, wu, wv) - g * g
+    f1 = wdot(b1, b1)
+    g = wdot(b1, b2)
+    det = f1 * wdot(b2, b2) - g * g
     if det <= 0:
         raise DegenerateBasis(f"weighted Gram determinant {det} is not positive")
     out = []
@@ -379,7 +365,7 @@ def weighted_short_vectors(basis: Basis2, wu: int, wv: int, cap: int):
             if c1 == 0 and c2 == 0:
                 continue
             v = (c1 * b1[0] + c2 * b2[0], c1 * b1[1] + c2 * b2[1])
-            f = _wdot(v, v, wu, wv)
+            f = wdot(v, v)
             if f <= cap:
                 out.append((f, v))
     out.sort(key=lambda t: (t[0], vec_key(t[1])))

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import CertificateMismatch, RegionTooLarge
 from .intvec import norm_sq, vec_key
-from .lattice import iter_vectors_by_norm
 from .modmath import Modulus, sqrt_mod_squarefree
 from .qforms import TernaryForm, det_gram2
 from .charsum import _legendre_table
@@ -94,59 +93,32 @@ def _scan_ball3(form, mod, r_sq: int, mask_fn):
     return best
 
 
-def _scan_generic(form, mod, r_sq: int, predicate, budget: int):
-    seen = 0
-    best = None
-    for s, v in iter_vectors_by_norm(form.arity):
-        if s > r_sq:
-            break
-        seen += 1
-        if seen > budget:
-            raise RegionTooLarge(f"generic scan exceeded {budget} points")
-        if predicate(form.evaluate(v) % mod.q):
-            return ((s, vec_key(v)), v)  # first hit is canonical minimum
-    return best
-
-
-def _brute_min(form, mod, mask_fn, predicate, bound_sq, budget, start_sq):
-    """Doubling ball scan; exact canonical minimum with predicate(Q(v)) true.
+def _brute_min(form, mod, mask_fn, bound_sq, budget, start_sq):
+    """Doubling ball scan; exact canonical minimum with mask_fn true at Q(v).
 
     Returns the (key, vector) pair or None if bound_sq was given and the
     exhaustive scan up to it found nothing.
     """
     arity = form.arity
-    cap = bound_sq if bound_sq is not None else None
-    r_sq = start_sq if cap is None else min(start_sq, cap)
+    scan = _scan_ball2 if arity == 2 else _scan_ball3
+    r_sq = start_sq if bound_sq is None else min(start_sq, bound_sq)
     while True:
         if (2 * isqrt(r_sq) + 1) ** arity > budget:
             raise RegionTooLarge(f"ball of squared radius {r_sq} exceeds budget")
-        if arity == 2:
-            best = _scan_ball2(form, mod, r_sq, mask_fn)
-        elif arity == 3:
-            best = _scan_ball3(form, mod, r_sq, mask_fn)
-        else:
-            best = _scan_generic(form, mod, r_sq, predicate, budget)
+        best = scan(form, mod, r_sq, mask_fn)
         if best is not None:
             return best
-        if cap is not None and r_sq >= cap:
+        if bound_sq is not None and r_sq >= bound_sq:
             return None
         r_sq *= 4
-        if cap is not None:
-            r_sq = min(r_sq, cap)
+        if bound_sq is not None:
+            r_sq = min(r_sq, bound_sq)
 
 
 def brute_min_zero(form, mod: Modulus, bound_sq=None, budget: int = POINT_BUDGET):
     """Exact minimal nonzero vector with form(v) = 0 mod q, or None if an
     exhaustive scan up to bound_sq proves there is none that small."""
-    best = _brute_min(
-        form,
-        mod,
-        _zero_mask,
-        lambda val: val == 0,
-        bound_sq,
-        budget,
-        start_sq=16,
-    )
+    best = _brute_min(form, mod, _zero_mask, bound_sq, budget, start_sq=16)
     if best is None:
         return None
     (s, _), v = best
@@ -157,15 +129,7 @@ def brute_min_zero(form, mod: Modulus, bound_sq=None, budget: int = POINT_BUDGET
 
 def brute_min_square(form, mod: Modulus, bound_sq=None, budget: int = POINT_BUDGET):
     """Exact minimal nonzero vector whose value is a square (possibly 0) mod q."""
-    best = _brute_min(
-        form,
-        mod,
-        _square_mask,
-        lambda val: sqrt_mod_squarefree(val, mod) is not None,
-        bound_sq,
-        budget,
-        start_sq=4,
-    )
+    best = _brute_min(form, mod, _square_mask, bound_sq, budget, start_sq=4)
     if best is None:
         return None
     (s, _), v = best

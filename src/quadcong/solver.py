@@ -16,7 +16,7 @@ Every inequality in the trace is checked in exact integer arithmetic; the
 final guarantee is 3 ||x||^4 <= 64 q^2 ||a||^2, i.e. ||x||^2 <= (8/sqrt 3) q ||a||.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from math import gcd, isqrt
 
@@ -29,6 +29,7 @@ from .errors import (
 from .intvec import add, content, dot, norm_sq, scale
 from .lattice import (
     congruence_basis2,
+    gauss_reduce,
     iter_vectors_by_norm,
     orthogonal_basis,
     weighted_short_vectors,
@@ -68,23 +69,18 @@ def coprime_point_search(f, n: int, mod: Modulus, cap: int = 2**30):
     raise SearchExhausted(f"no coprime point with sup-norm <= {cap}")
 
 
-def square_value_binary(form: BinaryForm, mod: Modulus, cap=None):
+def square_value_binary(form: BinaryForm, mod: Modulus):
     """Smallest nonzero (x, y) whose value is a square mod q (prime by prime).
 
-    Norm-shell enumeration with the canonical vec_key tie-break; the cap
-    starts at 4 q^0.3 + 16 and doubles up to q^0.5 before giving up.
+    Norm-shell enumeration with the canonical vec_key tie-break; gives up
+    past norm max(q^0.5, 4 q^0.3 + 16)^2.
     """
     q = mod.q
-    if cap is None:
-        cap = 4.0 * q**0.3 + 16.0
-    cap_max = max(float(q) ** 0.5, cap)
-    cap_sq = int(cap * cap) + 1
+    cap_max = max(float(q) ** 0.5, 4.0 * q**0.3 + 16.0)
+    limit = int(cap_max * cap_max) + 1
     for s, v in iter_vectors_by_norm(2):
-        while s > cap_sq:
-            if cap >= cap_max:
-                raise SearchExhausted(f"no square value below norm {cap_max}")
-            cap = min(2 * cap, cap_max)
-            cap_sq = int(cap * cap) + 1
+        if s > limit:
+            raise SearchExhausted(f"no square value below norm {cap_max}")
         if is_square_mod(form.evaluate(v), mod):
             return v
     raise AssertionError("unreachable")
@@ -204,36 +200,18 @@ class SolveTrace:
         return 3 * nx * nx <= 64 * self.q * self.q * self.witness_norm_sq()
 
 
-_TRACE_FIELDS = (
-    "q",
-    "form",
-    "witness",
-    "t",
-    "content",
-    "primitive",
-    "q0",
-    "q1",
-    "x1",
-    "x2",
-    "plane_form",
-    "linear",
-    "uv",
-    "solution",
-)
-
-
 def trace_lines(trace: SolveTrace):
-    """Line-oriented serialization, one field per line, fixed order."""
+    """Line-oriented serialization, one field per line, in field order."""
     out = []
-    for name in _TRACE_FIELDS:
-        val = getattr(trace, name)
-        if isinstance(val, TernaryForm) or isinstance(val, BinaryForm):
-            text = val.row()
-        elif isinstance(val, tuple):
-            text = " ".join(str(c) for c in val)
-        else:
+    for f in fields(SolveTrace):
+        val = getattr(trace, f.name)
+        if f.type is int:
             text = str(val)
-        out.append(f"{name}: {text}")
+        elif f.type is tuple:
+            text = " ".join(str(c) for c in val)
+        else:  # TernaryForm, BinaryForm
+            text = val.row()
+        out.append(f"{f.name}: {text}")
     return out
 
 
@@ -242,23 +220,14 @@ def parse_trace(lines) -> SolveTrace:
     for line in lines:
         name, _, rest = line.partition(":")
         vals[name.strip()] = rest.strip()
-    ints = lambda s: tuple(int(t) for t in s.split())
-    return SolveTrace(
-        q=int(vals["q"]),
-        form=TernaryForm(*ints(vals["form"])),
-        witness=ints(vals["witness"]),
-        t=int(vals["t"]),
-        content=int(vals["content"]),
-        primitive=ints(vals["primitive"]),
-        q0=int(vals["q0"]),
-        q1=int(vals["q1"]),
-        x1=ints(vals["x1"]),
-        x2=ints(vals["x2"]),
-        plane_form=BinaryForm(*ints(vals["plane_form"])),
-        linear=ints(vals["linear"]),
-        uv=ints(vals["uv"]),
-        solution=ints(vals["solution"]),
-    )
+    kwargs = {}
+    for f in fields(SolveTrace):
+        if f.type is int:
+            kwargs[f.name] = int(vals[f.name])
+        else:
+            ints = tuple(int(t) for t in vals[f.name].split())
+            kwargs[f.name] = ints if f.type is tuple else f.type(*ints)
+    return SolveTrace(**kwargs)
 
 
 def _box_pair(l1: int, l2: int, q1: int, n1: int, n2: int):
@@ -267,14 +236,22 @@ def _box_pair(l1: int, l2: int, q1: int, n1: int, n2: int):
     The box is |u| <= (q1 ||x2|| / ||x1||)^(1/2), |v| <= (q1 ||x1|| / ||x2||)^(1/2);
     both bounds are irrational, so membership is tested by the equivalent
     quartic comparisons u^4 n1 <= q1^2 n2 and v^4 n2 <= q1^2 n1.  The weight
-    u^2 n1 + v^2 n2 is the squared triangle-inequality budget.  Requires
-    gcd(l1, l2, q1) = 1, as linear_split guarantees, so the lattice has
-    index q1 and only a handful of vectors fall under the cap.
+    is f(u, v) = u^2 n1 + v^2 n2, the squared triangle-inequality budget, and
+    ties break by vec_key.  Requires gcd(l1, l2, q1) = 1, as linear_split
+    guarantees, so the lattice has index q1.
+
+    Every vector of weight f <= q1 sqrt(n1 n2) lies in the box.  So when the
+    lattice minimum f(b1) is that small, the answer is among the minimal
+    vectors and the search stops at f(b1); otherwise a packing bound leaves
+    only a handful of vectors under the cap 2 q1 sqrt(n1 n2), which every box
+    point respects.
     """
-    basis = congruence_basis2(l1, l2, q1)
-    cap = isqrt(4 * q1 * q1 * n1 * n2)  # floor(2 q1 sqrt(n1 n2)) >= weight of a box point
     q1sq = q1 * q1
-    for _, v in weighted_short_vectors(basis, n1, n2, cap):
+    basis = congruence_basis2(l1, l2, q1)
+    red = gauss_reduce(basis.b1, basis.b2, (n1, n2))
+    f1 = n1 * red.b1[0] ** 2 + n2 * red.b1[1] ** 2
+    cap = f1 if f1 * f1 <= q1sq * n1 * n2 else isqrt(4 * q1sq * n1 * n2)
+    for _, v in weighted_short_vectors(red, n1, n2, cap):
         u_, v_ = v
         if u_**4 * n1 <= q1sq * n2 and v_**4 * n2 <= q1sq * n1:
             return v

@@ -559,16 +559,44 @@ def test_window_power_sum_region_guard():
 # ----------------------------------------------------------- counting grids
 
 
-def test_shift_pair_counts_dense_sparse_agree():
-    mod = make_modulus(15)
+def _pair_counts_reference(form, lift, mod, center, radius_sq, shift_bound):
+    counts = {}
+    for s in good_shift_vectors(form, lift, shift_bound, mod):
+        for y, lo, hi in Disc(center[0], center[1], radius_sq).rows():
+            for x in range(lo, hi + 1):
+                sp = shift_params(form, s, (x, y), mod, check=False)
+                counts[sp.a, sp.b] = counts.get((sp.a, sp.b), 0) + 1
+    return sorted(counts.values())
+
+
+@pytest.mark.parametrize(
+    "q,coeffs,center,radius_sq,total,moment",
+    [
+        (15, (1, 1, 2), (0, 0), 16, None, None),
+        (1155, (1, 1, 2), (0, 0), 1155, None, None),
+        # multiplying before reducing would overflow int64 here
+        (1000003, (1000002, 1000001, 1000000), (3 * 10**6, 0), 400, 10056, 13708),
+    ],
+    ids=["q15", "q1155", "int64-overflow"],
+)
+def test_shift_pair_counts_match_shift_params(q, coeffs, center, radius_sq, total, moment):
+    mod = make_modulus(q)
+    f = BinaryForm(*coeffs)
+    lift = minimal_lift(*coeffs, mod).form
+    counts = shift_pair_counts(f, lift, mod, center, radius_sq, 4)
+    assert counts.dtype == np.int64 and counts.ndim == 1
+    expect = _pair_counts_reference(f, lift, mod, center, radius_sq, 4)
+    assert sorted(counts.tolist()) == expect
+    assert second_moment(counts) == sum(c * c for c in expect)
+    if total is not None:
+        assert (int(counts.sum()), second_moment(counts)) == (total, moment)
+
+
+def test_shift_pair_counts_rejects_q_above_int64_limit():
+    mod = make_modulus(3000000001)
     f = BinaryForm(1, 1, 2)
-    ml = minimal_lift(1, 1, 2, mod)
-    dense = shift_pair_counts(f, ml.form, mod, (0, 0), 16, 3, dense=True)
-    sparse = shift_pair_counts(f, ml.form, mod, (0, 0), 16, 3, dense=False)
-    assert int(dense.sum()) == sum(sparse.values())
-    for (a, b), cnt in sparse.items():
-        assert dense[a, b] == cnt
-    assert second_moment(dense) == second_moment(sparse)
+    with pytest.raises(InvalidInput):
+        shift_pair_counts(f, f, mod, (0, 0), 4, 2)
 
 
 def test_shift_pair_counts_total():

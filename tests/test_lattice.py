@@ -23,24 +23,34 @@ from quadcong.modmath import make_modulus
 small = st.integers(min_value=-30, max_value=30)
 
 
-@given(st.tuples(small, small), st.tuples(small, small))
-def test_gauss_reduce_successive_minima(u, v):
+@given(
+    st.tuples(small, small),
+    st.tuples(small, small),
+    st.sampled_from([None, (1, 1), (2, 9), (7, 3)]),
+)
+def test_gauss_reduce_successive_minima(u, v, weights):
     det = u[0] * v[1] - u[1] * v[0]
     if det == 0:
         return
-    red = gauss_reduce(u, v)
+    wu, wv = weights or (1, 1)
+
+    def f(w):
+        return wu * w[0] ** 2 + wv * w[1] ** 2
+
+    red = gauss_reduce(u, v, weights)
     b1, b2 = red.b1, red.b2
     assert abs(b1[0] * b2[1] - b1[1] * b2[0]) == abs(det)
-    assert norm_sq(b1) <= norm_sq(b2)
+    assert f(b1) <= f(b2)
     # b1 achieves the first minimum: nothing shorter in a generous window
     m = min(
-        norm_sq((a * b1[0] + b * b2[0], a * b1[1] + b * b2[1]))
+        f((a * b1[0] + b * b2[0], a * b1[1] + b * b2[1]))
         for a in range(-3, 4)
         for b in range(-3, 4)
         if (a, b) != (0, 0)
     )
-    assert norm_sq(b1) == m
-    assert norm_sq(b1) * norm_sq(b2) * 3 <= 4 * red.det_gram()
+    assert f(b1) == m
+    # the weighted Gram determinant is wu wv det^2
+    assert f(b1) * f(b2) * 3 <= 4 * wu * wv * det * det
 
 
 @given(st.tuples(small, small, small))

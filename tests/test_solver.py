@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd, isqrt
 
 import pytest
@@ -11,7 +12,7 @@ from quadcong.errors import (
     SingularForm,
     TraceInvariantViolation,
 )
-from quadcong.intvec import norm_sq
+from quadcong.intvec import norm_sq, vec_key
 from quadcong.modmath import is_square_mod, make_modulus
 from quadcong.oracle import sample_forms
 from quadcong.qforms import TernaryForm, adjoint_mod, det_gram2, negate_mod
@@ -175,6 +176,70 @@ def test_box_pair_properties(l1, l2, q1, n1, n2):
     # |u| <= (q1^2 n2 / n1)^(1/4) and |v| <= (q1^2 n1 / n2)^(1/4), exactly
     assert u**4 * n1 <= q1 * q1 * n2
     assert v**4 * n2 <= q1 * q1 * n1
+
+
+def _box_pair_brute(l1, l2, q1, n1, n2):
+    best = None
+    u_max = isqrt(isqrt(q1 * q1 * n2 // n1)) + 1
+    v_max = isqrt(isqrt(q1 * q1 * n1 // n2)) + 1
+    for u in range(-u_max, u_max + 1):
+        for v in range(-v_max, v_max + 1):
+            if (u, v) == (0, 0) or (l1 * u + l2 * v) % q1:
+                continue
+            if u**4 * n1 > q1 * q1 * n2 or v**4 * n2 > q1 * q1 * n1:
+                continue
+            key = (n1 * u * u + n2 * v * v, vec_key((u, v)))
+            if best is None or key < best[0]:
+                best = (key, (u, v))
+    return best[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-12, 12),
+    st.integers(-12, 12),
+    st.sampled_from([1, 3, 5, 7, 15, 21, 35, 105]),
+    st.integers(1, 60),
+    st.integers(1, 60),
+)
+def test_box_pair_is_brute_force_box_minimum(l1, l2, q1, n1, n2):
+    assume(gcd(gcd(l1, l2), q1) == 1)
+    assert _box_pair(l1, l2, q1, n1, n2) == _box_pair_brute(l1, l2, q1, n1, n2)
+
+
+@pytest.mark.parametrize(
+    "coeffs,solution",
+    [((0, 3, 5, 1, 1, 1), (-1, 0, 0)), ((1, 0, 0, 0, 0, 1), (-1, -1, 1))],
+)
+def test_box_search_stops_at_lattice_minimum(coeffs, solution):
+    # the reduced plane vector x1 is a zero mod q, so the congruence lattice
+    # is {(u, 0)} plus far vectors: the search must not list everything
+    # under the cap 2 q1 sqrt(n1 n2) (millions of vectors at q ~ 1e12)
+    mod = make_modulus(1000000000039)
+    t0 = time.perf_counter()
+    tr = solve_ternary(TernaryForm(*coeffs), mod)
+    assert time.perf_counter() - t0 < 1.0
+    assert (tr.uv, tr.solution) == ((0, 1), solution)
+
+
+def test_trace_lines_frozen():
+    tr = solve_ternary(TernaryForm(5, 7, 11, 1, 2, 3), make_modulus(1155))
+    assert trace_lines(tr) == [
+        "q: 1155",
+        "form: 5 7 11 1 2 3",
+        "witness: -5 -1 -2",
+        "t: 640",
+        "content: 1",
+        "primitive: -5 -1 -2",
+        "q0: 1",
+        "q1: 1155",
+        "x1: 0 -2 1",
+        "x2: -1 1 2",
+        "plane_form: 33 7 57",
+        "linear: 561 397",
+        "uv: 35 0",
+        "solution: 0 -70 35",
+    ]
 
 
 def test_trace_roundtrip():

@@ -14,3 +14,13 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_benchmark_api_names_resolve(monkeypatch):
+    # the benchmark reads these names at start-up; a rename must fail here
+    # rather than in every benchmark operation
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    api = workloads.load_api()
+    assert callable(api.square_value_binary) and callable(api.shift_pair_counts)
