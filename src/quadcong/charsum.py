@@ -52,10 +52,13 @@ from .modmath import (
 )
 from .qforms import BinaryForm, TernaryForm, adjugate4, monic_companion
 
-POINT_BUDGET = 10**9
+POINT_BUDGET = 10**8
 
 
 def _guard_points(n: int, what: str):
+    """The one work bound: raise RegionTooLarge when a kernel is about to
+    touch more than POINT_BUDGET points.  Kernels call it before they
+    allocate; what names the kernel and its modulus or size."""
     if n > POINT_BUDGET:
         raise RegionTooLarge(f"{what}: {n} points exceeds budget {POINT_BUDGET}")
 
@@ -89,6 +92,7 @@ def make_character(d: int) -> Character:
 @lru_cache(maxsize=None)
 def _legendre_table(p: int) -> np.ndarray:
     # table[i] = jacobi(i, p); residues marked by squaring, 0 at 0
+    _guard_points(p, f"_legendre_table mod {p}")
     t = np.full(p, -1, dtype=np.int8)
     sq = (np.arange(p, dtype=np.int64) ** 2) % p
     t[sq] = 1
@@ -100,14 +104,11 @@ def _legendre_table(p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def jacobi_table(d: int) -> np.ndarray:
     """int8 array of jacobi(i, d) for i in [0, d); read-only, cached."""
-    if d == 1:
-        t = np.ones(1, dtype=np.int8)
-        t.flags.writeable = False
-        return t
-    mod = make_modulus(d)
+    primes = () if d == 1 else make_modulus(d).primes
+    _guard_points(d, f"jacobi_table mod {d}")
     t = np.ones(d, dtype=np.int8)
     idx = np.arange(d, dtype=np.int64)
-    for p in mod.primes:
+    for p in primes:
         t = t * _legendre_table(p)[idx % p]
     t.flags.writeable = False
     return t
@@ -165,7 +166,7 @@ def incomplete_sum(chi: Character, form: BinaryForm, region) -> int:
     sum, so every int64 intermediate stays below d^2 + d (exact for
     d < 3 * 10^9).
     """
-    _guard_points(region.point_count(), "incomplete_sum")
+    _guard_points(region.point_count(), f"incomplete_sum region mod {chi.d}")
     d = chi.d
     t = chi.table()
     a, b, c = form.a % d, form.b % d, form.c % d
@@ -184,6 +185,7 @@ def _grid_rows(d: int, a: int, b: int, c: int):
     Each term is reduced mod d before the terms are added, so every int64
     intermediate stays below d^2 + 2d.
     """
+    _guard_points(d * d, f"_grid_rows mod {d}")
     t = jacobi_table(d)
     ys = np.arange(d, dtype=np.int64)
     sq = ys * ys % d
@@ -214,7 +216,6 @@ def full_grid_sum_direct(form: BinaryForm, d: int) -> int:
 
     Sums the grid block by block, so the whole table is never held.
     """
-    _guard_points(d * d, "full_grid_sum_direct")
     rows = _grid_rows(d, form.a % d, form.b % d, form.c % d)
     return sum(int(blk.sum(dtype=np.int64)) for blk in rows)
 
@@ -414,7 +415,7 @@ def shift_pair_counts(
         raise InvalidInput(f"q = {q} is not below {PAIR_Q_LIMIT}, the int64 limit of shift_pair_counts")
     shifts = good_shift_vectors(form, lift, shift_bound, mod)
     disc = Disc(center[0], center[1], radius_sq)
-    _guard_points(disc.point_count() * max(len(shifts), 1), "shift_pair_counts")
+    _guard_points(disc.point_count() * max(len(shifts), 1), f"shift_pair_counts mod {q}")
     rows = list(disc.rows())
     # disc rows yield (y, lo, hi); here the pair is (x1, x2) with x2 the row
     xs1 = np.concatenate(
@@ -581,9 +582,7 @@ def form_shift_sum_q(qt: BinaryForm, mod: Modulus, ns, check: bool = False) -> i
 
 def form_shift_sum_q_direct(qt: BinaryForm, mod: Modulus, ns) -> int:
     """O(q^2) direct evaluation over the composite grid, for cross-checking."""
-    q = mod.q
-    _guard_points(q * q * len(ns), "form_shift_sum_q_direct")
-    return _shift_product_sum(_form_table(qt, q), ns)
+    return _shift_product_sum(_form_table(qt, mod.q), ns)
 
 
 def shifted_sum_bound(p: int, r: int, overall_gcd: int) -> int:
@@ -595,22 +594,29 @@ def shifted_sum_bound(p: int, r: int, overall_gcd: int) -> int:
 # ------------------------------------------------------- windowed power sums
 
 
+def _power_sum(w: np.ndarray, e: int) -> int:
+    """Exact sum of |w|^e over an integer array: each magnitude is counted
+    once and weighted by its Python-int power, never an int64 power."""
+    counts = np.bincount(np.abs(w).ravel()).tolist()
+    return sum(c * k**e for k, c in enumerate(counts) if c)
+
+
 def window_power_sum(qt: BinaryForm, mod: Modulus, h: int, r: int) -> int:
     """sum over (a, b) mod q of (sum_{n=1..h} jacobi(qt(n + a, b), q))^{2r}."""
     q = mod.q
     if h < 1 or r < 1:
         raise InvalidInput("window length and power must be positive")
-    _guard_points(q * q * h ** (2 * r), "window_power_sum")
+    _guard_points(q * q * h, f"window_power_sum mod {q}, window {h}")
     w = np.zeros((q, q), dtype=np.int64)
     for view in _rolled(_form_table(qt, q), range(1, h + 1)):
         w += view
-    return int((w ** (2 * r)).sum(dtype=np.int64))
+    return _power_sum(w, 2 * r)
 
 
 def window_power_sum_expanded(qt: BinaryForm, mod: Modulus, h: int, r: int, check: bool = False) -> int:
     """The same power sum via the tuple expansion: sum over all 2r-tuples in
     [1, h]^{2r} of the composite shifted product sum.  Test-scale only."""
-    _guard_points(h ** (2 * r) * len(mod.primes) * 4, "window_power_sum_expanded")
+    _guard_points(h ** (2 * r) * len(mod.primes) * 4, f"window_power_sum_expanded mod {mod.q}")
     total = 0
     for ns in product(range(1, h + 1), repeat=2 * r):
         total += form_shift_sum_q(qt, mod, ns, check=check)
@@ -624,7 +630,7 @@ def max_window_power_sum(qt: BinaryForm, mod: Modulus, n: int, r: int) -> int:
     q = mod.q
     if n < 1 or r < 1:
         raise InvalidInput("window length and power must be positive")
-    _guard_points(q * q * n * n, "max_window_power_sum")
+    _guard_points(q * q * n * n, f"max_window_power_sum mod {q}, window {n}")
     prefix = [np.zeros((q, q), dtype=np.int64)]
     for view in _rolled(_form_table(qt, q), range(1, n + 1)):
         prefix.append(prefix[-1] + view)
@@ -632,7 +638,7 @@ def max_window_power_sum(qt: BinaryForm, mod: Modulus, n: int, r: int) -> int:
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             np.maximum(best, np.abs(prefix[j] - prefix[i]), out=best)
-    return int((best ** (2 * r)).sum(dtype=np.int64))
+    return _power_sum(best, 2 * r)
 
 
 # ----------------------------------------------------------- exponential sums

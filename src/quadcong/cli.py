@@ -39,7 +39,7 @@ from .charsum import (
 )
 from .errors import CertificateMismatch, FitError, InvalidModulus, QuadCongError
 from .modmath import Modulus, find_nonresidue, is_prime, make_modulus
-from .oracle import POINT_BUDGET, oracle_scan, rank_two_family_min, restriction_coprime_count, sample_forms
+from .oracle import oracle_scan, rank_two_family_min, restriction_coprime_count, sample_forms
 from .qforms import BinaryForm
 from .solver import solve_ternary
 
@@ -63,7 +63,6 @@ class ExperimentConfig:
     q_range: tuple = ()
     samples: int = 0
     seed: str = "0"
-    budget: int = POINT_BUDGET
     out: str = "-"
     jobs: int = 1
 
@@ -156,7 +155,7 @@ def sample_binary_forms(mod: Modulus, count: int, seed) -> list:
 
 
 def _task_solve(args):
-    q, samples, seed, budget = args
+    q, samples, seed = args
     mod = make_modulus(q)
     forms = sorted(sample_forms(mod, samples, seed), key=lambda f: _hash_ints(f.coeffs()))
     rows, ok = [], True
@@ -185,10 +184,10 @@ def _task_solve(args):
 
 
 def _task_oracle(args):
-    q, samples, seed, budget = args
+    q, samples, seed = args
     mod = make_modulus(q)
     rows, ok = [], True
-    scanned = oracle_scan(mod, samples, seed, budget=budget)
+    scanned = oracle_scan(mod, samples, seed)
     for rec in sorted(scanned, key=lambda r: _hash_ints(r.form.coeffs())):
         row_ok = (
             rec.form.evaluate(rec.min_zero.witness) % q == 0
@@ -211,7 +210,7 @@ def _task_oracle(args):
 
 
 def _task_weil(args):
-    p, samples, seed, budget = args
+    p, samples, seed = args
     rows, ok = [], True
     split_qt = BinaryForm(1, 1, 0)  # disc 1: factors over every F_p
     inert_qt = BinaryForm(1, 0, -find_nonresidue(p))
@@ -237,7 +236,7 @@ def _task_weil(args):
 
 
 def _task_grid_vanish(args):
-    q, samples, seed, budget = args
+    q, samples, seed = args
     mod = make_modulus(q)
     rows, ok = [], True
     for f in sorted(sample_binary_forms(mod, samples, seed), key=lambda f: _hash_ints((f.a, f.b, f.c))):
@@ -249,10 +248,10 @@ def _task_grid_vanish(args):
 
 
 def _task_cop_count(args):
-    q, box, seed, budget = args
+    q, box, seed = args
     mod = make_modulus(q)
     form = sample_forms(mod, 1, f"{seed}:cop")[0]
-    res = restriction_coprime_count(form, mod, box, budget=budget)
+    res = restriction_coprime_count(form, mod, box)
     gap = float(res.relative_gap())
     rows = [
         (
@@ -267,7 +266,7 @@ def _task_cop_count(args):
 
 
 def _task_second_moment(args):
-    q, samples, seed, budget = args
+    q, samples, seed = args
     mod = make_modulus(q)
     rows, ok = [], True
     for form in sample_binary_forms(mod, samples, seed):
@@ -331,7 +330,7 @@ def _run_tasks(task_fn, arglist, jobs):
 
 
 def _cmd_solve(cfg):
-    tasks = [(q, cfg.samples, cfg.seed, cfg.budget) for q in sorted(set(_expand_moduli(cfg)))]
+    tasks = [(q, cfg.samples, cfg.seed) for q in sorted(set(_expand_moduli(cfg)))]
     rows, ok = _run_tasks(_task_solve, tasks, cfg.jobs)
     cols = ["q", "f11", "f22", "f33", "f12", "f13", "f23", "witness_norm_sq", "solution_norm_sq", "x1", "x2", "x3", "ok"]
     head = ["norms are squared euclidean; ok = solution nonzero, divisible, chain bound holds"]
@@ -339,7 +338,7 @@ def _cmd_solve(cfg):
 
 
 def _cmd_oracle(cfg):
-    tasks = [(q, cfg.samples, cfg.seed, cfg.budget) for q in sorted(set(_expand_moduli(cfg)))]
+    tasks = [(q, cfg.samples, cfg.seed) for q in sorted(set(_expand_moduli(cfg)))]
     rows, ok = _run_tasks(_task_oracle, tasks, cfg.jobs)
     cols = ["q", "f11", "f22", "f33", "f12", "f13", "f23", "min_zero_norm_sq", "min_square_norm_sq", "w1", "w2", "w3", "ok"]
     head = ["exhaustive scans; min_* are squared norms; witness columns give the minimal zero"]
@@ -347,7 +346,7 @@ def _cmd_oracle(cfg):
 
 
 def _cmd_weil(cfg):
-    tasks = [(p, cfg.samples, cfg.seed, cfg.budget) for p in _expand_primes(cfg)]
+    tasks = [(p, cfg.samples, cfg.seed) for p in _expand_primes(cfg)]
     rows, ok = _run_tasks(_task_weil, tasks, cfg.jobs)
     cols = ["q", "p", "r", "tuple-hash", "delta-gcd", "sum", "bound", "ok"]
     head = [
@@ -358,7 +357,7 @@ def _cmd_weil(cfg):
 
 
 def _cmd_grid_vanish(cfg):
-    tasks = [(q, cfg.samples, cfg.seed, cfg.budget) for q in sorted(set(_expand_moduli(cfg)))]
+    tasks = [(q, cfg.samples, cfg.seed) for q in sorted(set(_expand_moduli(cfg)))]
     rows, ok = _run_tasks(_task_grid_vanish, tasks, cfg.jobs)
     cols = ["q", "a", "b", "c", "sum", "ok"]
     head = ["complete q x q grid character sums of nonsingular binary forms; must vanish"]
@@ -392,7 +391,7 @@ def _cmd_exponent_fit(cfg):
         p = _next_prime(t)
         a = find_nonresidue(p)
         b = max(1, round(p ** (1 / 3)))
-        res = rank_two_family_min(a, b, make_modulus(p), budget=cfg.budget)
+        res = rank_two_family_min(a, b, make_modulus(p))
         val = math.sqrt(res.norm_sq)
         family_pts.append((p, val))
         rows.append(("rank2-family", p, f"{val:.6f}"))
@@ -407,7 +406,7 @@ def _cmd_exponent_fit(cfg):
 
 def _cmd_cop_count(cfg):
     box = cfg.samples  # interpreted as the box edge for this command
-    tasks = [(q, box, cfg.seed, cfg.budget) for q in sorted(set(_expand_moduli(cfg)))]
+    tasks = [(q, box, cfg.seed) for q in sorted(set(_expand_moduli(cfg)))]
     rows, ok = _run_tasks(_task_cop_count, tasks, cfg.jobs)
     cols = ["q", "box", "count", "prediction", "relative_gap"]
     head = ["coprime counts of the 6-variable restriction determinant vs the per-prime product prediction"]
@@ -415,7 +414,7 @@ def _cmd_cop_count(cfg):
 
 
 def _cmd_second_moment(cfg):
-    tasks = [(q, cfg.samples, cfg.seed, cfg.budget) for q in sorted(set(_expand_moduli(cfg)))]
+    tasks = [(q, cfg.samples, cfg.seed) for q in sorted(set(_expand_moduli(cfg)))]
     rows, ok = _run_tasks(_task_second_moment, tasks, cfg.jobs)
     cols = ["q", "a", "b", "c", "radius_sq", "shift_bound", "pairs", "second_moment", "ok"]
     head = ["shift-parameter collision counts over a disc of squared radius radius_sq"]
@@ -448,7 +447,7 @@ def parse_config_file(path: str) -> dict:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
-            if key not in {"command", "q", "q_range", "samples", "seed", "budget", "out", "jobs"}:
+            if key not in {"command", "q", "q_range", "samples", "seed", "out", "jobs"}:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = val
     return out
@@ -476,7 +475,6 @@ def build_config(argv) -> ExperimentConfig:
     ap.add_argument("--q-range", dest="q_range", help="inclusive range lo:hi")
     ap.add_argument("--samples", type=int)
     ap.add_argument("--seed")
-    ap.add_argument("--budget", type=int)
     ap.add_argument("--out", help="output path, - for stdout")
     ap.add_argument("--jobs", type=int)
     ns = ap.parse_args(argv)
@@ -515,14 +513,13 @@ def build_config(argv) -> ExperimentConfig:
 
     samples = pick(ns.samples, "samples", base.get("samples", 5), int)
     seed = pick(ns.seed, "seed", "0", str)
-    budget = pick(ns.budget, "budget", POINT_BUDGET, int)
     out = pick(ns.out, "out", "-", str)
     jobs = pick(ns.jobs, "jobs", 1, int)
-    if samples < 0 or budget < 1 or jobs < 1:
-        raise ValueError("samples, budget and jobs must be positive")
+    if samples < 0 or jobs < 1:
+        raise ValueError("samples and jobs must be positive")
     return ExperimentConfig(
         command=command, qs=qs, q_range=q_range, samples=samples,
-        seed=seed, budget=budget, out=out, jobs=jobs,
+        seed=seed, out=out, jobs=jobs,
     )
 
 

@@ -343,11 +343,11 @@ def weighted_short_vectors(basis: Basis2, wu: int, wv: int, cap: int):
 
     With f1 = f(b1), g = <b1, b2> and D = f1 f(b2) - g^2 > 0, the vector
     c1 b1 + c2 b2 has f = (f1 c1 + g c2)^2 / f1 + (D / f1) c2^2, so every
-    bound below is an exact integer comparison.
+    bound below is an exact integer comparison.  The enumeration is exact for
+    any basis; a basis reduced under the weights keeps the c1, c2 ranges short.
     """
     wdot = _weighted_dot(wu, wv)
-    red = gauss_reduce(basis.b1, basis.b2, (wu, wv))
-    b1, b2 = red.b1, red.b2
+    b1, b2 = basis.b1, basis.b2
     f1 = wdot(b1, b1)
     g = wdot(b1, b2)
     det = f1 * wdot(b2, b2) - g * g

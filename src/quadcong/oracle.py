@@ -18,13 +18,11 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import CertificateMismatch, RegionTooLarge
+from .errors import CertificateMismatch
 from .intvec import norm_sq, vec_key
 from .modmath import Modulus, sqrt_mod_squarefree
 from .qforms import TernaryForm, det_gram2
-from .charsum import _legendre_table
-
-POINT_BUDGET = 10**8
+from .charsum import _guard_points, _legendre_table
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ def _scan_ball3(form, mod, r_sq: int, mask_fn):
     return best
 
 
-def _brute_min(form, mod, mask_fn, bound_sq, budget, start_sq):
+def _brute_min(form, mod, mask_fn, bound_sq, start_sq):
     """Doubling ball scan; exact canonical minimum with mask_fn true at Q(v).
 
     Returns the (key, vector) pair or None if bound_sq was given and the
@@ -103,8 +101,7 @@ def _brute_min(form, mod, mask_fn, bound_sq, budget, start_sq):
     scan = _scan_ball2 if arity == 2 else _scan_ball3
     r_sq = start_sq if bound_sq is None else min(start_sq, bound_sq)
     while True:
-        if (2 * isqrt(r_sq) + 1) ** arity > budget:
-            raise RegionTooLarge(f"ball of squared radius {r_sq} exceeds budget")
+        _guard_points((2 * isqrt(r_sq) + 1) ** arity, f"{scan.__name__} mod {mod.q}, r^2 = {r_sq}")
         best = scan(form, mod, r_sq, mask_fn)
         if best is not None:
             return best
@@ -115,10 +112,10 @@ def _brute_min(form, mod, mask_fn, bound_sq, budget, start_sq):
             r_sq = min(r_sq, bound_sq)
 
 
-def brute_min_zero(form, mod: Modulus, bound_sq=None, budget: int = POINT_BUDGET):
+def brute_min_zero(form, mod: Modulus, bound_sq=None):
     """Exact minimal nonzero vector with form(v) = 0 mod q, or None if an
     exhaustive scan up to bound_sq proves there is none that small."""
-    best = _brute_min(form, mod, _zero_mask, bound_sq, budget, start_sq=16)
+    best = _brute_min(form, mod, _zero_mask, bound_sq, start_sq=16)
     if best is None:
         return None
     (s, _), v = best
@@ -127,9 +124,9 @@ def brute_min_zero(form, mod: Modulus, bound_sq=None, budget: int = POINT_BUDGET
     return BruteResult(norm_sq=s, witness=v, t=0)
 
 
-def brute_min_square(form, mod: Modulus, bound_sq=None, budget: int = POINT_BUDGET):
+def brute_min_square(form, mod: Modulus, bound_sq=None):
     """Exact minimal nonzero vector whose value is a square (possibly 0) mod q."""
-    best = _brute_min(form, mod, _square_mask, bound_sq, budget, start_sq=4)
+    best = _brute_min(form, mod, _square_mask, bound_sq, start_sq=4)
     if best is None:
         return None
     (s, _), v = best
@@ -155,12 +152,12 @@ def rank_two_family_form(a: int, b: int) -> TernaryForm:
     )
 
 
-def rank_two_family_min(a: int, b: int, mod: Modulus, budget: int = POINT_BUDGET) -> BruteResult:
+def rank_two_family_min(a: int, b: int, mod: Modulus) -> BruteResult:
     # (b^2, b, 1) kills both linear factors outright, so the minimum lives
     # inside a ball of squared radius b^4 + b^2 + 1 and one capped scan is
     # both certified and affordable
     cap = b**4 + b * b + 1
-    res = brute_min_zero(rank_two_family_form(a, b), mod, bound_sq=cap, budget=budget)
+    res = brute_min_zero(rank_two_family_form(a, b), mod, bound_sq=cap)
     if res is None:
         raise CertificateMismatch(f"rank-2 form ({a}, {b}) has no zero mod {mod.q} within {cap}")
     return res
@@ -183,21 +180,19 @@ class CoprimeCount:
         return abs(Fraction(self.count) - self.prediction) / self.prediction
 
 
-def root_count_mod(f, arity: int, p: int, budget: int = POINT_BUDGET) -> int:
+def root_count_mod(f, arity: int, p: int) -> int:
     """#{a in [0, p)^arity : p | f(a)} by direct enumeration."""
-    if p**arity > budget:
-        raise RegionTooLarge(f"{p}^{arity} residue points exceed budget")
+    _guard_points(p**arity, f"root_count_mod mod {p}, arity {arity}")
     return sum(1 for a in product(range(p), repeat=arity) if f(a) % p == 0)
 
 
-def coprime_count(f, arity: int, mod: Modulus, box: int, budget: int = POINT_BUDGET) -> CoprimeCount:
+def coprime_count(f, arity: int, mod: Modulus, box: int) -> CoprimeCount:
     """Exact count of a in [1, box]^arity with gcd(f(a), q) = 1, plus the
     per-prime root counts and the product-formula prediction."""
-    if box**arity > budget:
-        raise RegionTooLarge(f"{box}^{arity} points exceed budget")
+    _guard_points(box**arity, f"coprime_count mod {mod.q}, box {box}, arity {arity}")
     q = mod.q
     count = sum(1 for a in product(range(1, box + 1), repeat=arity) if gcd(f(a) % q, q) == 1)
-    roots = {p: root_count_mod(f, arity, p, budget) for p in mod.primes}
+    roots = {p: root_count_mod(f, arity, p) for p in mod.primes}
     pred = Fraction(box**arity)
     for p in mod.primes:
         pred *= 1 - Fraction(roots[p], p**arity)
@@ -234,14 +229,13 @@ def _restriction_det4_grids(form: TernaryForm, edge_lo: int, edge_hi: int):
                 yield col1, 4 * a_r * q_c2 - b_grid * b_grid
 
 
-def restriction_coprime_count(form: TernaryForm, mod: Modulus, box: int, budget: int = POINT_BUDGET) -> CoprimeCount:
+def restriction_coprime_count(form: TernaryForm, mod: Modulus, box: int) -> CoprimeCount:
     """coprime_count for the 6-variable restriction determinant, vectorized.
 
     The evaluator takes (a1, ..., a6) to det4 of the restriction of the form
     to the plane spanned by (a1, a3, a5) and (a2, a4, a6).
     """
-    if box**6 > budget:
-        raise RegionTooLarge(f"{box}^6 points exceed budget")
+    _guard_points(box**6, f"restriction_coprime_count mod {mod.q}, box {box}")
     q = mod.q
     # det4 mod p only depends on the coefficients mod q, and reducing keeps
     # every intermediate inside int64
@@ -254,8 +248,7 @@ def restriction_coprime_count(form: TernaryForm, mod: Modulus, box: int, budget:
         count += int(ok.sum())
     roots = {}
     for p in mod.primes:
-        if p**6 > budget:
-            raise RegionTooLarge(f"{p}^6 residue points exceed budget")
+        _guard_points(p**6, f"restriction_coprime_count residues mod {p}")
         zero = 0
         for _, d4 in _restriction_det4_grids(form, 0, p - 1):
             zero += int((d4 % p == 0).sum())
@@ -290,7 +283,7 @@ class OracleRow:
     min_square: BruteResult
 
 
-def oracle_scan(mod: Modulus, count: int, seed, budget: int = POINT_BUDGET) -> list:
+def oracle_scan(mod: Modulus, count: int, seed) -> list:
     """Exact minima for a reproducible sample of nonsingular forms."""
     rows = []
     for form in sample_forms(mod, count, seed):
@@ -298,8 +291,8 @@ def oracle_scan(mod: Modulus, count: int, seed, budget: int = POINT_BUDGET) -> l
             OracleRow(
                 q=mod.q,
                 form=form,
-                min_zero=brute_min_zero(form, mod, budget=budget),
-                min_square=brute_min_square(form, mod, budget=budget),
+                min_zero=brute_min_zero(form, mod),
+                min_square=brute_min_square(form, mod),
             )
         )
     return rows

@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -14,11 +16,13 @@ from quadcong.errors import (
 )
 from quadcong.modmath import find_nonresidue, is_square_mod, jacobi, make_modulus
 from quadcong.qforms import BinaryForm, TernaryForm, adjugate4, monic_companion
+from quadcong import charsum
 from quadcong.charsum import (
     Box,
     Character,
     Disc,
     _grid_table,
+    _legendre_table,
     _rolled,
     _shift_product_sum,
     diff_products,
@@ -554,6 +558,88 @@ def test_window_power_sum_region_guard():
     mod = make_modulus(105)
     with pytest.raises(RegionTooLarge):
         window_power_sum(BinaryForm(1, 1, 3), mod, 10**6, 3)
+
+
+def test_window_power_sums_exact_beyond_int64():
+    # a power pass in int64 wrapped here: 5726499379401354874 at r = 10
+    assert max_window_power_sum(BinaryForm(1, 2, 5), make_modulus(105), 20, 10) == 15095163151673814576762
+    q, h, r, qt = 35, 8, 12, BinaryForm(1, 1, 3)
+    windows = [sum(jacobi(qt.evaluate((a + n, b)), q) for n in range(1, h + 1)) for a in range(q) for b in range(q)]
+    expect = sum(w ** (2 * r) for w in windows)
+    assert expect > 2**63
+    assert window_power_sum(qt, make_modulus(q), h, r) == expect
+
+
+# --------------------------------------------------------------- point budget
+
+_F, _M15 = BinaryForm(1, 1, 3), make_modulus(15)
+_LIFT = minimal_lift(1, 1, 3, _M15).form
+
+# kernel: (call, points it charges, what the RegionTooLarge message names)
+GUARDED = {
+    "legendre_table": (lambda: _legendre_table(53), 53, "_legendre_table mod 53"),
+    "jacobi_table": (lambda: jacobi_table(55), 55, "jacobi_table mod 55"),
+    "grid_table": (lambda: _grid_table(53, 1, 1, 3), 53**2, "_grid_rows mod 53"),
+    "full_grid_sum_direct": (lambda: full_grid_sum_direct(_F, 53), 53**2, "_grid_rows mod 53"),
+    "linear_shift_sum": (lambda: linear_shift_sum(53, (1, 2)), 53, "_legendre_table mod 53"),
+    "norm_shift_sum": (lambda: norm_shift_sum(53, (1, 2)), 53**2, "_grid_rows mod 53"),
+    "form_shift_sum_direct": (
+        lambda: form_shift_sum_direct(53, (1, 2), BinaryForm(1, 1, 0)), 53**2, "_grid_rows mod 53"
+    ),
+    "form_shift_sum_q_direct": (
+        lambda: form_shift_sum_q_direct(_F, _M15, (1, 2)), 15**2, "_grid_rows mod 15"
+    ),
+    "window_power_sum": (
+        lambda: window_power_sum(_F, _M15, 3, 2), 15**2 * 3, "window_power_sum mod 15"
+    ),
+    "max_window_power_sum": (
+        lambda: max_window_power_sum(_F, _M15, 3, 2), 15**2 * 3**2, "max_window_power_sum mod 15"
+    ),
+    "incomplete_sum": (
+        lambda: incomplete_sum(make_character(7), _F, Box(0, 9, 0, 9)), 100, "incomplete_sum region mod 7"
+    ),
+    "shift_pair_counts": (
+        lambda: shift_pair_counts(_F, _LIFT, _M15, (0, 0), 9, 4),
+        Disc(0, 0, 9).point_count() * len(good_shift_vectors(_F, _LIFT, 4, _M15)),
+        "shift_pair_counts mod 15",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, charge, what", GUARDED.values(), ids=GUARDED)
+def test_point_guard_charges_each_kernel(monkeypatch, call, charge, what):
+    # a cache hit skips the charge, so every case starts from empty caches
+    caches = (_legendre_table, jacobi_table, _grid_table)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(charsum, "POINT_BUDGET", charge - 1)
+    with pytest.raises(RegionTooLarge, match=re.escape(what)):
+        call()
+    assert [c.cache_info().currsize for c in caches] == [0, 0, 0]  # refused before any table was built
+    monkeypatch.setattr(charsum, "POINT_BUDGET", charge)
+    call()
+
+
+# the tables these would build take 10 GB (p = 100003) and 1 GB (d = 10^9 + 7)
+OVERSIZE = {
+    "norm_shift_sum": lambda: norm_shift_sum(100003, (1, 2)),
+    "form_shift_sum_direct": lambda: form_shift_sum_direct(100003, (1, 2), BinaryForm(1, 1, 0)),
+    "linear_shift_sum": lambda: linear_shift_sum(10**9 + 7, (1, 2)),
+    "jacobi_table": lambda: jacobi_table(10**9 + 7),
+    "incomplete_sum": lambda: incomplete_sum(make_character(10**9 + 7), BinaryForm(1, 0, 1), Box(0, 8, 0, 8)),
+}
+
+
+@pytest.mark.parametrize("call", OVERSIZE.values(), ids=OVERSIZE)
+def test_oversize_moduli_refused_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(RegionTooLarge):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ----------------------------------------------------------- counting grids

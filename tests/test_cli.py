@@ -159,6 +159,12 @@ def test_weil_scan_table_cache_stays_bounded(tmp_path):
     assert info.misses == 2 * len(primes)
 
 
+def test_weil_scan_refuses_grid_above_point_budget(capsys):
+    # the direct check needs a 10007 x 10007 grid, just above 10^8 points
+    assert main(["weil-scan", "--q", "10007", "--samples", "1"]) == 1
+    assert "RegionTooLarge" in capsys.readouterr().err
+
+
 def test_oracle_report_contains_witness(tmp_path):
     out = tmp_path / "o.csv"
     assert main(["oracle", "--q", "15", "--samples", "2", "--out", str(out)]) == 0

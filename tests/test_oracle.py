@@ -77,8 +77,10 @@ def test_brute_min_zero_bound_proves_absence():
 
 
 def test_budget_guard():
+    # every zero has squared norm >= 10^6 + 3, so the doubling scan reaches
+    # the ball of edge 513 first, and 513^3 points exceed the budget of 10^8
     with pytest.raises(RegionTooLarge):
-        brute_min_zero(IDENTITY, make_modulus(10**6 + 3), budget=1000)
+        brute_min_zero(IDENTITY, make_modulus(10**6 + 3))
 
 
 def test_rank_two_family_form_values():

@@ -16,6 +16,22 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_one_point_budget():
+    # one fixed work bound: POINT_BUDGET is bound once, and no parameter,
+    # field or variable named budget can override it
+    bound = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.arg):
+                bound.append((node.arg, path.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(t, ast.Name):
+                        bound.append((t.id, path.name))
+    assert [f for name, f in bound if name == "POINT_BUDGET"] == ["charsum.py"]
+    assert [f for name, f in bound if name == "budget"] == []
+
+
 def test_benchmark_api_names_resolve(monkeypatch):
     # the benchmark reads these names at start-up; a rename must fail here
     # rather than in every benchmark operation
