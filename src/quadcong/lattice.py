@@ -1,17 +1,16 @@
-"""Exact integer lattice kernels: 2D reduction, orthogonal-plane bases,
-coefficient-lift lattices, short vectors, and congruence box search.
+"""Exact integer lattice kernels: greedy 2D/3D reduction, orthogonal-plane
+bases, coefficient-lift lattices, short vectors, and congruence box search.
 
-Everything is plain python ints, with Fractions only in LLL and the basis
-defect; no floating point anywhere.  The weighted box search is integer-only.
+Everything is plain python ints; no fractions and no floating point anywhere.
 Canonical tie-breaks use intvec.vec_key so outputs are deterministic.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import DegenerateBasis, NotPrimitive, ZeroClass
 from .intvec import (
+    add,
     content,
     dot,
     floor_sqrt_ratio,
@@ -41,35 +40,53 @@ class Basis2:
         return g[0][0] * g[1][1] - g[0][1] * g[1][0]
 
 
-@dataclass(frozen=True)
-class Basis3:
-    b1: tuple
-    b2: tuple
-    b3: tuple
-
-    def rows(self):
-        return (self.b1, self.b2, self.b3)
-
-    def det(self) -> int:
-        (a, b, c), (d, e, f), (g, h, i) = self.rows()
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def _weighted_dot(wu: int, wv: int):
     """The diagonal inner product wu u u' + wv v v' on plane vectors."""
     return lambda u, v: wu * u[0] * v[0] + wv * u[1] * v[1]
 
 
-def gauss_reduce(b1, b2, weights=None) -> Basis2:
-    """Lagrange/Gauss reduction of a rank-2 basis.
+def _reduce_against(b1, b2, t, ip):
+    """t minus its closest vector in L(b1, b2), for a reduced pair (b1, b2).
 
-    Without weights the inner product is the dot product (any ambient
-    dimension); with weights = (wu, wv), positive integers, it is the
-    diagonal form wu u u' + wv v v' on plane vectors.  Under that inner
-    product the output basis realizes both successive minima:
-    ||b1|| <= ||b2|| and ||b1||^2 ||b2||^2 <= (4/3) det(Gram).
+    The coordinates of t's projection on the plane are x1 / D and x2 / D with
+    D the Gram determinant; the closest lattice vector is one of the four
+    corners (floor or ceiling of each) around them.
+    """
+    n1, n2, g = ip(b1, b1), ip(b2, b2), ip(b1, b2)
+    r1, r2 = ip(t, b1), ip(t, b2)
+    d = n1 * n2 - g * g
+    k1, k2 = (n2 * r1 - g * r2) // d, (n1 * r2 - g * r1) // d
+    corners = (sub(t, add(scale(b1, k1 + i), scale(b2, k2 + j))) for i in (0, 1) for j in (0, 1))
+    return min(corners, key=lambda v: ip(v, v))
+
+
+def greedy_reduce(rows, weights=None):
+    """Greedy reduction of 2 or 3 independent integer rows, integers only.
+
+    Two rows: the Lagrange/Gauss loop.  Without weights the inner product is
+    the dot product (any ambient dimension); with weights = (wu, wv), positive
+    integers, it is the diagonal form wu u u' + wv v v' on plane vectors.
+    Under that inner product the output (b1, b2) realizes both successive
+    minima: ||b1|| <= ||b2|| and ||b1||^2 ||b2||^2 <= (4/3) det(Gram).
+
+    Three rows (Semaev 2001; Nguyen-Stehle 2004): sort by norm, reduce the
+    first two, replace b3 by its distance vector to L(b1, b2), re-sort, and
+    stop once b3 is no shorter than b2.  The sorted norm tuple strictly
+    decreases at each pass, so the loop ends; the rows come back sorted by
+    norm.  A nonzero b3 left in the plane of a reduced (b1, b2) is shorter
+    than b2 (the covering radius is below ||b2||), so dependent rows end in a
+    zero vector and raise DegenerateBasis; the rows returned are independent.
     """
     ip = dot if weights is None else _weighted_dot(*weights)
+    if len(rows) == 3:
+        b1, b2, b3 = sorted(rows, key=lambda v: ip(v, v))
+        while True:
+            b1, b2 = greedy_reduce((b1, b2), weights)
+            b3 = _reduce_against(b1, b2, b3, ip)
+            if ip(b3, b3) >= ip(b2, b2):
+                return b1, b2, b3
+            b1, b2, b3 = sorted((b1, b2, b3), key=lambda v: ip(v, v))
+    b1, b2 = rows
     n1, n2 = ip(b1, b1), ip(b2, b2)
     if n1 > n2:
         b1, b2, n1, n2 = b2, b1, n2, n1
@@ -85,7 +102,7 @@ def gauss_reduce(b1, b2, weights=None) -> Basis2:
             raise DegenerateBasis("basis vectors are dependent")
     if n1 * n2 == ip(b1, b2) ** 2:  # Gram determinant zero
         raise DegenerateBasis("basis vectors are dependent")
-    return Basis2(b1, b2)
+    return b1, b2
 
 
 def _xgcd(a: int, b: int):
@@ -134,8 +151,7 @@ def orthogonal_basis(a0) -> Basis2:
 
     Requires a0 primitive.  det(Gram) = ||a0||^2 and b1 x b2 = +-a0.
     """
-    v1, v2 = kernel_basis3(a0)
-    basis = gauss_reduce(v1, v2)
+    basis = Basis2(*greedy_reduce(kernel_basis3(a0)))
     cr = cross3(basis.b1, basis.b2)
     if basis.det_gram() != norm_sq(a0) or cr not in (tuple(a0), tuple(scale(a0, -1))):
         raise DegenerateBasis(f"plane basis {basis} does not span the lattice orthogonal to {a0}")
@@ -180,66 +196,14 @@ def hnf_rows3(rows):
     return out
 
 
-def lll_reduce(rows, delta=Fraction(3, 4)):
-    """Exact LLL for 2-3 rows of integers; returns reduced rows."""
-    b = [tuple(r) for r in rows]
-    n = len(b)
-
-    def gram_schmidt():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bstar_sq = [Fraction(0)] * n
-        gs = []
-        for i in range(n):
-            vi = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                if bstar_sq[j] == 0:
-                    raise DegenerateBasis("dependent rows in LLL")
-                mu[i][j] = sum(Fraction(x) * y for x, y in zip(b[i], gs[j])) / bstar_sq[j]
-                vi = [x - mu[i][j] * y for x, y in zip(vi, gs[j])]
-            gs.append(vi)
-            bstar_sq[i] = sum(x * x for x in vi)
-        return mu, bstar_sq
-
-    k = 1
-    mu, bstar_sq = gram_schmidt()
-    guard = 0
-    while k < n:
-        guard += 1
-        if guard > 10_000:
-            raise DegenerateBasis("LLL failed to terminate (dependent rows?)")
-        for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                r = round_div(mu[k][j].numerator, mu[k][j].denominator)
-                b[k] = sub(b[k], scale(b[j], r))
-                mu, bstar_sq = gram_schmidt()
-        if bstar_sq[k] >= (delta - mu[k][k - 1] ** 2) * bstar_sq[k - 1]:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, bstar_sq = gram_schmidt()
-            k = max(k - 1, 1)
-    return b
-
-
-@dataclass(frozen=True)
-class Shortest3:
-    vector: tuple
-    basis: Basis3
-    defect_sq: Fraction  # prod ||b_i||^2 / det(Gram) >= 1, the coefficient-bound constant
-
-
-def shortest_vector3(rows) -> Shortest3:
+def shortest_vector3(rows) -> tuple:
     """Exact shortest nonzero vector of the rank-3 lattice spanned by rows.
 
-    LLL first, then exhaustive enumeration inside the Cramer coefficient box,
-    so the output is provably minimal.  Tie-break by vec_key.
+    Greedy reduction first, then exhaustive enumeration inside the Cramer
+    coefficient box, so the output is provably minimal.  Tie-break by vec_key.
     """
-    red = lll_reduce(rows)
-    red.sort(key=lambda v: (norm_sq(v), vec_key(v)))
-    basis = Basis3(*red)
-    det = abs(basis.det())
-    if det == 0:
-        raise DegenerateBasis("rank < 3")
+    red = greedy_reduce(rows)
+    det = abs(dot(red[0], cross3(red[1], red[2])))
     n = [norm_sq(v) for v in red]
     best = min(red, key=lambda v: (norm_sq(v), vec_key(v)))
     best_n = norm_sq(best)
@@ -263,13 +227,11 @@ def shortest_vector3(rows) -> Shortest3:
                 nv = norm_sq(v)
                 if (nv, vec_key(v)) < (best_n, vec_key(best)):
                     best, best_n = v, nv
-    defect = Fraction(n[0] * n[1] * n[2], det_sq)
-    return Shortest3(vector=best, basis=basis, defect_sq=defect)
+    return best
 
 
 @dataclass(frozen=True)
 class LiftLattice:
-    basis: Basis3
     shortest: tuple
     det: int
 
@@ -284,39 +246,22 @@ def lift_lattice(a: int, b: int, c: int, mod: Modulus) -> LiftLattice:
     if a % q == 0 and b % q == 0 and c % q == 0:
         raise ZeroClass(f"({a}, {b}, {c}) = 0 mod {q}")
     rows = hnf_rows3([(a % q, b % q, c % q), (q, 0, 0), (0, q, 0), (0, 0, q)])
-    short = shortest_vector3(rows)
-    return LiftLattice(basis=short.basis, shortest=short.vector, det=abs(short.basis.det()))
+    return LiftLattice(shortest=shortest_vector3(rows), det=abs(dot(rows[0], cross3(rows[1], rows[2]))))
 
 
-def iter_vectors_by_norm(dim: int):
-    """Yield (norm_sq, vector) over Z^dim \\ {0}, norm ascending, vec_key within a shell."""
+def iter_vectors_by_norm():
+    """Yield (norm_sq, vector) over Z^2 \\ {0}, norm ascending, vec_key within a shell."""
     s = 1
     while True:
         shell = []
-        if dim == 2:
-            r = isqrt(s)
-            for x in range(0, r + 1):
-                y2 = s - x * x
-                y = isqrt(y2)
-                if y * y == y2:
-                    for sx in ((x,) if x == 0 else (x, -x)):
-                        for sy in ((y,) if y == 0 else (y, -y)):
-                            shell.append((sx, sy))
-        elif dim == 3:
-            r = isqrt(s)
-            for x in range(0, r + 1):
-                rem = s - x * x
-                ry = isqrt(rem)
-                for y in range(0, ry + 1):
-                    z2 = rem - y * y
-                    z = isqrt(z2)
-                    if z * z == z2:
-                        for sx in ((x,) if x == 0 else (x, -x)):
-                            for sy in ((y,) if y == 0 else (y, -y)):
-                                for sz in ((z,) if z == 0 else (z, -z)):
-                                    shell.append((sx, sy, sz))
-        else:
-            raise ValueError(f"dim {dim} not supported")
+        r = isqrt(s)
+        for x in range(0, r + 1):
+            y2 = s - x * x
+            y = isqrt(y2)
+            if y * y == y2:
+                for sx in ((x,) if x == 0 else (x, -x)):
+                    for sy in ((y,) if y == 0 else (y, -y)):
+                        shell.append((sx, sy))
         shell = sorted(set(shell), key=vec_key)
         for v in shell:
             yield s, v

@@ -22,7 +22,8 @@ from .errors import (
 # Deterministic Miller-Rabin witness set, valid far beyond 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# Trial-division primes: the fast path of is_prime and the first stage of _factor.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
 
 def is_prime(n: int) -> bool:
@@ -154,11 +155,11 @@ class Modulus:
 def _factor(n: int):
     """Factor n > 1 by trial division then Pollard rho; returns sorted primes with multiplicity."""
     out = []
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67):
+    for p in _SMALL_PRIMES:
         while n % p == 0:
             out.append(p)
             n //= p
-    d = 71
+    d = _SMALL_PRIMES[-1] + 2
     while d * d <= n and d < 100_000:
         while n % d == 0:
             out.append(d)

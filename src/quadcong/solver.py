@@ -28,8 +28,9 @@ from .errors import (
 )
 from .intvec import add, content, dot, norm_sq, scale
 from .lattice import (
+    Basis2,
     congruence_basis2,
-    gauss_reduce,
+    greedy_reduce,
     iter_vectors_by_norm,
     orthogonal_basis,
     weighted_short_vectors,
@@ -78,7 +79,7 @@ def square_value_binary(form: BinaryForm, mod: Modulus):
     q = mod.q
     cap_max = max(float(q) ** 0.5, 4.0 * q**0.3 + 16.0)
     limit = int(cap_max * cap_max) + 1
-    for s, v in iter_vectors_by_norm(2):
+    for s, v in iter_vectors_by_norm():
         if s > limit:
             raise SearchExhausted(f"no square value below norm {cap_max}")
         if is_square_mod(form.evaluate(v), mod):
@@ -248,7 +249,7 @@ def _box_pair(l1: int, l2: int, q1: int, n1: int, n2: int):
     """
     q1sq = q1 * q1
     basis = congruence_basis2(l1, l2, q1)
-    red = gauss_reduce(basis.b1, basis.b2, (n1, n2))
+    red = Basis2(*greedy_reduce((basis.b1, basis.b2), (n1, n2)))
     f1 = n1 * red.b1[0] ** 2 + n2 * red.b1[1] ** 2
     cap = f1 if f1 * f1 <= q1sq * n1 * n2 else isqrt(4 * q1sq * n1 * n2)
     for _, v in weighted_short_vectors(red, n1, n2, cap):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadcong.charsum import in_lift_lattice
-from quadcong.errors import NotPrimitive, ZeroClass
+from quadcong.charsum import in_lift_lattice, minimal_lift
+from quadcong.errors import DegenerateBasis, NotPrimitive, ZeroClass
 from quadcong.intvec import cross3, dot, norm_sq, vec_key
 from quadcong.lattice import (
     Basis2,
     congruence_basis2,
-    gauss_reduce,
+    greedy_reduce,
     iter_vectors_by_norm,
     lift_lattice,
     orthogonal_basis,
@@ -37,8 +37,7 @@ def test_gauss_reduce_successive_minima(u, v, weights):
     def f(w):
         return wu * w[0] ** 2 + wv * w[1] ** 2
 
-    red = gauss_reduce(u, v, weights)
-    b1, b2 = red.b1, red.b2
+    b1, b2 = greedy_reduce((u, v), weights)
     assert abs(b1[0] * b2[1] - b1[1] * b2[0]) == abs(det)
     assert f(b1) <= f(b2)
     # b1 achieves the first minimum: nothing shorter in a generous window
@@ -75,10 +74,9 @@ def test_orthogonal_basis_axis():
 
 
 def test_shortest_vector3_diagonal():
-    res = shortest_vector3(((2, 0, 0), (0, 3, 0), (0, 0, 5)))
-    assert res.vector == (2, 0, 0)
-    assert norm_sq(res.vector) == 4
-    assert res.defect_sq >= 1
+    v = shortest_vector3(((2, 0, 0), (0, 3, 0), (0, 0, 5)))
+    assert v == (2, 0, 0)
+    assert norm_sq(v) == 4
 
 
 @settings(max_examples=40)
@@ -95,8 +93,7 @@ def test_shortest_vector3_is_minimal(b1, b2, b3):
     )
     if det == 0:
         return
-    res = shortest_vector3((b1, b2, b3))
-    v = res.vector
+    v = shortest_vector3((b1, b2, b3))
     assert v != (0, 0, 0)
     best = min(
         norm_sq(
@@ -112,6 +109,83 @@ def test_shortest_vector3_is_minimal(b1, b2, b3):
     # the window may miss the optimum for skew bases; the certified result
     # can never be beaten inside it
     assert norm_sq(v) <= best
+
+
+def _det3(b1, b2, b3):
+    return dot(b1, cross3(b2, b3))
+
+
+tiny = st.integers(min_value=-8, max_value=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(tiny, tiny, tiny),
+    st.tuples(tiny, tiny, tiny),
+    st.tuples(tiny, tiny, tiny),
+)
+def test_greedy_reduce3_keeps_lattice_and_finds_minimum(b1, b2, b3):
+    det = _det3(b1, b2, b3)
+    if det == 0:
+        return
+    red = greedy_reduce((b1, b2, b3))
+    assert abs(_det3(*red)) == abs(det)
+    norms = [norm_sq(v) for v in red]
+    assert norms == sorted(norms)
+    # x lies in L(b1, b2, b3) iff its coordinates adj(B) x / det are integers
+    adj = (cross3(b2, b3), cross3(b3, b1), cross3(b1, b2))
+
+    def member(x):
+        return all(dot(x, col) % det == 0 for col in adj)
+
+    assert all(member(v) for v in red)
+    r = isqrt(norms[0])
+    lightest = min(
+        norm_sq(x)
+        for x in product(range(-r, r + 1), repeat=3)
+        if x != (0, 0, 0) and norm_sq(x) <= norms[0] and member(x)
+    )
+    assert norms[0] == lightest
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, 2, 3), (2, 4, 6), (0, 1, 0)),
+        ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+        ((2, 0, 0), (0, 2, 0), (1, 1, 0)),
+        ((10**12 + 39, 0, 0), (0, 10**12 + 39, 0), (3, 10**12 + 42, 0)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 0)),
+        ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    ],
+    ids=["multiple", "rank2", "rank2-rational", "rank2-large", "zero-row", "zero"],
+)
+def test_greedy_reduce3_rejects_dependent_rows(rows):
+    with pytest.raises(DegenerateBasis):
+        greedy_reduce(rows)
+    with pytest.raises(DegenerateBasis):
+        shortest_vector3(rows)
+
+
+@pytest.mark.parametrize(
+    "q, cls, lift, lam",
+    [
+        (105, (7, 11, 50), (7, -4, 20), 76),
+        (1155, (100, 200, 301), (10, 20, 7), 1132),
+        (10**9 + 7, (123456789, 987654321, 55555), (143129, 496951, -459967), 999927998),
+        (
+            10**12 + 39,
+            (314159265358, 271828182845, 161803398874),
+            (19576166, 3725937, 56333332),
+            957579757856,
+        ),
+    ],
+)
+def test_minimal_lift_frozen(q, cls, lift, lam):
+    # values from the LLL version this reduction replaced
+    ml = minimal_lift(*cls, make_modulus(q))
+    assert (ml.form.a, ml.form.b, ml.form.c) == lift
+    assert ml.lam == lam
 
 
 def test_lift_lattice_frozen():
@@ -153,7 +227,7 @@ def test_lift_lattice_membership_shifted(lam, k):
 
 def test_iter_vectors_by_norm_order_dim2():
     seq = []
-    for s, v in iter_vectors_by_norm(2):
+    for s, v in iter_vectors_by_norm():
         if s > 4:
             break
         seq.append((s, v))
@@ -163,21 +237,6 @@ def test_iter_vectors_by_norm_order_dim2():
     shell1 = [v for s, v in seq if s == 1]
     assert shell1 == sorted(shell1, key=vec_key)
     assert set(shell1) == {(0, 1), (0, -1), (1, 0), (-1, 0)}
-
-
-def test_iter_vectors_by_norm_counts_dim3():
-    count = 0
-    for s, v in iter_vectors_by_norm(3):
-        if s > 9:
-            break
-        count += 1
-        assert norm_sq(v) == s
-    brute = sum(
-        1
-        for v in product(range(-3, 4), repeat=3)
-        if v != (0, 0, 0) and norm_sq(v) <= 9
-    )
-    assert count == brute
 
 
 @given(small, small, st.sampled_from([1, 3, 5, 7, 15, 21, 35]))

@@ -16,6 +16,21 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_lattice_is_integer_only():
+    # the lattice reductions use exact integers; no Fraction may come back
+    tree = ast.parse((SRC / "lattice.py").read_text())
+    imports = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "fractions" not in imports
+    assert "Fraction" not in names and "Fraction" not in imports
+
+
 def test_one_point_budget():
     # one fixed work bound: POINT_BUDGET is bound once, and no parameter,
     # field or variable named budget can override it
