@@ -11,12 +11,16 @@ Covers, all in exact integer arithmetic (numpy int8/int64 internally):
 * shifted complete product sums over F_p (split route) and F_{p^2}
   (norm route), their prime-by-prime product over composite q, and the
   windowed power sums built from them,
-* exponential sums sum_x e_p(y.x) chi(Q(x)) for ternary Q, with the
-  adjugate-based magnitude dichotomy.
+* exponential sums sum_x e_p(y.x) chi(Q(x)) for ternary Q as an exact
+  integer, with the adjugate-based size dichotomy.
+
+Complete sums use homogeneity, chi(lam^2 m) = chi(m): a binary grid sum
+mod p takes O(p) steps and a ternary exponential sum O(p^2).
 
 Every d x d character grid comes from one builder, ``_grid_rows``: the
-split and inert companion grids, the composite-q grids and the F_{p^2}
-norm table (the grid of x^2 - delta y^2, delta the least non-residue).
+split and inert companion grids, the composite-q grids, the F_{p^2}
+norm table (the grid of x^2 - delta y^2, delta the least non-residue) and
+the affine chart x1 = 1 of a ternary form.
 ``_grid_table`` keeps the last few whole grids in a small bounded cache,
 enough for the three tables one prime of a scan needs.  Every shifted sum
 reads its table through one helper, ``_rolled``, which doubles the table
@@ -50,9 +54,10 @@ from .modmath import (
     jacobi,
     make_modulus,
 )
-from .qforms import BinaryForm, TernaryForm, adjugate4, monic_companion
+from .qforms import BinaryForm, TernaryForm, adjugate4, monic_companion, restrict
 
 POINT_BUDGET = 10**8
+_BLOCK = 1 << 16  # entries per block of a table build: its int64 temporaries stay in cache
 
 
 def _guard_points(n: int, what: str):
@@ -64,6 +69,12 @@ def _guard_points(n: int, what: str):
 
 
 # ---------------------------------------------------------------- characters
+
+
+def _aranges(n: int):
+    """int64 blocks of _BLOCK consecutive integers covering [0, n)."""
+    for i0 in range(0, n, _BLOCK):
+        yield np.arange(i0, min(i0 + _BLOCK, n), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -91,11 +102,13 @@ def make_character(d: int) -> Character:
 
 @lru_cache(maxsize=None)
 def _legendre_table(p: int) -> np.ndarray:
-    # table[i] = jacobi(i, p); residues marked by squaring, 0 at 0
+    # table[i] = jacobi(i, p): the squares of 0..(p-1)/2 mark every residue
+    # (each once up to sign), built in blocks so no int64 array of length p
+    # is ever held
     _guard_points(p, f"_legendre_table mod {p}")
     t = np.full(p, -1, dtype=np.int8)
-    sq = (np.arange(p, dtype=np.int64) ** 2) % p
-    t[sq] = 1
+    for i in _aranges((p + 1) // 2):
+        t[i * i % p] = 1
     t[0] = 0
     t.flags.writeable = False
     return t
@@ -106,10 +119,13 @@ def jacobi_table(d: int) -> np.ndarray:
     """int8 array of jacobi(i, d) for i in [0, d); read-only, cached."""
     primes = () if d == 1 else make_modulus(d).primes
     _guard_points(d, f"jacobi_table mod {d}")
+    if primes == (d,):
+        return _legendre_table(d)
     t = np.ones(d, dtype=np.int8)
-    idx = np.arange(d, dtype=np.int64)
-    for p in primes:
-        t = t * _legendre_table(p)[idx % p]
+    for i in _aranges(d):
+        blk = t[i[0] : i[0] + len(i)]
+        for p in primes:
+            blk *= _legendre_table(p)[i % p]
     t.flags.writeable = False
     return t
 
@@ -178,9 +194,11 @@ def incomplete_sum(chi: Character, form: BinaryForm, region) -> int:
     return total
 
 
-def _grid_rows(d: int, a: int, b: int, c: int):
-    """Row blocks of jacobi(a x^2 + b x y + c y^2, d) over the d x d residue
-    grid (rows indexed by x), int8, for coefficients already reduced mod d.
+def _grid_rows(d: int, a: int, b: int, c: int, e: int = 0, f: int = 0, g: int = 0):
+    """Row blocks of jacobi(a x^2 + b x y + c y^2 + e x + f y + g, d) over the
+    d x d residue grid (rows indexed by x), int8, for coefficients already
+    reduced mod d.  The linear and constant terms default to 0, the binary
+    form itself.
 
     Each term is reduced mod d before the terms are added, so every int64
     intermediate stays below d^2 + 2d.
@@ -189,11 +207,12 @@ def _grid_rows(d: int, a: int, b: int, c: int):
     t = jacobi_table(d)
     ys = np.arange(d, dtype=np.int64)
     sq = ys * ys % d
-    cy2 = c * sq % d
-    block = max(1, (1 << 16) // d)  # ~2^16 entries: the int64 temporaries stay in cache
+    row = (a * sq % d + e * ys % d) % d
+    col = (c * sq % d + f * ys % d + g) % d
+    block = max(1, _BLOCK // d)
     for x0 in range(0, d, block):
         x1 = x0 + block
-        vals = (a * sq[x0:x1] % d)[:, None] + (b * ys[x0:x1] % d)[:, None] * ys + cy2
+        vals = row[x0:x1, None] + (b * ys[x0:x1] % d)[:, None] * ys + col
         vals %= d
         yield t[vals]
 
@@ -220,15 +239,33 @@ def full_grid_sum_direct(form: BinaryForm, d: int) -> int:
     return sum(int(blk.sum(dtype=np.int64)) for blk in rows)
 
 
+def _prime_grid_sum(p: int, a: int, b: int, c: int) -> int:
+    """Sum of jacobi(a x^2 + b x y + c y^2, p) over the p x p grid mod an odd
+    prime p, in O(p) by homogeneity.
+
+    The row y = 0 gives (p - 1) jacobi(a); for y != 0 put x = t y, and since
+    jacobi(y^2) = 1 each of the p - 1 rows sums jacobi(a t^2 + b t + c).
+    Terms are reduced mod p before they are added (int64 below p^2 + 2p),
+    and t runs in blocks, so no int64 array of length p is held.
+    """
+    a, b, c = a % p, b % p, c % p
+    t = _legendre_table(p)
+    row = int(t[a])
+    for ts in _aranges(p):
+        row += int(t[(a * (ts * ts % p) % p + b * ts % p + c) % p].sum(dtype=np.int64))
+    return (p - 1) * row
+
+
 def full_grid_sum(form: BinaryForm, mod: Modulus) -> int:
     """Complete-grid sum mod q as the product of per-prime grid sums.
 
     The residue grid mod q is the product of the grids mod each prime and
-    jacobi(. , q) splits likewise, so the q^2-point sum factors exactly.
+    jacobi(. , q) splits likewise, so the q^2-point sum factors exactly;
+    each prime's sum takes O(p) steps (_prime_grid_sum).
     """
     out = 1
     for p in mod.primes:
-        out *= full_grid_sum_direct(form, p)
+        out *= _prime_grid_sum(p, form.a, form.b, form.c)
     return out
 
 
@@ -646,57 +683,61 @@ def max_window_power_sum(qt: BinaryForm, mod: Modulus, n: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class ExpCharSum:
-    """Record for sum_x e_p(y.x) jacobi(Q(x), p) over x mod p.
+    """Record for S = sum_x e_p(y.x) jacobi(Q(x), p) over x mod p.
 
     phase_coefficients[k] is the exact integer sum of jacobi(Q(x), p) over
-    the phase class y.x = k; the magnitude is their root-of-unity combination.
+    the phase class y.x = k.  Homogeneity makes the classes k != 0 equal, so
+    S = c_0 - c_1 is the exact integer value.
     """
 
     p: int
     y: tuple
     phase_coefficients: tuple
-    magnitude: float
+    value: int  # S = c_0 - c_1
+    magnitude: float  # |S|
     adj_zero: bool  # p divides the adjugate form at y
-    large: bool  # magnitude exceeds p^{3/2}, the dichotomy threshold
+    large: bool  # S^2 > p^3: |S| exceeds p^{3/2}, the dichotomy threshold
 
 
 def exp_char_sum(form: TernaryForm, p: int, y) -> ExpCharSum:
-    """Exact-coefficient evaluation of the ternary exponential character sum.
+    """Exact evaluation of the ternary exponential character sum, integers only.
 
-    The sum is grouped by the phase y.x mod p into an integer coefficient
-    vector, so the only floating point is the final root-of-unity dot
-    product (error well below 1e-6 for p <= 101).
+    x -> lam x maps the phase class k onto lam k and keeps jacobi(Q(x), p)
+    (Q(lam x) = lam^2 Q(x)), so c_1 = ... = c_{p-1}.  The complete sum over
+    F_p^3 is p - 1 times the sum over the p^2 + p + 1 projective points: the
+    chart x1 = 1 (p^2 points, charged to the point budget) and the line
+    x1 = 0 (an O(p) grid sum).  For y != 0, c_0 is the O(p) grid sum of Q
+    restricted to a basis of the plane y.x = 0, and c_1 = (total - c_0) /
+    (p - 1); for y = 0 every x has phase 0.
     """
-    if not is_prime(p) or p == 2:
-        raise InvalidInput(f"{p} is not an odd prime")
-    if p > 101:
-        raise RegionTooLarge(f"p = {p} exceeds the enumeration cap 101")
-    t = _legendre_table(p)
-    xs = np.arange(p, dtype=np.int64)
-    y1, y2, y3 = (c % p for c in y)
+    _require_scan_prime(p)
+    yv = tuple(k % p for k in y)
     a11, a22, a33 = form.a11 % p, form.a22 % p, form.a33 % p
     a12, a13, a23 = form.a12 % p, form.a13 % p, form.a23 % p
-    coef = np.zeros(p, dtype=np.int64)
-    grid2 = xs[:, None]  # x2 axis
-    grid3 = xs[None, :]  # x3 axis
-    q22 = a22 * grid2 * grid2
-    q33 = a33 * grid3 * grid3
-    q23 = a23 * grid2 * grid3
-    for x1 in range(p):
-        vals = (a11 * x1 * x1 + q22 + q33 + a12 * x1 * grid2 + a13 * x1 * grid3 + q23) % p
-        phase = (y1 * x1 + y2 * grid2 + y3 * grid3) % p
-        coef += np.bincount(
-            phase.ravel(), weights=t[vals].ravel(), minlength=p
-        ).astype(np.int64)
-    roots = np.exp(2j * np.pi * np.arange(p) / p)
-    s = complex(np.dot(coef.astype(np.float64), roots))
-    adj_zero = adjugate4(form).evaluate(tuple(int(c) for c in y)) % p == 0
-    mag = abs(s)
+    # Q(1, s, t) = a22 s^2 + a23 s t + a33 t^2 + a12 s + a13 t + a11
+    chart = sum(int(blk.sum(dtype=np.int64)) for blk in _grid_rows(p, a22, a23, a33, a12, a13, a11))
+    total = (p - 1) * chart + _prime_grid_sum(p, a22, a23, a33)
+    if yv == (0, 0, 0):
+        coef = (total,) + (0,) * (p - 1)
+    else:
+        i = next(m for m in range(3) if yv[m])
+        j, k = (m for m in range(3) if m != i)
+        u, v = [0, 0, 0], [0, 0, 0]
+        u[i], u[j] = -yv[j], yv[i]
+        v[i], v[k] = -yv[k], yv[i]
+        plane = restrict(form, tuple(u), tuple(v))
+        c0 = _prime_grid_sum(p, plane.a, plane.b, plane.c)
+        c1, rem = divmod(total - c0, p - 1)
+        if rem:
+            raise CertificateMismatch(f"phase classes of y = {yv} are not equal at p = {p} (bug)")
+        coef = (c0,) + (c1,) * (p - 1)
+    s = coef[0] - coef[1]
     return ExpCharSum(
         p=p,
-        y=(y1, y2, y3),
-        phase_coefficients=tuple(int(c) for c in coef),
-        magnitude=mag,
-        adj_zero=adj_zero,
-        large=mag > p**1.5,
+        y=yv,
+        phase_coefficients=coef,
+        value=s,
+        magnitude=float(abs(s)),
+        adj_zero=adjugate4(form).evaluate(yv) % p == 0,
+        large=s * s > p**3,
     )

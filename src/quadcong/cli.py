@@ -23,7 +23,6 @@ import argparse
 import math
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -318,6 +317,9 @@ def _expand_primes(cfg: ExperimentConfig):
 
 def _run_tasks(task_fn, arglist, jobs):
     if jobs > 1 and len(arglist) > 1:
+        # here, not at the top: the pool loads multiprocessing, socket and logging
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(task_fn, arglist))
     else:

@@ -79,6 +79,12 @@ def sqrt_mod_prime(a: int, p: int):
     """
     if not is_prime(p) or p == 2:
         raise NotPrime(f"sqrt_mod_prime needs an odd prime, got {p}")
+    return _sqrt_mod_known_prime(a, p)
+
+
+def _sqrt_mod_known_prime(a: int, p: int):
+    """sqrt_mod_prime without the primality test, for an odd prime p that is
+    already verified, such as one of Modulus.primes."""
     a %= p
     if a == 0:
         return 0
@@ -218,7 +224,7 @@ def sqrt_mod_squarefree(a: int, mod: Modulus):
     """
     parts = []
     for p in mod.primes:
-        r = sqrt_mod_prime(a % p, p)
+        r = _sqrt_mod_known_prime(a, p)
         if r is None:
             return None
         parts.append((r, p))

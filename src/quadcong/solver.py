@@ -37,10 +37,10 @@ from .lattice import (
 )
 from .modmath import (
     Modulus,
+    _sqrt_mod_known_prime,
     crt_combine,
     inv_mod,
     is_square_mod,
-    sqrt_mod_prime,
     sqrt_mod_squarefree,
 )
 from .qforms import (
@@ -148,6 +148,8 @@ def linear_split(r_form: BinaryForm, primes) -> tuple:
     R = A (u - z1 v)(u - z2 v) with z_i the mod-p roots, and the smaller root
     is chosen.  Requires disc(R) to be a square mod every prime, which the
     solver certificate guarantees; violations raise CertificateMismatch.
+    The primes must be distinct odd primes already verified, such as
+    Modulus.primes: they are not tested again.
     """
     pairs1, pairs2 = [], []
     for p in primes:
@@ -157,7 +159,7 @@ def linear_split(r_form: BinaryForm, primes) -> tuple:
         elif a == 0:
             l1, l2 = 0, 1
         else:
-            s = sqrt_mod_prime(r_form.disc() % p, p)
+            s = _sqrt_mod_known_prime(r_form.disc(), p)
             if s is None:
                 raise CertificateMismatch(f"disc(R) is a non-residue mod {p}")
             i2a = inv_mod(2 * a, p)

@@ -15,7 +15,7 @@ from quadcong.errors import (
     SingularQTilde,
 )
 from quadcong.modmath import find_nonresidue, is_square_mod, jacobi, make_modulus
-from quadcong.qforms import BinaryForm, TernaryForm, adjugate4, monic_companion
+from quadcong.qforms import BinaryForm, TernaryForm, adjugate4, det_gram2, monic_companion
 from quadcong import charsum
 from quadcong.charsum import (
     Box,
@@ -70,6 +70,43 @@ def test_jacobi_table_matches_pointwise(d):
     tbl = jacobi_table(d)
     for m in range(d):
         assert tbl[m] == jacobi(m, d)
+
+
+@pytest.mark.parametrize("d", [262147, 255255], ids=["prime", "composite"])
+def test_jacobi_table_block_seams(d):
+    # both above one build block of 2^16 entries
+    tbl = jacobi_table(d)
+    assert tbl.dtype == np.int8 and tbl.shape == (d,) and not tbl.flags.writeable
+    if d == 262147:
+        assert int((tbl == 1).sum()) == int((tbl == -1).sum()) == (d - 1) // 2
+    rng = random.Random(d)
+    seams = [m for k in range(1, (d >> 16) + 1) for m in ((k << 16) - 1, k << 16)]
+    for m in seams + [rng.randrange(d) for _ in range(2000)] + [0, d - 1]:
+        assert tbl[m] == jacobi(m, d), m
+
+
+_BIG_PRIME, _BIG_COMPOSITE = 4_000_037, 3 * 5 * 7 * 11 * 13 * 17 * 19
+
+# kernel: (call, d); each holds one int8 table of d entries and no int64 array of length d
+TABLE_KERNELS = {
+    "jacobi_table_prime": (lambda: jacobi_table(_BIG_PRIME), _BIG_PRIME),
+    "jacobi_table_composite": (lambda: jacobi_table(_BIG_COMPOSITE), _BIG_COMPOSITE),
+    "full_grid_sum": (lambda: full_grid_sum(BinaryForm(1, 1, 3), make_modulus(_BIG_PRIME)), _BIG_PRIME),
+}
+
+
+@pytest.mark.parametrize("call, d", TABLE_KERNELS.values(), ids=TABLE_KERNELS)
+def test_table_kernels_peak_memory_near_table_size(call, d):
+    # tables and O(p) sums run in blocks of 2^16 entries
+    _legendre_table.cache_clear()
+    jacobi_table.cache_clear()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * d
 
 
 def test_character_principal():
@@ -192,6 +229,23 @@ def test_grid_sum_factored_matches_direct_singular_cases():
     mod = make_modulus(15)
     for f in (BinaryForm(3, 0, 1), BinaryForm(5, 1, 5), BinaryForm(0, 3, 0)):
         assert full_grid_sum(f, mod) == full_grid_sum_direct(f, 15)
+
+
+_GRID_MODULI = (3, 5, 7, 11, 13, 15, 21, 35, 97, 105, 143, 1009)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_GRID_MODULI),
+    st.tuples(*[st.integers(-3000, 3000)] * 3),
+    st.tuples(*[st.sampled_from([None, 0, 3, 5, 7, 11, 13])] * 3),
+)
+def test_full_grid_sum_matches_direct(q, coeffs, zero_mod):
+    # the O(p) homogeneity route against the direct grid, on nonsingular and
+    # singular forms, a = 0 mod some prime, and composite q
+    coeffs = tuple(k if z is None else z * k for k, z in zip(coeffs, zero_mod))
+    f = BinaryForm(*coeffs)
+    assert full_grid_sum(f, make_modulus(q)) == full_grid_sum_direct(f, q)
 
 
 # ------------------------------------------------------------- divisor sums
@@ -598,6 +652,10 @@ GUARDED = {
     "incomplete_sum": (
         lambda: incomplete_sum(make_character(7), _F, Box(0, 9, 0, 9)), 100, "incomplete_sum region mod 7"
     ),
+    "full_grid_sum": (lambda: full_grid_sum(_F, make_modulus(53)), 53, "_legendre_table mod 53"),
+    "exp_char_sum": (
+        lambda: exp_char_sum(TernaryForm(1, 2, 3, 1, 0, 1), 53, (1, 2, 3)), 53**2, "_grid_rows mod 53"
+    ),
     "shift_pair_counts": (
         lambda: shift_pair_counts(_F, _LIFT, _M15, (0, 0), 9, 4),
         Disc(0, 0, 9).point_count() * len(good_shift_vectors(_F, _LIFT, 4, _M15)),
@@ -713,9 +771,21 @@ def test_good_shift_vectors_contract():
 # ----------------------------------------------------------------- exp sums
 
 
+def _exp_coefficients_enumerated(form, p, y):
+    """Phase coefficients by enumerating all p^3 points, the oracle: coef[k]
+    sums jacobi(Q(x), p) over the x with y.x = k mod p."""
+    r = np.arange(p, dtype=np.int64)
+    x1, x2, x3 = np.meshgrid(r, r, r, indexing="ij")
+    a11, a22, a33, a12, a13, a23 = (k % p for k in form.coeffs())
+    vals = (a11 * x1 * x1 + a22 * x2 * x2 + a33 * x3 * x3 + a12 * x1 * x2 + a13 * x1 * x3 + a23 * x2 * x3) % p
+    chi = np.array([jacobi(v, p) for v in range(p)], dtype=np.int64)
+    phase = (y[0] * x1 + y[1] * x2 + y[2] * x3) % p
+    return np.bincount(phase.ravel(), weights=chi[vals].ravel(), minlength=p).astype(np.int64).tolist()
+
+
 def test_exp_char_sum_identity_zero_vector():
     res = exp_char_sum(TernaryForm(1, 1, 1, 0, 0, 0), 5, (0, 0, 0))
-    assert res.magnitude == pytest.approx(20.0)  # p(p-1)
+    assert res.value == 20 and res.magnitude == 20.0  # p(p-1)
     assert res.adj_zero and res.large
 
 
@@ -747,21 +817,61 @@ def test_exp_char_sum_dichotomy_small_primes():
 
 
 def test_exp_char_sum_guards():
-    with pytest.raises(RegionTooLarge):
-        exp_char_sum(TernaryForm(1, 1, 1, 0, 0, 0), 103, (0, 0, 0))
+    # no prime cap: the chart x1 = 1 charges p^2 points, above the budget here
+    with pytest.raises(RegionTooLarge, match="_grid_rows mod 10007"):
+        exp_char_sum(TernaryForm(1, 1, 1, 0, 0, 0), 10007, (0, 0, 0))
     with pytest.raises(InvalidInput):
         exp_char_sum(TernaryForm(1, 1, 1, 0, 0, 0), 15, (0, 0, 0))
 
 
 def test_exp_char_sum_phase_vector_exact():
-    f = TernaryForm(1, 2, 3, 1, 0, 1)
-    p = 5
-    res = exp_char_sum(f, p, (1, 2, 0))
-    tbl = jacobi_table(p)
-    coefs = [0] * p
-    for x1 in range(p):
-        for x2 in range(p):
-            for x3 in range(p):
-                phase = (1 * x1 + 2 * x2 + 0 * x3) % p
-                coefs[phase] += int(tbl[f.evaluate((x1, x2, x3)) % p])
-    assert list(res.phase_coefficients) == coefs
+    # every odd prime p <= 31: nonsingular and singular forms, y = 0 and
+    # y with zero entries, against the p^3 enumeration
+    rng = random.Random("phase")
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        forms = [
+            TernaryForm(1, 2, 3, 1, 0, 1),
+            TernaryForm(1, 0, 0, 0, 0, 0),  # rank 1
+            TernaryForm(0, 0, 0, 1, 0, 0),  # rank 2, diagonal zero
+            TernaryForm(p, 2 * p, 1, 0, p, 0),  # rank 1 mod p
+            TernaryForm(*(rng.randrange(-5 * p, 5 * p) for _ in range(6))),
+        ]
+        ys = [(0, 0, 0), (1, 2, 0), (0, 0, p + 1), tuple(rng.randrange(-p, p) for _ in range(3))]
+        for f in forms:
+            for y in ys:
+                res = exp_char_sum(f, p, y)
+                coefs = _exp_coefficients_enumerated(f, p, y)
+                assert list(res.phase_coefficients) == coefs, (p, f, y)
+                assert res.value == coefs[0] - coefs[1]
+                assert res.large == (res.value**2 > p**3)
+                assert res.y == tuple(k % p for k in y)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 103, 1009])
+def test_exp_char_sum_gauss_closed_form(p):
+    """For nonsingular Q and y != 0 mod p, the Gauss-sum evaluation
+    S = chi(-2 det M) (p(p - 1) on the adjugate cone, else -p), M = gram2."""
+    rng = random.Random(f"gauss:{p}")
+    checked = cone = 0
+    while checked < 12:
+        f = TernaryForm(*(rng.randrange(-3 * p, 3 * p) for _ in range(6)))
+        det = det_gram2(f)
+        if det % p == 0:
+            continue
+        if checked % 2 == 0:
+            y = tuple(rng.randrange(p) for _ in range(3))
+        else:
+            # y = M x0 with Q(x0) = 0 lies on the adjugate cone (the tangent
+            # plane at x0); every nonsingular ternary form mod p has such x0
+            x0 = next(
+                x for x in ((rng.randrange(p), rng.randrange(p), 1) for _ in range(50 * p)) if f.evaluate(x) % p == 0
+            )
+            y = tuple(sum(m * k for m, k in zip(row, x0)) % p for row in f.gram2())
+        if y == (0, 0, 0):
+            continue
+        res = exp_char_sum(f, p, y)
+        assert res.value == jacobi(-2 * det, p) * (p * (p - 1) if res.adj_zero else -p), (f, y)
+        assert res.large == res.adj_zero
+        checked += 1
+        cone += res.adj_zero
+    assert cone >= 6

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import quadcong
@@ -29,6 +32,29 @@ def test_lattice_is_integer_only():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "fractions" not in imports
     assert "Fraction" not in names and "Fraction" not in imports
+
+
+def test_exp_sums_use_no_float_roots_of_unity():
+    # the exponential sums are exact integers: no complex roots of unity
+    tree = ast.parse((SRC / "charsum.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attrs = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+    assert "complex" not in names
+    assert not {("np", "exp"), ("np", "pi")} & attrs
+
+
+def test_import_loads_no_process_pool():
+    # the CLI imports its process pool on first use with --jobs > 1, so a
+    # plain import pays for neither multiprocessing nor its socket and logging
+    code = "import sys, quadcong; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_one_point_budget():
