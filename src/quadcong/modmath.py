@@ -159,31 +159,25 @@ class Modulus:
 
 
 def _factor(n: int):
-    """Factor n > 1 by trial division then Pollard rho; returns sorted primes with multiplicity."""
+    """Factor n > 1: the small primes by division, the rest by Pollard rho;
+    returns sorted primes with multiplicity."""
     out = []
     for p in _SMALL_PRIMES:
         while n % p == 0:
             out.append(p)
             n //= p
-    d = _SMALL_PRIMES[-1] + 2
-    while d * d <= n and d < 100_000:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 2
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                out.append(m)
-                continue
-            stack.extend(_rho_split(m))
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out.append(m)
+            continue
+        stack.extend(_rho_split(m))
     return sorted(out)
 
 
 def _rho_split(n: int):
-    # Brent's cycle variant; deterministic constant schedule
+    # Floyd's tortoise and hare; deterministic constant schedule
     if n % 2 == 0:
         return [2, n // 2]
     c = 1

@@ -18,8 +18,8 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import CertificateMismatch
-from .intvec import norm_sq, vec_key
+from .errors import CertificateMismatch, InvalidInput
+from .intvec import vec_key
 from .modmath import Modulus, sqrt_mod_squarefree
 from .qforms import TernaryForm, det_gram2
 from .charsum import _guard_points, _legendre_table
@@ -32,77 +32,69 @@ class BruteResult:
     t: int  # square root of the value mod q; 0 for plain zeros
 
 
-def _zero_mask(vals: np.ndarray, mod: Modulus) -> np.ndarray:
-    return vals % mod.q == 0
+def _scan_ball(form, mod: Modulus, r_sq: int, square: bool):
+    """Canonical (norm, vector) minimum over the nonzero v with
+    norm_sq(v) <= r_sq whose value is 0 mod q (square False) or a square,
+    possibly 0, mod every prime of q (square True); None if there is none.
 
-
-def _square_mask(vals: np.ndarray, mod: Modulus) -> np.ndarray:
-    ok = np.ones(vals.shape, dtype=bool)
-    for p in mod.primes:
-        ok &= _legendre_table(p)[vals % p] >= 0
-    return ok
-
-
-def _best_of(cands, best):
-    for v in cands:
-        key = (norm_sq(v), vec_key(v))
-        if best is None or key < best[0]:
-            best = (key, v)
-    return best
-
-
-def _scan_ball2(form, mod, r_sq: int, mask_fn):
-    q = mod.q
-    r = isqrt(r_sq)
-    xs = np.arange(-r, r + 1, dtype=np.int64)
-    a, b, c = form.a % q, form.b % q, form.c % q
-    vals = a * xs[:, None] ** 2 + b * xs[:, None] * xs[None, :] + c * xs[None, :] ** 2
-    norms = xs[:, None] ** 2 + xs[None, :] ** 2
-    mask = mask_fn(vals, mod) & (norms <= r_sq) & (norms > 0)
-    best = None
-    for i, j in np.argwhere(mask).tolist():
-        best = _best_of([(int(xs[i]), int(xs[j]))], best)
-    return best
-
-
-def _scan_ball3(form, mod, r_sq: int, mask_fn):
-    q = mod.q
-    r = isqrt(r_sq)
-    xs = np.arange(-r, r + 1, dtype=np.int64)
-    x2 = xs[:, None]
-    x3 = xs[None, :]
-    a11, a22, a33 = form.a11 % q, form.a22 % q, form.a33 % q
-    a12, a13, a23 = form.a12 % q, form.a13 % q, form.a23 % q
-    base = a22 * x2 * x2 + a33 * x3 * x3 + a23 * x2 * x3
-    n23 = x2 * x2 + x3 * x3
-    best = None
-    for v1 in xs.tolist():
-        rem = r_sq - v1 * v1
-        if rem < 0:
-            continue
-        vals = base + a11 * v1 * v1 + a12 * v1 * x2 + a13 * v1 * x3
-        mask = mask_fn(vals, mod) & (n23 <= rem)
-        if v1 == 0:
-            mask &= n23 > 0
-        if not mask.any():
-            continue
-        cands = [(v1, int(xs[i]), int(xs[j])) for i, j in np.argwhere(mask).tolist()]
-        best = _best_of(cands, best)
-    return best
-
-
-def _brute_min(form, mod, mask_fn, bound_sq, start_sq):
-    """Doubling ball scan; exact canonical minimum with mask_fn true at Q(v).
-
-    Returns the (key, vector) pair or None if bound_sq was given and the
-    exhaustive scan up to it found nothing.
+    The last two coordinates (x, y) span the (2r+1)^2 box and a ternary
+    form's first coordinate v1 loops, nearest 0 first, until v1^2 exceeds
+    the best norm found.  Values are taken mod d, q itself for zeros and
+    each prime for squares, in Horner form
+        Q = v1 L(x, y) + R(x, y) + a11 v1^2,
+        L = a12 x + a13 y,  R = (a22 x + a23 y) x + a33 y y,
+    with every partial sum reduced mod d before it is multiplied by a
+    coordinate, so no int64 intermediate reaches 3 d (r + 1).  A scan whose
+    modulus would cross that bound raises InvalidInput.
     """
-    arity = form.arity
-    scan = _scan_ball2 if arity == 2 else _scan_ball3
+    r = isqrt(r_sq)
+    what = f"_scan_ball mod {mod.q}, r^2 = {r_sq}"
+    _guard_points((2 * r + 1) ** form.arity, what)
+    moduli = mod.primes if square else (mod.q,)
+    if 3 * max(moduli) * (r + 1) > np.iinfo(np.int64).max:
+        raise InvalidInput(f"{what}: values mod {max(moduli)} would overflow int64")
+    ternary = form.arity == 3
+    a11, a22, a33, a12, a13, a23 = form.coeffs() if ternary else (0, form.a, form.c, 0, 0, form.b)
+    xs = np.arange(-r, r + 1, dtype=np.int64)
+    x, y = xs[:, None], xs[None, :]
+    n23 = x * x + y * y
+    planes = []
+    for d in moduli:
+        rest = a22 % d * x + a23 % d * y
+        rest %= d
+        rest *= x
+        rest += a33 % d * y % d * y
+        rest %= d
+        lin = (a12 % d * x + a13 % d * y) % d if ternary else 0
+        planes.append((d, lin, rest, _legendre_table(d) >= 0 if square else None))
+    best, cands = r_sq, []
+    for v1 in sorted(range(-r, r + 1), key=abs) if ternary else (0,):
+        if v1 * v1 > best:
+            break
+        hit = n23 <= best - v1 * v1
+        if v1 == 0:
+            hit[r, r] = False
+        for d, lin, rest, is_square in planes:
+            vals = rest if v1 == 0 else (lin * v1 + rest + a11 * v1 * v1 % d) % d
+            hit &= is_square[vals] if square else vals == 0
+        if not hit.any():
+            continue
+        m = v1 * v1 + int(n23[hit].min())
+        if m < best:
+            best, cands = m, []
+        head = (v1,) if ternary else ()
+        i, j = np.nonzero(hit & (n23 == m - v1 * v1))
+        cands += [head + (a - r, b - r) for a, b in zip(i.tolist(), j.tolist())]
+    return (best, min(cands, key=vec_key)) if cands else None
+
+
+def _brute_min(form, mod, square: bool, bound_sq, start_sq):
+    """Doubling ball scan; exact canonical (norm, vector) minimum, or None
+    if bound_sq was given and the exhaustive scan up to it found nothing.
+    """
     r_sq = start_sq if bound_sq is None else min(start_sq, bound_sq)
     while True:
-        _guard_points((2 * isqrt(r_sq) + 1) ** arity, f"{scan.__name__} mod {mod.q}, r^2 = {r_sq}")
-        best = scan(form, mod, r_sq, mask_fn)
+        best = _scan_ball(form, mod, r_sq, square)
         if best is not None:
             return best
         if bound_sq is not None and r_sq >= bound_sq:
@@ -115,10 +107,10 @@ def _brute_min(form, mod, mask_fn, bound_sq, start_sq):
 def brute_min_zero(form, mod: Modulus, bound_sq=None):
     """Exact minimal nonzero vector with form(v) = 0 mod q, or None if an
     exhaustive scan up to bound_sq proves there is none that small."""
-    best = _brute_min(form, mod, _zero_mask, bound_sq, start_sq=16)
+    best = _brute_min(form, mod, False, bound_sq, start_sq=16)
     if best is None:
         return None
-    (s, _), v = best
+    s, v = best
     if form.evaluate(v) % mod.q:
         raise CertificateMismatch(f"ball scan returned {v}, not a zero of {form} mod {mod.q}")
     return BruteResult(norm_sq=s, witness=v, t=0)
@@ -126,10 +118,10 @@ def brute_min_zero(form, mod: Modulus, bound_sq=None):
 
 def brute_min_square(form, mod: Modulus, bound_sq=None):
     """Exact minimal nonzero vector whose value is a square (possibly 0) mod q."""
-    best = _brute_min(form, mod, _square_mask, bound_sq, start_sq=4)
+    best = _brute_min(form, mod, True, bound_sq, start_sq=4)
     if best is None:
         return None
-    (s, _), v = best
+    s, v = best
     t = sqrt_mod_squarefree(form.evaluate(v) % mod.q, mod)
     if t is None:
         raise CertificateMismatch(f"ball scan returned {v}, a non-square of {form} mod {mod.q}")
@@ -186,26 +178,32 @@ def root_count_mod(f, arity: int, p: int) -> int:
     return sum(1 for a in product(range(p), repeat=arity) if f(a) % p == 0)
 
 
+def _with_prediction(count: int, box: int, arity: int, roots: dict) -> CoprimeCount:
+    pred = Fraction(box**arity)
+    for p, n in roots.items():
+        pred *= 1 - Fraction(n, p**arity)
+    return CoprimeCount(count=count, box=box, arity=arity, roots=roots, prediction=pred)
+
+
 def coprime_count(f, arity: int, mod: Modulus, box: int) -> CoprimeCount:
     """Exact count of a in [1, box]^arity with gcd(f(a), q) = 1, plus the
     per-prime root counts and the product-formula prediction."""
     _guard_points(box**arity, f"coprime_count mod {mod.q}, box {box}, arity {arity}")
     q = mod.q
     count = sum(1 for a in product(range(1, box + 1), repeat=arity) if gcd(f(a) % q, q) == 1)
-    roots = {p: root_count_mod(f, arity, p) for p in mod.primes}
-    pred = Fraction(box**arity)
-    for p in mod.primes:
-        pred *= 1 - Fraction(roots[p], p**arity)
-    return CoprimeCount(count=count, box=box, arity=arity, roots=roots, prediction=pred)
+    return _with_prediction(count, box, arity, {p: root_count_mod(f, arity, p) for p in mod.primes})
 
 
-def _restriction_det4_grids(form: TernaryForm, edge_lo: int, edge_hi: int):
-    """Vectorized det4 of the restriction to planes spanned by two columns.
+def _restriction_det4_grids(form: TernaryForm, d: int, edges: range):
+    """Vectorized det4 mod d of the restriction to planes spanned by two columns.
 
-    Yields (col1, det4_grid) with col1 ranging over [lo, hi]^3 in lex order
-    and det4_grid the int64 array over all col2 in the same box, lex order.
+    Yields (col1, det4_grid) with col1 ranging over edges^3 in lex order and
+    det4_grid the int64 array of det4 mod d over all col2 in edges^3, lex
+    order.  a_r, q_c2 and b_grid are reduced mod d before every product, so
+    each intermediate stays below 5 d^2 (exact for d < 1.3e9).
     """
-    rng = np.arange(edge_lo, edge_hi + 1, dtype=np.int64)
+    form = TernaryForm(*(c % d for c in form.coeffs()))
+    rng = np.arange(edges.start, edges.stop, dtype=np.int64)
     k = len(rng)
     a2 = np.repeat(rng, k * k)
     a4 = np.tile(np.repeat(rng, k), k)
@@ -218,45 +216,34 @@ def _restriction_det4_grids(form: TernaryForm, edge_lo: int, edge_hi: int):
         + form.a12 * a2 * a4
         + form.a13 * a2 * a6
         + form.a23 * a4 * a6
-    )
-    for v1 in rng.tolist():
-        for v3 in rng.tolist():
-            for v5 in rng.tolist():
-                col1 = (v1, v3, v5)
-                a_r = form.evaluate(col1)
-                gr = tuple(sum(g[i][j] * col1[j] for j in range(3)) for i in range(3))
-                b_grid = gr[0] * a2 + gr[1] * a4 + gr[2] * a6
-                yield col1, 4 * a_r * q_c2 - b_grid * b_grid
+    ) % d
+    for col1 in product(edges, repeat=3):
+        a_r = form.evaluate(col1) % d
+        gr = tuple(sum(g[i][j] * col1[j] for j in range(3)) % d for i in range(3))
+        b_grid = (gr[0] * a2 + gr[1] * a4 + gr[2] * a6) % d
+        yield col1, (4 * a_r * q_c2 - b_grid * b_grid) % d
 
 
 def restriction_coprime_count(form: TernaryForm, mod: Modulus, box: int) -> CoprimeCount:
     """coprime_count for the 6-variable restriction determinant, vectorized.
 
     The evaluator takes (a1, ..., a6) to det4 of the restriction of the form
-    to the plane spanned by (a1, a3, a5) and (a2, a4, a6).
+    to the plane spanned by (a1, a3, a5) and (a2, a4, a6).  Every prime is
+    charged p^6 before any grid is built, so the point budget keeps each
+    prime below 21 and q below 4.9e6, well inside the grids' int64 bound.
     """
     _guard_points(box**6, f"restriction_coprime_count mod {mod.q}, box {box}")
-    q = mod.q
-    # det4 mod p only depends on the coefficients mod q, and reducing keeps
-    # every intermediate inside int64
-    form = TernaryForm(*(c % q for c in form.coeffs()))
-    count = 0
-    for _, d4 in _restriction_det4_grids(form, 1, box):
-        ok = np.ones(d4.shape, dtype=bool)
-        for p in mod.primes:
-            ok &= d4 % p != 0
-        count += int(ok.sum())
-    roots = {}
     for p in mod.primes:
         _guard_points(p**6, f"restriction_coprime_count residues mod {p}")
-        zero = 0
-        for _, d4 in _restriction_det4_grids(form, 0, p - 1):
-            zero += int((d4 % p == 0).sum())
-        roots[p] = zero
-    pred = Fraction(box**6)
+    q = mod.q
+    coprime = np.gcd(np.arange(q, dtype=np.int64), q) == 1
+    count = 0
+    for _, d4 in _restriction_det4_grids(form, q, range(1, box + 1)):
+        count += int(coprime[d4].sum())
+    roots = {}
     for p in mod.primes:
-        pred *= 1 - Fraction(roots[p], p**6)
-    return CoprimeCount(count=count, box=box, arity=6, roots=roots, prediction=pred)
+        roots[p] = sum(int((d4 == 0).sum()) for _, d4 in _restriction_det4_grids(form, p, range(p)))
+    return _with_prediction(count, box, 6, roots)
 
 
 # ----------------------------------------------------------------- sampling

@@ -1,7 +1,9 @@
 import math
+import re
 
 import pytest
 
+from quadcong import errors
 from quadcong.charsum import _grid_table
 from quadcong.cli import (
     ExperimentConfig,
@@ -173,6 +175,15 @@ def test_oracle_report_contains_witness(tmp_path):
     assert header[:7] == ["q", "f11", "f22", "f33", "f12", "f13", "f23"]
     assert "min_zero_norm_sq" in header and "w1" in header
     assert all(ln.split(",")[-1] == "1" for ln in lines[1:])
+
+
+def test_oracle_failure_names_a_typed_error(capsys):
+    # q = 3 * 5 * ... * 43; its zero scan outgrows the point budget
+    assert main(["oracle", "--q", "6541380665835015", "--samples", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    name = re.match(r"FAILED: (\w+): ", err).group(1)
+    assert issubclass(getattr(errors, name), errors.QuadCongError)
 
 
 def test_exponent_fit_report(tmp_path):

@@ -104,6 +104,18 @@ def test_modulus_rejects_bad_factorizations():
     assert Modulus(105, (3, 5, 7)).q == 105
 
 
+@pytest.mark.parametrize("p", [71, 9973, 99991])
+def test_make_modulus_factors_primes_past_the_small_table(p):
+    # primes above _SMALL_PRIMES are split off by Pollard rho alone
+    assert make_modulus(3 * p).primes == (3, p)
+    assert make_modulus(p * 1_000_000_007).primes == (p, 1_000_000_007)
+    assert make_modulus(73 * p).primes == tuple(sorted((73, p)))
+    with pytest.raises(NotSquareFree):
+        make_modulus(p * p)
+    with pytest.raises(NotSquareFree):
+        make_modulus(5 * p * p)
+
+
 def test_modulus_validation_survives_optimize_flag():
     # python -O strips assert statements; the checks must not depend on them
     code = (

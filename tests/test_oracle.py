@@ -1,16 +1,21 @@
 import random
+import re
 from fractions import Fraction
-from math import gcd
+from itertools import islice, product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadcong.errors import RegionTooLarge
+from quadcong import charsum
+from quadcong.cli import sample_binary_forms
+from quadcong.errors import InvalidInput, RegionTooLarge
 from quadcong.intvec import norm_sq, vec_key
-from quadcong.modmath import is_square_mod, make_modulus
+from quadcong.modmath import inv_mod, is_square_mod, make_modulus
 from quadcong.oracle import (
     BruteResult,
+    _restriction_det4_grids,
     brute_min_square,
     brute_min_zero,
     coprime_count,
@@ -21,10 +26,11 @@ from quadcong.oracle import (
     root_count_mod,
     sample_forms,
 )
-from quadcong.qforms import BinaryForm, TernaryForm, det_gram2
+from quadcong.qforms import BinaryForm, TernaryForm, det_gram2, restrict
 from quadcong.solver import solve_ternary, square_value_binary
 
 IDENTITY = TernaryForm(1, 1, 1, 0, 0, 0)
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def test_brute_min_zero_frozen():
@@ -68,6 +74,34 @@ def test_brute_square_agrees_with_pipeline_search():
         want = brute_min_square(f, mod)
         assert norm_sq(got) == want.norm_sq
         assert got == want.witness  # same canonical tie-break
+
+
+@pytest.mark.parametrize("k, index", [(13, 1), (14, 0), (15, 3)])
+def test_brute_min_square_exact_at_many_prime_moduli(k, index):
+    # q = 3 * 5 * ... up to 6.5e15, 3.1e17 and 1.6e19: the square test runs
+    # prime by prime, so every value stays small whatever the size of q
+    mod = make_modulus(prod(ODD_PRIMES[:k]))
+    f = sample_binary_forms(mod, index + 1, f"many:{k}")[index]
+    want = square_value_binary(f, mod)
+    got = brute_min_square(f, mod)
+    assert got.witness == want and got.norm_sq == norm_sq(want)
+
+
+@pytest.mark.parametrize("q, v", [(10**15 + 37, (60, -70, 37)), (10**16 + 61, (61, 70, 67))])
+def test_brute_min_zero_finds_planted_zero_near_int64_limit(q, v):
+    # q prime; q r^2 at the final radius, r = 128, is far past 2^63
+    mod = make_modulus(q)
+    rng = random.Random(f"planted zero:{q}")
+    rest = [rng.randrange(q) for _ in range(5)]
+    a11 = -TernaryForm(0, *rest).evaluate(v) * inv_mod(v[0] ** 2, q) % q
+    assert brute_min_zero(TernaryForm(a11, *rest), mod) == BruteResult(norm_sq(v), v, 0)
+
+
+def test_zero_scan_past_its_int64_bound_raises():
+    mod = make_modulus(prod(ODD_PRIMES))  # 1.6e19 itself leaves int64
+    with pytest.raises(InvalidInput, match="_scan_ball mod 16294579238595022365"):
+        brute_min_zero(IDENTITY, mod)
+    assert brute_min_square(IDENTITY, mod).norm_sq == 1
 
 
 def test_brute_min_zero_bound_proves_absence():
@@ -154,6 +188,18 @@ def test_restriction_coprime_count_matches_generic():
     assert fast.prediction == slow.prediction
 
 
+def test_restriction_det4_grids_exact_at_largest_modulus():
+    # 3 * 5 * ... * 19 is the largest q whose primes all pass the p^6 charge;
+    # coordinates up to 21 (the largest box within the point budget) push the
+    # unreduced det4 of far-apart columns past 2^63
+    q = 4849845
+    form = sample_forms(make_modulus(q), 1, "det4")[0]
+    edges = range(9, 22)
+    cols = list(product(edges, repeat=3))
+    for col1, d4 in islice(_restriction_det4_grids(form, q, edges), 0, None, 220):
+        assert d4.tolist() == [restrict(form, col1, col2).det4() % q for col2 in cols], col1
+
+
 def test_restriction_coprime_count_gap_small():
     form = TernaryForm(2, 3, 5, 1, 0, 1)
     mod = make_modulus(15)
@@ -197,3 +243,25 @@ def test_brute_min_square_leq_min_zero(seed):
     z = brute_min_zero(f, mod)
     s = brute_min_square(f, mod)
     assert s.norm_sq <= z.norm_sq  # zero values are squares
+
+
+# kernel call, points charged, and the name the refusal carries
+ORACLE_GUARDED = {
+    "brute_min_zero": (lambda: brute_min_zero(IDENTITY, make_modulus(5)), 9**3, "_scan_ball mod 5, r^2 = 16"),
+    "brute_min_square": (lambda: brute_min_square(IDENTITY, make_modulus(5)), 5**3, "_scan_ball mod 5, r^2 = 4"),
+    "restriction_coprime_count": (
+        lambda: restriction_coprime_count(IDENTITY, make_modulus(3), 4),
+        4**6,
+        "restriction_coprime_count mod 3, box 4",
+    ),
+    "root_count_mod": (lambda: root_count_mod(lambda v: v[0] * v[1], 2, 5), 5**2, "root_count_mod mod 5, arity 2"),
+}
+
+
+@pytest.mark.parametrize("call, charge, what", ORACLE_GUARDED.values(), ids=ORACLE_GUARDED)
+def test_point_guard_charges_each_oracle(monkeypatch, call, charge, what):
+    monkeypatch.setattr(charsum, "POINT_BUDGET", charge - 1)
+    with pytest.raises(RegionTooLarge, match=re.escape(what)):
+        call()
+    monkeypatch.setattr(charsum, "POINT_BUDGET", charge)
+    call()

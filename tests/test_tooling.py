@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quadcong
 
 SRC = Path(quadcong.__file__).resolve().parent
@@ -81,3 +83,19 @@ def test_benchmark_api_names_resolve(monkeypatch):
 
     api = workloads.load_api()
     assert callable(api.square_value_binary) and callable(api.shift_pair_counts)
+
+
+SCRIPTS = {
+    "solve_demo.py": [],
+    "exponent_scan.py": ["--samples", "8", "--lo", "1000", "--hi", "100000"],
+    "weil_margin.py": ["--pmax", "30", "--tuples", "10"],
+}
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_scripts_run(script):
+    # nothing else imports the scripts, so an API rename would break them silently
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, str(path), *SCRIPTS[script]], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stdout + res.stderr
