@@ -1,6 +1,7 @@
 """Exact character-sum evaluation for binary quadratic forms.
 
-Covers, all in exact integer arithmetic (numpy int8/int64 internally):
+Covers, all in exact integer arithmetic (numpy int8/int64 and uint64 bit
+planes internally):
 
 * real characters jacobi(. , d) for odd square-free d (d = 1 = trivial),
 * incomplete sums of chi(Q(x, y)) over discs and boxes,
@@ -17,15 +18,27 @@ Covers, all in exact integer arithmetic (numpy int8/int64 internally):
 Complete sums use homogeneity, chi(lam^2 m) = chi(m): a binary grid sum
 mod p takes O(p) steps and a ternary exponential sum O(p^2).
 
-Every d x d character grid comes from one builder, ``_grid_rows``: the
-split and inert companion grids, the composite-q grids, the F_{p^2}
-norm table (the grid of x^2 - delta y^2, delta the least non-residue) and
-the affine chart x1 = 1 of a ternary form.
-``_grid_table`` keeps the last few whole grids in a small bounded cache,
-enough for the three tables one prime of a scan needs.  Every shifted sum
-reads its table through one helper, ``_rolled``, which doubles the table
-once and hands out its row-rolled views, so no index arithmetic happens
-in the inner loops.
+Every shifted product sum (one-variable, norm, companion grid, composite
+grid) runs through one kernel, ``_plane_product_sum``, over bit planes: a
+{-1, 0, 1} table with m rows is held as two contiguous (m, ceil(cols/64))
+uint64 arrays, "nonzero" and "negative", packed along the columns.  Rolling
+the table by n rows is a row-offset slice, the product of rolled tables is
+an AND of the nonzero planes and an XOR of the negative ones, and the sum
+is popcount(nonzero) - 2 popcount(nonzero & negative).
+
+A prime's p x p grid for these sums comes from homogeneity
+(``_prime_grid_rows``): with g the least primitive root, chi(Q(x, y)) =
+N[log x - log y] for x, y != 0, where N[k] = chi(Q(g^k, 1)), so row x is a
+window of the doubled N.  Its columns come out in log order; every product
+sum runs over all columns, so it does not see that order.  Composite grids,
+the window-sum grids and the affine chart x1 = 1 of a ternary form come
+from the row-block builder ``_grid_rows``.
+
+Caches: ``_planes`` keeps the last _PLANE_SLOTS grids' planes,
+``_legendre_planes`` and ``_log_tables`` the planes of the Legendre table
+and the (exp, log) tables of as many recent primes; ``_grid_table``
+keeps the last four whole int8 grids, for the window sums (which add
+values rather than multiply them) through ``_rolled``.
 """
 
 from dataclasses import dataclass
@@ -46,6 +59,7 @@ from .intvec import cross3
 from .lattice import lift_lattice
 from .modmath import (
     Modulus,
+    _factor,
     crt_combine,
     find_nonresidue,
     inv_mod,
@@ -58,6 +72,7 @@ from .qforms import BinaryForm, TernaryForm, adjugate4, monic_companion, restric
 
 POINT_BUDGET = 10**8
 _BLOCK = 1 << 16  # entries per block of a table build: its int64 temporaries stay in cache
+_PLANE_SLOTS = 12  # planes kept: a scan's two grids per prime, or the norm tables of 11 small primes
 
 
 def _guard_points(n: int, what: str):
@@ -219,11 +234,11 @@ def _grid_rows(d: int, a: int, b: int, c: int, e: int = 0, f: int = 0, g: int = 
 
 @lru_cache(maxsize=4)
 def _grid_table(d: int, a: int, b: int, c: int) -> np.ndarray:
-    """The whole grid of _grid_rows as one read-only d x d int8 array.
+    """The whole grid of _grid_rows as one read-only d x d int8 array, for
+    the window sums, which add rolled grids rather than multiply them.
 
-    The cache is small on purpose: a table is reused only within its own
-    modulus, and one prime of a scan needs at most three of them (split
-    grid, inert grid, norm table).
+    The cache is small on purpose: a window sum reuses a table only within
+    its own modulus.
     """
     t = np.concatenate(list(_grid_rows(d, a, b, c)))
     t.flags.writeable = False
@@ -526,19 +541,139 @@ def _rolled(t: np.ndarray, shifts):
         yield t2[n : n + m]
 
 
-def _shift_product_sum(t: np.ndarray, ns) -> int:
-    """Sum over every entry of the product of the tables rolled by each n in ns."""
-    acc = None
-    for view in _rolled(t, ns):
-        acc = view.copy() if acc is None else np.multiply(acc, view, out=acc)
-    return t.size if acc is None else int(acc.sum(dtype=np.int64))
+def _pack(blocks, m: int, cols: int):
+    """Bit planes of a {-1, 0, 1} table with m rows and cols columns, given
+    as int8 row blocks: (nonzero, negative, m * cols), the planes two
+    contiguous read-only (m, ceil(cols / 64)) uint64 arrays with bit y of
+    row x set where entry (x, y) is nonzero, resp. negative."""
+    nbytes = 8 * -(-cols // 64)
+    nz = np.zeros((m, nbytes), dtype=np.uint8)
+    neg = np.zeros((m, nbytes), dtype=np.uint8)
+    used = -(-cols // 8)
+    x0 = 0
+    for blk in blocks:
+        x1 = x0 + len(blk)
+        nz[x0:x1, :used] = np.packbits(blk != 0, axis=1, bitorder="little")
+        neg[x0:x1, :used] = np.packbits(blk < 0, axis=1, bitorder="little")
+        x0 = x1
+    nz.flags.writeable = neg.flags.writeable = False
+    return nz.view(np.uint64), neg.view(np.uint64), m * cols
+
+
+def _plane_product_sum(planes, ns) -> int:
+    """Sum over every entry of the product of the table rolled by each n in
+    ns (row i of a roll by n is row (i + n) mod m), on the table's planes.
+
+    A product of entries in {-1, 0, 1} is nonzero where every factor is and
+    negative where an odd number of factors are, so each roll ANDs the
+    nonzero plane and XORs the negative one.  The rows go in blocks of
+    about _BLOCK / 2 words, whose accumulators stay in cache; a block of a
+    roll is one row slice, or two where it wraps.  A table of at most
+    _BLOCK / 16 words costs numpy calls rather than bytes, so it is rolled
+    within a doubled copy, where no roll wraps."""
+    nz, neg, size = planes
+    ns = tuple(ns)
+    if not ns:
+        return size
+    m, w = nz.shape
+    rows = min(m, max(1, _BLOCK // (2 * w)))
+    if m * w <= _BLOCK // 16:
+        nz, neg = np.concatenate((nz, nz)), np.concatenate((neg, neg))
+    acc = np.empty((2, rows, w), dtype=np.uint64)
+    ones = negs = 0
+    for r0 in range(0, m, rows):
+        h = min(rows, m - r0)
+        acc_nz, acc_neg = acc[0, :h], acc[1, :h]
+        # rolling every factor back by ns[0] leaves the sum unchanged
+        acc_nz[:], acc_neg[:] = nz[r0 : r0 + h], neg[r0 : r0 + h]
+        for n in ns[1:]:
+            s = (r0 + n - ns[0]) % m
+            k = min(h, len(nz) - s)
+            acc_nz[:k] &= nz[s : s + k]
+            acc_neg[:k] ^= neg[s : s + k]
+            if k < h:
+                acc_nz[k:] &= nz[: h - k]
+                acc_neg[k:] ^= neg[: h - k]
+        acc_neg &= acc_nz
+        counts = np.bitwise_count(acc[:, :h]).sum(axis=(1, 2), dtype=np.int64)
+        ones += int(counts[0])
+        negs += int(counts[1])
+    return ones - 2 * negs
+
+
+@lru_cache(maxsize=_PLANE_SLOTS)
+def _log_tables(p: int):
+    """(exp, log) for the least primitive root g mod an odd prime p, read-only
+    int64: exp[k] = g^k mod p for k < p - 1 and log[exp[k]] = k (log[0] = 0).
+
+    exp is filled by doubling, exp[n + k] = exp[k] * g^n, so each product
+    stays below p^2."""
+    _guard_points(p, f"_log_tables mod {p}")
+    rs = set(_factor(p - 1))
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in rs))
+    e = np.ones(p - 1, dtype=np.int64)
+    n = 1
+    while n < p - 1:
+        k = min(n, p - 1 - n)
+        e[n : n + k] = e[:k] * pow(g, n, p) % p
+        n += k
+    log = np.zeros(p, dtype=np.int64)
+    log[e] = np.arange(p - 1, dtype=np.int64)
+    e.flags.writeable = log.flags.writeable = False
+    return e, log
+
+
+def _prime_grid_rows(p: int, a: int, b: int, c: int):
+    """Row blocks (rows x = 0..p-1 in order) of jacobi(a x^2 + b x y + c y^2, p)
+    over the p x p grid mod an odd prime p, int8, columns in log order:
+    y = 0 first, then y = g^-j for j = 0..p-2.
+
+    For x, y != 0, jacobi(y^2) = 1 gives chi(Q(x, y)) = chi(Q(x / y, 1)) =
+    N[log x + j] with N[k] = chi(Q(g^k, 1)), so row x is the window of the
+    doubled N starting at log x.  Column y = 0 holds chi(a x^2) and row
+    x = 0 holds chi(c y^2).  O(p) Legendre evaluations; the terms are
+    reduced mod p before they are added (int64 below p^2 + 2p).
+    """
+    t = _legendre_table(p)
+    e, log = _log_tables(p)
+    n = t[(a * (e * e % p) % p + b * e % p + c) % p]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([n, n]), p - 1)
+    first = np.full((1, p), t[c], dtype=np.int8)
+    first[0, 0] = 0
+    yield first
+    block = max(1, _BLOCK // p)
+    for x0 in range(1, p, block):
+        logs = log[x0 : x0 + block]
+        blk = np.empty((len(logs), p), dtype=np.int8)
+        blk[:, 0] = t[a]
+        blk[:, 1:] = windows[logs]
+        yield blk
+
+
+@lru_cache(maxsize=_PLANE_SLOTS)
+def _planes(d: int, a: int, b: int, c: int):
+    """The bit planes of the d x d grid of jacobi(a x^2 + b x y + c y^2, d),
+    coefficients reduced mod d, for the shifted product sums: built by
+    homogeneity (columns in log order) when d is prime, by _grid_rows when
+    it is composite.  Charges d^2 before it allocates."""
+    _guard_points(d * d, f"_planes mod {d}")
+    rows = _prime_grid_rows(d, a, b, c) if is_prime(d) else _grid_rows(d, a, b, c)
+    return _pack(rows, d, d)
+
+
+@lru_cache(maxsize=_PLANE_SLOTS)
+def _legendre_planes(p: int):
+    """The planes of the Legendre table mod p as a one-column table: one
+    word per row, holding the entry in bit 0."""
+    t = _legendre_table(p)[:, None]
+    return (t != 0).astype(np.uint64), (t < 0).astype(np.uint64), p
 
 
 def linear_shift_sum(p: int, ns) -> int:
     """sum over a mod p of jacobi(prod_i (n_i + a), p): the one-variable
-    shifted product sum.  O(p) via rolled table views."""
+    shifted product sum, O(p)."""
     _require_scan_prime(p)
-    return _shift_product_sum(_legendre_table(p), ns)
+    return _plane_product_sum(_legendre_planes(p), ns)
 
 
 def norm_shift_sum(p: int, ns) -> int:
@@ -552,7 +687,7 @@ def norm_shift_sum(p: int, ns) -> int:
     companion(n + a, b) to Norm(n + z).
     """
     _require_scan_prime(p)
-    return _shift_product_sum(_grid_table(p, 1, 0, -find_nonresidue(p) % p), ns)
+    return _plane_product_sum(_planes(p, 1, 0, -find_nonresidue(p) % p), ns)
 
 
 def _check_companion(p: int, qt: BinaryForm):
@@ -566,12 +701,16 @@ def _form_table(qt: BinaryForm, d: int) -> np.ndarray:
     return _grid_table(d, qt.a % d, qt.b % d, qt.c % d)
 
 
+def _form_planes(qt: BinaryForm, d: int):
+    return _planes(d, qt.a % d, qt.b % d, qt.c % d)
+
+
 def form_shift_sum_direct(p: int, ns, qt: BinaryForm) -> int:
     """Direct O(p^2) evaluation of the shifted companion-form product sum:
     sum over (a, b) mod p of jacobi(prod_i qt(n_i + a, b), p)."""
     _require_scan_prime(p)
     _check_companion(p, qt)
-    return _shift_product_sum(_form_table(qt, p), ns)
+    return _plane_product_sum(_form_planes(qt, p), ns)
 
 
 def splits_mod(qt: BinaryForm, p: int) -> bool:
@@ -619,7 +758,7 @@ def form_shift_sum_q(qt: BinaryForm, mod: Modulus, ns, check: bool = False) -> i
 
 def form_shift_sum_q_direct(qt: BinaryForm, mod: Modulus, ns) -> int:
     """O(q^2) direct evaluation over the composite grid, for cross-checking."""
-    return _shift_product_sum(_form_table(qt, mod.q), ns)
+    return _plane_product_sum(_form_planes(qt, mod.q), ns)
 
 
 def shifted_sum_bound(p: int, r: int, overall_gcd: int) -> int:

@@ -67,7 +67,7 @@ def coprime_point_search(f, n: int, mod: Modulus, cap: int = 2**30):
                 continue
             if gcd(f(point) % q, q) == 1:
                 return point
-    raise SearchExhausted(f"no coprime point with sup-norm <= {cap}")
+    raise SearchExhausted(f"no point with sup-norm <= {cap} whose value is coprime to q = {q}")
 
 
 def square_value_binary(form: BinaryForm, mod: Modulus):
@@ -81,7 +81,7 @@ def square_value_binary(form: BinaryForm, mod: Modulus):
     limit = int(cap_max * cap_max) + 1
     for s, v in iter_vectors_by_norm():
         if s > limit:
-            raise SearchExhausted(f"no square value below norm {cap_max}")
+            raise SearchExhausted(f"{form.row()} takes no square value mod q = {q} below norm {cap_max}")
         if is_square_mod(form.evaluate(v), mod):
             return v
     raise AssertionError("unreachable")
@@ -109,7 +109,10 @@ def ternary_to_binary(form: TernaryForm, mod: Modulus) -> RestrictionChoice:
     def delta4(a):
         return _restriction_form(form, a).det4()
 
-    a = coprime_point_search(delta4, 6, mod)
+    try:
+        a = coprime_point_search(delta4, 6, mod)
+    except SearchExhausted as exc:
+        raise SearchExhausted(f"restrictions of {form.row()}: {exc}") from None
     r = _restriction_form(form, a)
     return RestrictionChoice(vecs=a, form=r, delta4=r.det4(), max_abs=max(a))
 

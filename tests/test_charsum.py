@@ -22,9 +22,13 @@ from quadcong.charsum import (
     Character,
     Disc,
     _grid_table,
+    _legendre_planes,
     _legendre_table,
+    _log_tables,
+    _pack,
+    _plane_product_sum,
+    _planes,
     _rolled,
-    _shift_product_sum,
     diff_products,
     divisor_char_sum,
     divisor_sum_positive,
@@ -209,6 +213,32 @@ def test_norm_table_balanced_and_multiplicative(p):
     c1, e1, c2, e2 = np.meshgrid(r, r, r, r, indexing="ij")
     prod = t[(c1 * c2 + delta * e1 * e2) % p, (c1 * e2 + c2 * e1) % p]
     assert (prod == t[c1, e1] * t[c2, e2]).all()
+
+
+def _unpack(planes, cols):
+    """The int8 table whose bit planes these are."""
+    nz, neg, _ = planes
+    bits = [np.unpackbits(pl.view(np.uint8), axis=1, bitorder="little") for pl in (nz, neg)]
+    assert not bits[0][:, cols:].any() and not bits[1][:, cols:].any()  # padding stays clear
+    return bits[0][:, :cols].astype(np.int8) * (1 - 2 * bits[1][:, :cols].astype(np.int8))
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 62, 2) if all(p % k for k in range(3, p, 2))])
+def test_prime_planes_are_grid_rows_in_log_order(p):
+    # rows stay in x order; the columns are y = 0, then g^-j for j = 0..p-2
+    g = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    perm = [0] + [pow(g, -j, p) for j in range(p - 1)]
+    delta = find_nonresidue(p)
+    forms = [(1, 0, -delta % p), (0, 1, 2), (0, 0, 3), (1, 1, 0), (2, 0, 0), (1, 2, 1), (3, 6, 3), (2, 3, 5)]
+    for a, b, c in forms:
+        a, b, c = a % p, b % p, c % p
+        want = _grid_table(p, a, b, c)[:, perm]
+        assert (_unpack(_planes(p, a, b, c), p) == want).all()
+
+
+def test_composite_planes_match_grid_table():
+    for d, (a, b, c) in [(15, (1, 1, 3)), (105, (2, 3, 5)), (1155, (1, 0, 1154))]:
+        assert (_unpack(_planes(d, a, b, c), d) == _grid_table(d, a, b, c)).all()
 
 
 def test_grid_vanishing_exhaustive_small():
@@ -424,6 +454,17 @@ def test_norm_shift_sum_frozen():
     assert norm_shift_sum(5, (1, 2, 3, 4)) == 5
 
 
+def test_window_sums_do_not_evict_norm_planes():
+    # the window sums' int8 grids live in their own cache, so they cannot
+    # push a prime's norm planes out between two sums at that prime
+    _planes.cache_clear()
+    norm_shift_sum(37, (1, 2, 3, 4))
+    for q in (15, 21, 33, 35, 39, 51):
+        window_power_sum(BinaryForm(1, 1, 3), make_modulus(q), 2, 1)
+    norm_shift_sum(37, (5, 6))
+    assert _planes.cache_info().misses == 1
+
+
 def test_linear_shift_sum_brute():
     p = 11
     for ns in [(0, 0), (1, 5), (2, 2, 3, 7)]:
@@ -462,14 +503,40 @@ def test_rolled_views_pointwise():
         for n, view in zip(shifts, views):
             for i in range(m):
                 assert (view[i] == t[(i + n) % m]).all()
-        for ns in [(), (1,), (0, 0), (1, 2, 4), shifts]:
-            expected = 0
-            for i in range(m):
-                prod = np.ones(shape[1:], dtype=np.int64)
-                for n in ns:
-                    prod = prod * t[(i + n) % m]
-                expected += int(prod.sum())
-            assert _shift_product_sum(t, ns) == expected
+
+
+def _rolled_product_reference(t, ns):
+    """Sum of the entrywise product of t rolled by each n (row i <- row
+    (i + n) mod m), in int64 arithmetic."""
+    prod = np.ones(t.shape, dtype=np.int64)
+    for n in ns:
+        prod *= np.roll(t, -n, axis=0)
+    return int(prod.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    cols=st.sampled_from([1, 63, 64, 65, 130]),
+    seed=st.integers(0, 2**32 - 1),
+    ns=st.lists(st.integers(-100, 100), max_size=7),
+    block=st.sampled_from([4, 64, 1 << 16]),
+)
+def test_plane_product_sum_matches_int8_reference(m, cols, seed, ns, block):
+    # shifts may be repeated, negative or >= m; small blocks cut the rows
+    # into many accumulator blocks, so rolls that wrap inside a block occur;
+    # at 2^16 every table here is rolled in a doubled copy, at 4 none is
+    t = np.random.default_rng(seed).integers(-1, 2, size=(m, cols)).astype(np.int8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charsum, "_BLOCK", block)
+        planes = _pack([t[: m // 2], t[m // 2 :]], m, cols)
+        got = _plane_product_sum(planes, tuple(ns))
+    assert got == _rolled_product_reference(t, ns)
+    nz, neg, size = planes
+    assert size == m * cols
+    for plane in (nz, neg):
+        assert plane.dtype == np.uint64 and plane.shape == (m, -(-cols // 64))
+        assert plane.flags.c_contiguous and not plane.flags.writeable
 
 
 def test_window_sums_pointwise():
@@ -493,7 +560,7 @@ def test_window_sums_pointwise():
     assert max_window_power_sum(qt, mod, n, r) == expected
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 257, 1009])
 @pytest.mark.parametrize("r", [1, 2])
 def test_form_shift_sum_dual_route(p, r):
     rng = random.Random(f"{p}:{r}")
@@ -636,12 +703,14 @@ GUARDED = {
     "grid_table": (lambda: _grid_table(53, 1, 1, 3), 53**2, "_grid_rows mod 53"),
     "full_grid_sum_direct": (lambda: full_grid_sum_direct(_F, 53), 53**2, "_grid_rows mod 53"),
     "linear_shift_sum": (lambda: linear_shift_sum(53, (1, 2)), 53, "_legendre_table mod 53"),
-    "norm_shift_sum": (lambda: norm_shift_sum(53, (1, 2)), 53**2, "_grid_rows mod 53"),
+    "planes": (lambda: _planes(53, 1, 1, 3), 53**2, "_planes mod 53"),
+    "log_tables": (lambda: _log_tables(53), 53, "_log_tables mod 53"),
+    "norm_shift_sum": (lambda: norm_shift_sum(53, (1, 2)), 53**2, "_planes mod 53"),
     "form_shift_sum_direct": (
-        lambda: form_shift_sum_direct(53, (1, 2), BinaryForm(1, 1, 0)), 53**2, "_grid_rows mod 53"
+        lambda: form_shift_sum_direct(53, (1, 2), BinaryForm(1, 1, 0)), 53**2, "_planes mod 53"
     ),
     "form_shift_sum_q_direct": (
-        lambda: form_shift_sum_q_direct(_F, _M15, (1, 2)), 15**2, "_grid_rows mod 15"
+        lambda: form_shift_sum_q_direct(_F, _M15, (1, 2)), 15**2, "_planes mod 15"
     ),
     "window_power_sum": (
         lambda: window_power_sum(_F, _M15, 3, 2), 15**2 * 3, "window_power_sum mod 15"
@@ -667,13 +736,13 @@ GUARDED = {
 @pytest.mark.parametrize("call, charge, what", GUARDED.values(), ids=GUARDED)
 def test_point_guard_charges_each_kernel(monkeypatch, call, charge, what):
     # a cache hit skips the charge, so every case starts from empty caches
-    caches = (_legendre_table, jacobi_table, _grid_table)
+    caches = (_legendre_table, jacobi_table, _grid_table, _planes, _log_tables, _legendre_planes)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(charsum, "POINT_BUDGET", charge - 1)
     with pytest.raises(RegionTooLarge, match=re.escape(what)):
         call()
-    assert [c.cache_info().currsize for c in caches] == [0, 0, 0]  # refused before any table was built
+    assert [c.cache_info().currsize for c in caches] == [0] * len(caches)  # refused before any table was built
     monkeypatch.setattr(charsum, "POINT_BUDGET", charge)
     call()
 

@@ -1,10 +1,11 @@
+import hashlib
 import math
 import re
 
 import pytest
 
 from quadcong import errors
-from quadcong.charsum import _grid_table
+from quadcong.charsum import _planes
 from quadcong.cli import (
     ExperimentConfig,
     FitResult,
@@ -149,16 +150,27 @@ def test_weil_scan_columns(tmp_path):
 
 
 def test_weil_scan_table_cache_stays_bounded(tmp_path):
-    # each prime needs two grids (split companion; inert companion, which is
-    # also the norm table), so a bounded cache builds each once per prime
-    _grid_table.cache_clear()
+    # each prime needs two grids' planes (split companion; inert companion,
+    # which is also the norm table), so a bounded cache builds each once per
+    # prime and holds no more bytes than four int8 tables of the largest prime
+    _planes.cache_clear()
     out = tmp_path / "w.csv"
     assert main(["weil-scan", "--q-range", "3:101", "--samples", "1", "--out", str(out)]) == 0
     primes = {ln.split(",")[0] for ln in read(out).splitlines()[4:]}
     assert len(primes) == 25
-    info = _grid_table.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize <= 4
+    info = _planes.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
     assert info.misses == 2 * len(primes)
+    nz, neg, _ = _planes(101, 1, 1, 0)  # the largest planes the scan built
+    assert info.currsize * (nz.nbytes + neg.nbytes) <= 4 * 101**2
+
+
+def test_weil_scan_csv_frozen(tmp_path):
+    # the CSV the shifted-sum kernels feed, byte for byte
+    out = tmp_path / "w.csv"
+    assert main(["weil-scan", "--q-range", "3:101", "--samples", "2", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "859d702db87939ae7326c703d186ef95c05ed325b41a8ce4ccbafdf8c9bad64e"
 
 
 def test_weil_scan_refuses_grid_above_point_budget(capsys):

@@ -1,5 +1,7 @@
 import random
+import re
 import time
+from functools import partial
 from math import gcd, isqrt
 
 import pytest
@@ -15,7 +17,8 @@ from quadcong.errors import (
 from quadcong.intvec import norm_sq, vec_key
 from quadcong.modmath import is_square_mod, make_modulus
 from quadcong.oracle import sample_forms
-from quadcong.qforms import TernaryForm, adjoint_mod, det_gram2, negate_mod
+from quadcong import solver
+from quadcong.qforms import BinaryForm, TernaryForm, adjoint_mod, det_gram2, negate_mod
 from quadcong.solver import (
     _box_pair,
     coprime_point_search,
@@ -103,9 +106,22 @@ def test_coprime_point_search_lex_order():
     pt = coprime_point_search(lambda v: v[0] + v[1], 2, mod)
     # shells by max coordinate, lexicographic inside; (1, 1) gives 2, a unit
     assert pt == (1, 1)
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(SearchExhausted, match=re.escape("sup-norm <= 4 whose value is coprime to q = 15")):
         # 3*v0 is never coprime to 15
         coprime_point_search(lambda v: 3 * v[0], 2, mod, cap=4)
+
+
+def test_search_exhausted_names_q_and_form(monkeypatch):
+    # 5 (x + 107 y)^2 mod 10007: 5 is a non-residue, so a value is a square
+    # only where x + 107 y = 0, a lattice whose shortest vector (norm 11437)
+    # lies past the search's norm cap 10008
+    with pytest.raises(SearchExhausted, match=re.escape("5 1070 7210 takes no square value mod q = 10007")):
+        square_value_binary(BinaryForm(5, 1070, 7210), make_modulus(10007))
+    # every restriction of 3 (x^2 + y^2 + z^2) has det4 divisible by 3
+    monkeypatch.setattr(solver, "coprime_point_search", partial(coprime_point_search, cap=2))
+    with pytest.raises(SearchExhausted, match=re.escape("restrictions of 3 3 3 0 0 0: no point")) as exc:
+        ternary_to_binary(TernaryForm(3, 3, 3, 0, 0, 0), make_modulus(15))
+    assert "q = 15" in str(exc.value)
 
 
 def test_ternary_to_binary_restriction_nonsingular():
