@@ -34,11 +34,11 @@ sum runs over all columns, so it does not see that order.  Composite grids,
 the window-sum grids and the affine chart x1 = 1 of a ternary form come
 from the row-block builder ``_grid_rows``.
 
-Caches: ``_planes`` keeps the last _PLANE_SLOTS grids' planes,
-``_legendre_planes`` and ``_log_tables`` the planes of the Legendre table
-and the (exp, log) tables of as many recent primes; ``_grid_table``
-keeps the last four whole int8 grids, for the window sums (which add
-values rather than multiply them) through ``_rolled``.
+Caches (five): ``_legendre_table`` and ``jacobi_table`` keep every
+character table; ``_planes``, ``_legendre_planes`` and ``_log_tables`` keep
+the last _PLANE_SLOTS grids' planes, Legendre planes and (exp, log) tables.
+The window sums, which add grid values, build their grid per call and walk
+it in row blocks (``_window_rows``).
 """
 
 from dataclasses import dataclass
@@ -230,19 +230,6 @@ def _grid_rows(d: int, a: int, b: int, c: int, e: int = 0, f: int = 0, g: int = 
         vals = row[x0:x1, None] + (b * ys[x0:x1] % d)[:, None] * ys + col
         vals %= d
         yield t[vals]
-
-
-@lru_cache(maxsize=4)
-def _grid_table(d: int, a: int, b: int, c: int) -> np.ndarray:
-    """The whole grid of _grid_rows as one read-only d x d int8 array, for
-    the window sums, which add rolled grids rather than multiply them.
-
-    The cache is small on purpose: a window sum reuses a table only within
-    its own modulus.
-    """
-    t = np.concatenate(list(_grid_rows(d, a, b, c)))
-    t.flags.writeable = False
-    return t
 
 
 def full_grid_sum_direct(form: BinaryForm, d: int) -> int:
@@ -531,16 +518,6 @@ def _require_scan_prime(p: int):
         raise InvalidInput(f"{p} is not an odd prime")
 
 
-def _rolled(t: np.ndarray, shifts):
-    """Yield, for each shift n, the view of t rolled up by n along its first
-    axis (row i holds t[(i + n) mod len(t)]), all cut from one doubled copy."""
-    m = len(t)
-    t2 = np.concatenate([t, t])
-    for n in shifts:
-        n %= m
-        yield t2[n : n + m]
-
-
 def _pack(blocks, m: int, cols: int):
     """Bit planes of a {-1, 0, 1} table with m rows and cols columns, given
     as int8 row blocks: (nonzero, negative, m * cols), the planes two
@@ -665,8 +642,7 @@ def _planes(d: int, a: int, b: int, c: int):
 def _legendre_planes(p: int):
     """The planes of the Legendre table mod p as a one-column table: one
     word per row, holding the entry in bit 0."""
-    t = _legendre_table(p)[:, None]
-    return (t != 0).astype(np.uint64), (t < 0).astype(np.uint64), p
+    return _pack([_legendre_table(p)[:, None]], p, 1)
 
 
 def linear_shift_sum(p: int, ns) -> int:
@@ -695,10 +671,6 @@ def _check_companion(p: int, qt: BinaryForm):
         raise SingularQTilde(f"det4 = {qt.det4()} vanishes mod {p}")
     if qt.a % p == 0:
         raise InvalidInput("companion leading coefficient must be a unit")
-
-
-def _form_table(qt: BinaryForm, d: int) -> np.ndarray:
-    return _grid_table(d, qt.a % d, qt.b % d, qt.c % d)
 
 
 def _form_planes(qt: BinaryForm, d: int):
@@ -744,15 +716,15 @@ def form_shift_sum(p: int, ns, qt: BinaryForm, check: bool = True) -> int:
     return val
 
 
-def form_shift_sum_q(qt: BinaryForm, mod: Modulus, ns, check: bool = False) -> int:
+def form_shift_sum_q(qt: BinaryForm, mod: Modulus, ns) -> int:
     """Product over p | q of the prime-level sums: the composite-q sum.
 
     Exact by the residue-grid factorization; the per-prime dual-route check
-    is optional here because it doubles the work.
+    is left to form_shift_sum, because it doubles the work.
     """
     out = 1
     for p in mod.primes:
-        out *= form_shift_sum(p, ns, qt, check=check)
+        out *= form_shift_sum(p, ns, qt, check=False)
     return out
 
 
@@ -770,11 +742,22 @@ def shifted_sum_bound(p: int, r: int, overall_gcd: int) -> int:
 # ------------------------------------------------------- windowed power sums
 
 
-def _power_sum(w: np.ndarray, e: int) -> int:
-    """Exact sum of |w|^e over an integer array: each magnitude is counted
-    once and weighted by its Python-int power, never an int64 power."""
-    counts = np.bincount(np.abs(w).ravel()).tolist()
-    return sum(c * k**e for k, c in enumerate(counts) if c)
+def _window_rows(qt: BinaryForm, q: int, n: int):
+    """For each block of m <= max(1, _BLOCK // q) window starts a = x0, ...,
+    x0 + m - 1, yield m and the int8 rows x0 + 1, ..., x0 + m + n - 1
+    (mod q) of the grid of jacobi(qt, q): window i adds rows i, ..., i + n - 1.
+    Taking the row indices mod q covers the wrap-around and n > q alike."""
+    t = np.concatenate(list(_grid_rows(q, qt.a % q, qt.b % q, qt.c % q)))
+    block = max(1, _BLOCK // q)
+    for x0 in range(0, q, block):
+        m = min(block, q - x0)
+        yield m, t[np.arange(x0 + 1, x0 + m + n) % q]
+
+
+def _power_sum(counts: np.ndarray, e: int) -> int:
+    """Exact sum of k^e counts[k]: each magnitude k is weighted by its
+    Python-int power, never an int64 power."""
+    return sum(c * k**e for k, c in enumerate(counts.tolist()) if c)
 
 
 def window_power_sum(qt: BinaryForm, mod: Modulus, h: int, r: int) -> int:
@@ -783,38 +766,43 @@ def window_power_sum(qt: BinaryForm, mod: Modulus, h: int, r: int) -> int:
     if h < 1 or r < 1:
         raise InvalidInput("window length and power must be positive")
     _guard_points(q * q * h, f"window_power_sum mod {q}, window {h}")
-    w = np.zeros((q, q), dtype=np.int64)
-    for view in _rolled(_form_table(qt, q), range(1, h + 1)):
-        w += view
-    return _power_sum(w, 2 * r)
+    counts = np.zeros(h + 1, dtype=np.int64)
+    for m, rows in _window_rows(qt, q, h):
+        w = np.zeros((m, q), dtype=np.int64)
+        for k in range(h):
+            w += rows[k : k + m]
+        counts += np.bincount(np.abs(w, out=w).ravel(), minlength=h + 1)
+    return _power_sum(counts, 2 * r)
 
 
-def window_power_sum_expanded(qt: BinaryForm, mod: Modulus, h: int, r: int, check: bool = False) -> int:
+def window_power_sum_expanded(qt: BinaryForm, mod: Modulus, h: int, r: int) -> int:
     """The same power sum via the tuple expansion: sum over all 2r-tuples in
     [1, h]^{2r} of the composite shifted product sum.  Test-scale only."""
     _guard_points(h ** (2 * r) * len(mod.primes) * 4, f"window_power_sum_expanded mod {mod.q}")
     total = 0
     for ns in product(range(1, h + 1), repeat=2 * r):
-        total += form_shift_sum_q(qt, mod, ns, check=check)
+        total += form_shift_sum_q(qt, mod, ns)
     return total
 
 
 def max_window_power_sum(qt: BinaryForm, mod: Modulus, n: int, r: int) -> int:
     """sum over (a, b) of the max over subintervals I of (0, n] of
-    |sum_{m in I} jacobi(qt(m + a, b), q)|^{2r}; all O(n^2) subintervals
-    are examined directly."""
+    |sum_{m in I} jacobi(qt(m + a, b), q)|^{2r}: over the prefix sums
+    P_0 = 0, ..., P_n that max is max P - min P, kept in one O(q^2 n) pass."""
     q = mod.q
     if n < 1 or r < 1:
         raise InvalidInput("window length and power must be positive")
-    _guard_points(q * q * n * n, f"max_window_power_sum mod {q}, window {n}")
-    prefix = [np.zeros((q, q), dtype=np.int64)]
-    for view in _rolled(_form_table(qt, q), range(1, n + 1)):
-        prefix.append(prefix[-1] + view)
-    best = np.zeros((q, q), dtype=np.int64)
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            np.maximum(best, np.abs(prefix[j] - prefix[i]), out=best)
-    return _power_sum(best, 2 * r)
+    _guard_points(q * q * n, f"max_window_power_sum mod {q}, window {n}")
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for m, rows in _window_rows(qt, q, n):
+        s, hi, lo = np.zeros((3, m, q), dtype=np.int64)
+        for k in range(n):
+            s += rows[k : k + m]
+            np.maximum(hi, s, out=hi)
+            np.minimum(lo, s, out=lo)
+        hi -= lo
+        counts += np.bincount(hi.ravel(), minlength=n + 1)
+    return _power_sum(counts, 2 * r)
 
 
 # ----------------------------------------------------------- exponential sums

@@ -21,14 +21,12 @@ from quadcong.charsum import (
     Box,
     Character,
     Disc,
-    _grid_table,
-    _legendre_planes,
+    _grid_rows,
     _legendre_table,
     _log_tables,
     _pack,
     _plane_product_sum,
     _planes,
-    _rolled,
     diff_products,
     divisor_char_sum,
     divisor_sum_positive,
@@ -176,14 +174,19 @@ def test_incomplete_sum_large_modulus_exact():
         assert incomplete_sum(chi, f, box) == expected
 
 
+def _whole_grid(d, a, b, c):
+    """The d x d int8 grid of jacobi(a x^2 + b x y + c y^2, d), rows indexed by x."""
+    return np.concatenate(list(_grid_rows(d, a, b, c)))
+
+
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 15, 21, 35])
 def test_grid_table_matches_pointwise(d):
     forms = [(1, 1, 0), (2, 3, 5), (0, 1, 0), (d - 1, 0, d - 2)]
     if d in (3, 5, 7, 11):
         forms.append((1, 0, -find_nonresidue(d) % d))  # the F_{p^2} norm table, c^2 - delta e^2
     for a, b, c in forms:
-        t = _grid_table(d, a, b, c)
-        assert t.shape == (d, d) and t.dtype == np.int8 and not t.flags.writeable
+        t = _whole_grid(d, a, b, c)
+        assert t.shape == (d, d) and t.dtype == np.int8
         for x in range(d):
             for y in range(d):
                 assert t[x, y] == jacobi(a * x * x + b * x * y + c * y * y, d)
@@ -194,7 +197,7 @@ def test_grid_table_block_seams():
     # above 256 the grid is built in several row blocks (255 rows at d = 257)
     d = 257
     a, b, c = 123, 56, 89
-    t = _grid_table(d, a, b, c)
+    t = _whole_grid(d, a, b, c)
     for x in range(d):
         for y in range(d):
             assert t[x, y] == jacobi(a * x * x + b * x * y + c * y * y, d)
@@ -204,7 +207,7 @@ def test_grid_table_block_seams():
 @pytest.mark.parametrize("p", [3, 7, 19])
 def test_norm_table_balanced_and_multiplicative(p):
     delta = find_nonresidue(p)
-    t = _grid_table(p, 1, 0, -delta % p).astype(np.int64)
+    t = _whole_grid(p, 1, 0, -delta % p).astype(np.int64)
     # the norm vanishes only at 0 and takes every nonzero value p + 1 times
     assert int((t == 0).sum()) == 1
     assert int((t == 1).sum()) == int((t == -1).sum()) == (p * p - 1) // 2
@@ -232,13 +235,13 @@ def test_prime_planes_are_grid_rows_in_log_order(p):
     forms = [(1, 0, -delta % p), (0, 1, 2), (0, 0, 3), (1, 1, 0), (2, 0, 0), (1, 2, 1), (3, 6, 3), (2, 3, 5)]
     for a, b, c in forms:
         a, b, c = a % p, b % p, c % p
-        want = _grid_table(p, a, b, c)[:, perm]
+        want = _whole_grid(p, a, b, c)[:, perm]
         assert (_unpack(_planes(p, a, b, c), p) == want).all()
 
 
 def test_composite_planes_match_grid_table():
     for d, (a, b, c) in [(15, (1, 1, 3)), (105, (2, 3, 5)), (1155, (1, 0, 1154))]:
-        assert (_unpack(_planes(d, a, b, c), d) == _grid_table(d, a, b, c)).all()
+        assert (_unpack(_planes(d, a, b, c), d) == _whole_grid(d, a, b, c)).all()
 
 
 def test_grid_vanishing_exhaustive_small():
@@ -455,8 +458,8 @@ def test_norm_shift_sum_frozen():
 
 
 def test_window_sums_do_not_evict_norm_planes():
-    # the window sums' int8 grids live in their own cache, so they cannot
-    # push a prime's norm planes out between two sums at that prime
+    # the window sums build their int8 grids uncached, so they cannot push
+    # a prime's norm planes out between two sums at that prime
     _planes.cache_clear()
     norm_shift_sum(37, (1, 2, 3, 4))
     for q in (15, 21, 33, 35, 39, 51):
@@ -490,19 +493,6 @@ def test_norm_shift_sum_brute():
                     prod *= jacobi((n + c) ** 2 - d * e * e, p)
                 total += prod
         assert norm_shift_sum(p, ns) == total
-
-
-def test_rolled_views_pointwise():
-    rng = np.random.default_rng(3)
-    for shape in [(7,), (5, 4)]:
-        t = rng.integers(-1, 2, size=shape).astype(np.int8)
-        m = shape[0]
-        shifts = (0, 3, m, 2 * m + 1, -2)
-        views = list(_rolled(t, shifts))
-        assert len(views) == len(shifts)
-        for n, view in zip(shifts, views):
-            for i in range(m):
-                assert (view[i] == t[(i + n) % m]).all()
 
 
 def _rolled_product_reference(t, ns):
@@ -539,25 +529,49 @@ def test_plane_product_sum_matches_int8_reference(m, cols, seed, ns, block):
         assert plane.flags.c_contiguous and not plane.flags.writeable
 
 
-def test_window_sums_pointwise():
-    q = 15
-    mod = make_modulus(q)
+def test_window_sums_pointwise(monkeypatch):
+    cases = [
+        (15, 1 << 16, [(1, 1), (3, 1), (4, 2)], [(5, 1)]),
+        # blocks of 2 and 3 rows: several gathered blocks and a short last one;
+        # windows longer than q wrap around the grid more than once
+        (15, 32, [(1, 1), (4, 2), (16, 1), (33, 1)], [(1, 2), (5, 1), (17, 1), (33, 1)]),
+        (35, 100, [(2, 1), (36, 1), (73, 1)], [(3, 1), (36, 1), (73, 1)]),
+    ]
     qt = BinaryForm(1, 1, 3)
-    chi = [[jacobi(qt.evaluate((x, y)), q) for y in range(q)] for x in range(q)]
-    for h, r in [(1, 1), (3, 1), (4, 2)]:
-        expected = sum(
-            sum(chi[(n + a) % q][b] for n in range(1, h + 1)) ** (2 * r)
-            for a in range(q)
-            for b in range(q)
-        )
-        assert window_power_sum(qt, mod, h, r) == expected
-    n, r = 5, 1
-    expected = 0
-    for a in range(q):
-        for b in range(q):
-            vals = [chi[(m + a) % q][b] for m in range(1, n + 1)]
-            expected += max(abs(sum(vals[i:j])) for i in range(n) for j in range(i + 1, n + 1)) ** (2 * r)
-    assert max_window_power_sum(qt, mod, n, r) == expected
+    for q, block, hs, ns in cases:
+        monkeypatch.setattr(charsum, "_BLOCK", block)
+        mod = make_modulus(q)
+        chi = [[jacobi(qt.evaluate((x, y)), q) for y in range(q)] for x in range(q)]
+        for h, r in hs:
+            expected = sum(
+                sum(chi[(n + a) % q][b] for n in range(1, h + 1)) ** (2 * r)
+                for a in range(q)
+                for b in range(q)
+            )
+            assert window_power_sum(qt, mod, h, r) == expected
+        for n, r in ns:
+            expected = 0
+            for a in range(q):
+                for b in range(q):
+                    vals = [chi[(m + a) % q][b] for m in range(1, n + 1)]
+                    expected += max(abs(sum(vals[i:j])) for i in range(n) for j in range(i + 1, n + 1)) ** (2 * r)
+            assert max_window_power_sum(qt, mod, n, r) == expected
+
+
+@pytest.mark.parametrize("kernel", [window_power_sum, max_window_power_sum], ids=lambda k: k.__name__)
+def test_window_sums_peak_bytes_per_charged_point(kernel):
+    # one int8 grid and one block at a time, not whole int64 grids; window 1
+    # charges q^2 points
+    q = 1155
+    mod = make_modulus(q)
+    jacobi_table.cache_clear()
+    tracemalloc.start()
+    try:
+        kernel(BinaryForm(1, 1, 3), mod, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * q * q
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 257, 1009])
@@ -608,7 +622,7 @@ def test_form_shift_sum_q_multiplicative():
     rng = random.Random(5)
     for _ in range(10):
         ns = tuple(rng.randrange(1, 211) for _ in range(4))
-        v = form_shift_sum_q(qt, mod, ns, check=True)
+        v = form_shift_sum_q(qt, mod, ns)
         per_prime = 1
         for p in mod.primes:
             per_prime *= form_shift_sum(p, ns, qt)
@@ -700,7 +714,6 @@ _LIFT = minimal_lift(1, 1, 3, _M15).form
 GUARDED = {
     "legendre_table": (lambda: _legendre_table(53), 53, "_legendre_table mod 53"),
     "jacobi_table": (lambda: jacobi_table(55), 55, "jacobi_table mod 55"),
-    "grid_table": (lambda: _grid_table(53, 1, 1, 3), 53**2, "_grid_rows mod 53"),
     "full_grid_sum_direct": (lambda: full_grid_sum_direct(_F, 53), 53**2, "_grid_rows mod 53"),
     "linear_shift_sum": (lambda: linear_shift_sum(53, (1, 2)), 53, "_legendre_table mod 53"),
     "planes": (lambda: _planes(53, 1, 1, 3), 53**2, "_planes mod 53"),
@@ -716,7 +729,7 @@ GUARDED = {
         lambda: window_power_sum(_F, _M15, 3, 2), 15**2 * 3, "window_power_sum mod 15"
     ),
     "max_window_power_sum": (
-        lambda: max_window_power_sum(_F, _M15, 3, 2), 15**2 * 3**2, "max_window_power_sum mod 15"
+        lambda: max_window_power_sum(_F, _M15, 3, 2), 15**2 * 3, "max_window_power_sum mod 15"
     ),
     "incomplete_sum": (
         lambda: incomplete_sum(make_character(7), _F, Box(0, 9, 0, 9)), 100, "incomplete_sum region mod 7"
@@ -736,7 +749,10 @@ GUARDED = {
 @pytest.mark.parametrize("call, charge, what", GUARDED.values(), ids=GUARDED)
 def test_point_guard_charges_each_kernel(monkeypatch, call, charge, what):
     # a cache hit skips the charge, so every case starts from empty caches
-    caches = (_legendre_table, jacobi_table, _grid_table, _planes, _log_tables, _legendre_planes)
+    caches = [
+        v for v in vars(charsum).values() if hasattr(v, "cache_clear") and v.__module__ == charsum.__name__
+    ]
+    assert jacobi_table in caches and _planes in caches
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(charsum, "POINT_BUDGET", charge - 1)
