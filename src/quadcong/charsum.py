@@ -26,24 +26,25 @@ the table by n rows is a row-offset slice, the product of rolled tables is
 an AND of the nonzero planes and an XOR of the negative ones, and the sum
 is popcount(nonzero) - 2 popcount(nonzero & negative).
 
-A prime's p x p grid for these sums comes from homogeneity
-(``_prime_grid_rows``): with g the least primitive root, chi(Q(x, y)) =
-N[log x - log y] for x, y != 0, where N[k] = chi(Q(g^k, 1)), so row x is a
-window of the doubled N.  Its columns come out in log order; every product
-sum runs over all columns, so it does not see that order.  Composite grids,
-the window-sum grids and the affine chart x1 = 1 of a ternary form come
-from the row-block builder ``_grid_rows``.
+The one character table is the Legendre table of a prime: d is
+square-free, so jacobi(., d) is the product of the Legendre symbols mod its
+primes.  A prime's p x p grid comes from homogeneity: with g the least
+primitive root, chi(Q(x, y)) = N[log x - log y] for x, y != 0, where
+N[k] = chi(Q(g^k, 1)), so row x is a window of the doubled N, its columns
+in log order.  A composite grid is the Kronecker product of its prime
+grids, columns in CRT x log order (``_grid_source``); no sum over all
+columns sees that order.  ``_grid_rows`` evaluates each point instead.
 
-Caches (five): ``_legendre_table`` and ``jacobi_table`` keep every
-character table; ``_planes``, ``_legendre_planes`` and ``_log_tables`` keep
-the last _PLANE_SLOTS grids' planes, Legendre planes and (exp, log) tables.
-The window sums, which add grid values, build their grid per call and walk
-it in row blocks (``_window_rows``).
+Caches (four): ``_legendre_table`` keeps every Legendre table, as bits above
+_PACKED (read through ``_chi``); ``_planes``, ``_legendre_planes`` and
+``_log_tables`` keep the last _PLANE_SLOTS grids' planes, Legendre planes and
+(exp, log) tables.  The window sums read their grid rows one block at a time
+per call (``_window_rows``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -73,6 +74,7 @@ from .qforms import BinaryForm, TernaryForm, adjugate4, monic_companion, restric
 POINT_BUDGET = 10**8
 _BLOCK = 1 << 16  # entries per block of a table build: its int64 temporaries stay in cache
 _PLANE_SLOTS = 12  # planes kept: a scan's two grids per prime, or the norm tables of 11 small primes
+_PACKED = 1 << 20  # primes above this keep their Legendre table as bits: p / 8 bytes
 
 
 def _guard_points(n: int, what: str):
@@ -87,16 +89,20 @@ def _guard_points(n: int, what: str):
 
 
 def _aranges(n: int):
-    """int64 blocks of _BLOCK consecutive integers covering [0, n)."""
-    for i0 in range(0, n, _BLOCK):
-        yield np.arange(i0, min(i0 + _BLOCK, n), dtype=np.int64)
+    """int64 blocks of _BLOCK / 8 consecutive integers (64 KB) covering [0, n)."""
+    for i0 in range(0, n, _BLOCK // 8):
+        yield np.arange(i0, min(i0 + _BLOCK // 8, n), dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class Character:
-    """Real character m -> jacobi(m, d) for odd square-free d; d = 1 is trivial."""
+    """Real character m -> jacobi(m, d) for odd square-free d, factored into primes; d = 1 is trivial."""
 
     d: int
+    primes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "primes", () if self.d == 1 else make_modulus(self.d).primes)
 
     @property
     def principal(self) -> bool:
@@ -105,13 +111,8 @@ class Character:
     def evaluate(self, m: int) -> int:
         return jacobi(m, self.d)
 
-    def table(self) -> np.ndarray:
-        return jacobi_table(self.d)
-
 
 def make_character(d: int) -> Character:
-    if d != 1:
-        make_modulus(d)  # validates odd, square-free, >= 3
     return Character(d)
 
 
@@ -119,30 +120,26 @@ def make_character(d: int) -> Character:
 def _legendre_table(p: int) -> np.ndarray:
     # table[i] = jacobi(i, p): the squares of 0..(p-1)/2 mark every residue
     # (each once up to sign), built in blocks so no int64 array of length p
-    # is ever held
+    # is ever held.  Above _PACKED only the bits of the nonzero squares are
+    # kept; read every table through _chi.
     _guard_points(p, f"_legendre_table mod {p}")
     t = np.full(p, -1, dtype=np.int8)
     for i in _aranges((p + 1) // 2):
         t[i * i % p] = 1
     t[0] = 0
+    if p > _PACKED:
+        step = 8 * _BLOCK  # whole bytes per block; the bool temporaries stay small
+        t = np.concatenate([np.packbits(t[k : k + step] > 0, bitorder="little") for k in range(0, p, step)])
     t.flags.writeable = False
     return t
 
 
-@lru_cache(maxsize=None)
-def jacobi_table(d: int) -> np.ndarray:
-    """int8 array of jacobi(i, d) for i in [0, d); read-only, cached."""
-    primes = () if d == 1 else make_modulus(d).primes
-    _guard_points(d, f"jacobi_table mod {d}")
-    if primes == (d,):
-        return _legendre_table(d)
-    t = np.ones(d, dtype=np.int8)
-    for i in _aranges(d):
-        blk = t[i[0] : i[0] + len(i)]
-        for p in primes:
-            blk *= _legendre_table(p)[i % p]
-    t.flags.writeable = False
-    return t
+def _chi(t: np.ndarray, v):
+    """jacobi(v, p) for residues v mod p (an int or an int64 array), read from p's Legendre table t."""
+    if t.dtype == np.int8:
+        return t[v]
+    v = np.asarray(v)
+    return 2 * (t[v >> 3] >> (v & 7).astype(np.uint8) & 1).astype(np.int8) - (v != 0)
 
 
 # ------------------------------------------------------------------- regions
@@ -189,37 +186,59 @@ class Box:
         return max(w, 0) * max(h, 0)
 
 
+def _row_chunks(region):
+    """The region's rows as lists of pieces (y, lo, width) of _BLOCK points at most."""
+    chunk, size = [], 0
+    for y, lo, hi in region.rows():
+        while lo <= hi:
+            w = min(hi - lo + 1, _BLOCK - size)
+            chunk.append((y, lo, w))
+            size += w
+            lo += w
+            if size == _BLOCK:
+                yield chunk
+                chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
 def incomplete_sum(chi: Character, form: BinaryForm, region) -> int:
     """Exact sum of chi(Q(x, y)) over the lattice points of the region.
 
-    Row-major iteration; each row is evaluated with vectorized table lookups.
-    Q is evaluated as (a x + b y) x + c y^2 with a reduction mod d after each
-    sum, so every int64 intermediate stays below d^2 + d (exact for
-    d < 3 * 10^9).
+    chi(Q) is the product of the Legendre symbols of Q mod the primes p of
+    d, one array per chunk of the region and prime.  On a row piece from
+    (lo, y), Q(lo + k, y) = Q(lo, y) + k (2 a lo + b y + a k), whose row
+    constants are reduced mod p as Python ints, so coordinates and d may
+    pass 2^63.  The region charges its points and each Legendre table p to
+    the budget; with p < POINT_BUDGET and k < _BLOCK, int64 stays below 2^59.
     """
     _guard_points(region.point_count(), f"incomplete_sum region mod {chi.d}")
-    d = chi.d
-    t = chi.table()
-    a, b, c = form.a % d, form.b % d, form.c % d
+    tables = [(p, _legendre_table(p)) for p in chi.primes]
     total = 0
-    for y, lo, hi in region.rows():
-        xs = np.arange(lo, hi + 1, dtype=np.int64) % d
-        vals = ((a * xs + b * y % d) % d * xs + c * y * y % d) % d
-        total += int(t[vals].sum(dtype=np.int64))
+    for chunk in _row_chunks(region):
+        widths = [w for _, _, w in chunk]
+        q0 = [(form.a * lo + form.b * y) * lo + form.c * y * y for y, lo, _ in chunk]
+        q1 = [2 * form.a * lo + form.b * y for y, lo, _ in chunk]
+        k = np.arange(sum(widths), dtype=np.int64) - np.repeat(np.cumsum([0] + widths[:-1]), widths)
+        chis = np.ones(len(k), dtype=np.int8)
+        for p, t in tables:
+            step = np.repeat([u % p for u in q1], widths) + form.a % p * k
+            chis *= _chi(t, (step * k + np.repeat([u % p for u in q0], widths)) % p)
+        total += int(chis.sum(dtype=np.int64))
     return total
 
 
-def _grid_rows(d: int, a: int, b: int, c: int, e: int = 0, f: int = 0, g: int = 0):
-    """Row blocks of jacobi(a x^2 + b x y + c y^2 + e x + f y + g, d) over the
-    d x d residue grid (rows indexed by x), int8, for coefficients already
-    reduced mod d.  The linear and constant terms default to 0, the binary
-    form itself.
+def _grid_rows(primes, a: int, b: int, c: int, e: int = 0, f: int = 0, g: int = 0):
+    """Row blocks of jacobi(a x^2 + b x y + c y^2 + e x + f y + g, d), d =
+    prod(primes), over the d x d residue grid (rows indexed by x), int8, for
+    coefficients reduced mod d: pointwise products of the Legendre tables.
 
     Each term is reduced mod d before the terms are added, so every int64
     intermediate stays below d^2 + 2d.
     """
+    d = prod(primes)
     _guard_points(d * d, f"_grid_rows mod {d}")
-    t = jacobi_table(d)
+    tables = [(p, _legendre_table(p)) for p in primes]
     ys = np.arange(d, dtype=np.int64)
     sq = ys * ys % d
     row = (a * sq % d + e * ys % d) % d
@@ -228,8 +247,10 @@ def _grid_rows(d: int, a: int, b: int, c: int, e: int = 0, f: int = 0, g: int = 
     for x0 in range(0, d, block):
         x1 = x0 + block
         vals = row[x0:x1, None] + (b * ys[x0:x1] % d)[:, None] * ys + col
-        vals %= d
-        yield t[vals]
+        blk = np.ones(vals.shape, dtype=np.int8)
+        for p, t in tables:
+            blk *= _chi(t, vals % p)
+        yield blk
 
 
 def full_grid_sum_direct(form: BinaryForm, d: int) -> int:
@@ -237,7 +258,7 @@ def full_grid_sum_direct(form: BinaryForm, d: int) -> int:
 
     Sums the grid block by block, so the whole table is never held.
     """
-    rows = _grid_rows(d, form.a % d, form.b % d, form.c % d)
+    rows = _grid_rows(_factor(d), form.a % d, form.b % d, form.c % d)
     return sum(int(blk.sum(dtype=np.int64)) for blk in rows)
 
 
@@ -252,9 +273,9 @@ def _prime_grid_sum(p: int, a: int, b: int, c: int) -> int:
     """
     a, b, c = a % p, b % p, c % p
     t = _legendre_table(p)
-    row = int(t[a])
+    row = int(_chi(t, a))
     for ts in _aranges(p):
-        row += int(t[(a * (ts * ts % p) % p + b * ts % p + c) % p].sum(dtype=np.int64))
+        row += int(_chi(t, (a * (ts * ts % p) % p + b * ts % p + c) % p).sum(dtype=np.int64))
     return (p - 1) * row
 
 
@@ -265,10 +286,7 @@ def full_grid_sum(form: BinaryForm, mod: Modulus) -> int:
     jacobi(. , q) splits likewise, so the q^2-point sum factors exactly;
     each prime's sum takes O(p) steps (_prime_grid_sum).
     """
-    out = 1
-    for p in mod.primes:
-        out *= _prime_grid_sum(p, form.a, form.b, form.c)
-    return out
+    return prod(_prime_grid_sum(p, form.a, form.b, form.c) for p in mod.primes)
 
 
 # ------------------------------------------------------- divisor square test
@@ -600,49 +618,57 @@ def _log_tables(p: int):
     return e, log
 
 
-def _prime_grid_rows(p: int, a: int, b: int, c: int):
-    """Row blocks (rows x = 0..p-1 in order) of jacobi(a x^2 + b x y + c y^2, p)
-    over the p x p grid mod an odd prime p, int8, columns in log order:
-    y = 0 first, then y = g^-j for j = 0..p-2.
+def _grid_source(primes, a: int, b: int, c: int):
+    """rows(xs): the int8 rows x in xs (int64 residues) of the d x d grid of
+    jacobi(a x^2 + b x y + c y^2, d), d = prod(primes).  By CRT, row x is
+    the Kronecker product of the prime rows G_p[x mod p].  As chi(Q(x, y)) =
+    N[log x + j] for x != 0 != y = g^-j, N[k] = chi(Q(g^k, 1)), G_p[x] is
+    the length-p window of [N, N, 0, chi(c), ...] at log x - 1 (mod p - 1)
+    with entry y = 0 set to chi(a x^2), and G_p[0] the window at 2p - 2.
+    O(p) steps per prime, in int64 below p^2."""
+    parts = []
+    for p in primes:
+        t = _legendre_table(p)
+        e, log = _log_tables(p)
+        ap, bp, cp = a % p, b % p, c % p
+        n = _chi(t, ((ap * e + bp) % p * e + cp) % p)
+        line = np.concatenate([n, n, [0], np.full(p - 1, _chi(t, cp))], dtype=np.int8)
+        starts = (log - 1) % (p - 1)
+        starts[0] = 2 * (p - 1)
+        col0 = np.full(p, _chi(t, ap), dtype=np.int8)
+        col0[0] = 0
+        # the 2p - 1 windows as one view; sliding_window_view costs more per call
+        parts.append((p, np.ndarray((2 * p - 1, p), np.int8, line, strides=(1, 1)), starts, col0))
 
-    For x, y != 0, jacobi(y^2) = 1 gives chi(Q(x, y)) = chi(Q(x / y, 1)) =
-    N[log x + j] with N[k] = chi(Q(g^k, 1)), so row x is the window of the
-    doubled N starting at log x.  Column y = 0 holds chi(a x^2) and row
-    x = 0 holds chi(c y^2).  O(p) Legendre evaluations; the terms are
-    reduced mod p before they are added (int64 below p^2 + 2p).
-    """
-    t = _legendre_table(p)
-    e, log = _log_tables(p)
-    n = t[(a * (e * e % p) % p + b * e % p + c) % p]
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([n, n]), p - 1)
-    first = np.full((1, p), t[c], dtype=np.int8)
-    first[0, 0] = 0
-    yield first
-    block = max(1, _BLOCK // p)
-    for x0 in range(1, p, block):
-        logs = log[x0 : x0 + block]
-        blk = np.empty((len(logs), p), dtype=np.int8)
-        blk[:, 0] = t[a]
-        blk[:, 1:] = windows[logs]
-        yield blk
+    def rows(xs):
+        blk = None
+        for p, windows, starts, col0 in parts:
+            r = xs % p
+            gp = windows[starts[r]]
+            gp[:, 0] = col0[r]
+            blk = gp if blk is None else (blk[:, :, None] * gp[:, None, :]).reshape(len(xs), -1)
+        return blk
+
+    return rows
 
 
 @lru_cache(maxsize=_PLANE_SLOTS)
 def _planes(d: int, a: int, b: int, c: int):
     """The bit planes of the d x d grid of jacobi(a x^2 + b x y + c y^2, d),
-    coefficients reduced mod d, for the shifted product sums: built by
-    homogeneity (columns in log order) when d is prime, by _grid_rows when
-    it is composite.  Charges d^2 before it allocates."""
+    coefficients reduced mod d, for the shifted product sums, read from
+    _grid_source in row blocks.  Charges d^2 before it allocates."""
     _guard_points(d * d, f"_planes mod {d}")
-    rows = _prime_grid_rows(d, a, b, c) if is_prime(d) else _grid_rows(d, a, b, c)
-    return _pack(rows, d, d)
+    rows = _grid_source(_factor(d), a, b, c)
+    block = max(1, _BLOCK // d)
+    return _pack((rows(np.arange(x0, min(x0 + block, d))) for x0 in range(0, d, block)), d, d)
 
 
 @lru_cache(maxsize=_PLANE_SLOTS)
 def _legendre_planes(p: int):
     """The planes of the Legendre table mod p as a one-column table: one
     word per row, holding the entry in bit 0."""
-    return _pack([_legendre_table(p)[:, None]], p, 1)
+    t = _legendre_table(p)  # charges p before _pack allocates the planes
+    return _pack((_chi(t, i)[:, None] for i in _aranges(p)), p, 1)
 
 
 def linear_shift_sum(p: int, ns) -> int:
@@ -722,10 +748,7 @@ def form_shift_sum_q(qt: BinaryForm, mod: Modulus, ns) -> int:
     Exact by the residue-grid factorization; the per-prime dual-route check
     is left to form_shift_sum, because it doubles the work.
     """
-    out = 1
-    for p in mod.primes:
-        out *= form_shift_sum(p, ns, qt, check=False)
-    return out
+    return prod(form_shift_sum(p, ns, qt, check=False) for p in mod.primes)
 
 
 def form_shift_sum_q_direct(qt: BinaryForm, mod: Modulus, ns) -> int:
@@ -742,16 +765,17 @@ def shifted_sum_bound(p: int, r: int, overall_gcd: int) -> int:
 # ------------------------------------------------------- windowed power sums
 
 
-def _window_rows(qt: BinaryForm, q: int, n: int):
+def _window_rows(qt: BinaryForm, mod: Modulus, n: int):
     """For each block of m <= max(1, _BLOCK // q) window starts a = x0, ...,
-    x0 + m - 1, yield m and the int8 rows x0 + 1, ..., x0 + m + n - 1
-    (mod q) of the grid of jacobi(qt, q): window i adds rows i, ..., i + n - 1.
-    Taking the row indices mod q covers the wrap-around and n > q alike."""
-    t = np.concatenate(list(_grid_rows(q, qt.a % q, qt.b % q, qt.c % q)))
+    x0 + m - 1, yield m and the int8 rows x0 + 1, ..., x0 + m + n - 1 (mod q)
+    of the grid of jacobi(qt, q) (_grid_source): window i adds rows i, ...,
+    i + n - 1.  Indices mod q cover the wrap-around and n > q alike."""
+    q = mod.q
+    rows = _grid_source(mod.primes, qt.a % q, qt.b % q, qt.c % q)
     block = max(1, _BLOCK // q)
     for x0 in range(0, q, block):
         m = min(block, q - x0)
-        yield m, t[np.arange(x0 + 1, x0 + m + n) % q]
+        yield m, rows(np.arange(x0 + 1, x0 + m + n) % q)
 
 
 def _power_sum(counts: np.ndarray, e: int) -> int:
@@ -767,22 +791,12 @@ def window_power_sum(qt: BinaryForm, mod: Modulus, h: int, r: int) -> int:
         raise InvalidInput("window length and power must be positive")
     _guard_points(q * q * h, f"window_power_sum mod {q}, window {h}")
     counts = np.zeros(h + 1, dtype=np.int64)
-    for m, rows in _window_rows(qt, q, h):
+    for m, rows in _window_rows(qt, mod, h):
         w = np.zeros((m, q), dtype=np.int64)
         for k in range(h):
             w += rows[k : k + m]
         counts += np.bincount(np.abs(w, out=w).ravel(), minlength=h + 1)
     return _power_sum(counts, 2 * r)
-
-
-def window_power_sum_expanded(qt: BinaryForm, mod: Modulus, h: int, r: int) -> int:
-    """The same power sum via the tuple expansion: sum over all 2r-tuples in
-    [1, h]^{2r} of the composite shifted product sum.  Test-scale only."""
-    _guard_points(h ** (2 * r) * len(mod.primes) * 4, f"window_power_sum_expanded mod {mod.q}")
-    total = 0
-    for ns in product(range(1, h + 1), repeat=2 * r):
-        total += form_shift_sum_q(qt, mod, ns)
-    return total
 
 
 def max_window_power_sum(qt: BinaryForm, mod: Modulus, n: int, r: int) -> int:
@@ -794,7 +808,7 @@ def max_window_power_sum(qt: BinaryForm, mod: Modulus, n: int, r: int) -> int:
         raise InvalidInput("window length and power must be positive")
     _guard_points(q * q * n, f"max_window_power_sum mod {q}, window {n}")
     counts = np.zeros(n + 1, dtype=np.int64)
-    for m, rows in _window_rows(qt, q, n):
+    for m, rows in _window_rows(qt, mod, n):
         s, hi, lo = np.zeros((3, m, q), dtype=np.int64)
         for k in range(n):
             s += rows[k : k + m]
@@ -802,6 +816,7 @@ def max_window_power_sum(qt: BinaryForm, mod: Modulus, n: int, r: int) -> int:
             np.minimum(lo, s, out=lo)
         hi -= lo
         counts += np.bincount(hi.ravel(), minlength=n + 1)
+        del s, hi, lo  # free this block's accumulators before the next block's
     return _power_sum(counts, 2 * r)
 
 
@@ -842,7 +857,7 @@ def exp_char_sum(form: TernaryForm, p: int, y) -> ExpCharSum:
     a11, a22, a33 = form.a11 % p, form.a22 % p, form.a33 % p
     a12, a13, a23 = form.a12 % p, form.a13 % p, form.a23 % p
     # Q(1, s, t) = a22 s^2 + a23 s t + a33 t^2 + a12 s + a13 t + a11
-    chart = sum(int(blk.sum(dtype=np.int64)) for blk in _grid_rows(p, a22, a23, a33, a12, a13, a11))
+    chart = sum(int(blk.sum(dtype=np.int64)) for blk in _grid_rows((p,), a22, a23, a33, a12, a13, a11))
     total = (p - 1) * chart + _prime_grid_sum(p, a22, a23, a33)
     if yv == (0, 0, 0):
         coef = (total,) + (0,) * (p - 1)

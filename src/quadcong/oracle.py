@@ -22,7 +22,7 @@ from .errors import CertificateMismatch, InvalidInput
 from .intvec import vec_key
 from .modmath import Modulus, sqrt_mod_squarefree
 from .qforms import TernaryForm, det_gram2
-from .charsum import _guard_points, _legendre_table
+from .charsum import _chi, _guard_points, _legendre_table
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def _scan_ball(form, mod: Modulus, r_sq: int, square: bool):
         rest += a33 % d * y % d * y
         rest %= d
         lin = (a12 % d * x + a13 % d * y) % d if ternary else 0
-        planes.append((d, lin, rest, _legendre_table(d) >= 0 if square else None))
+        planes.append((d, lin, rest, _legendre_table(d) if square else None))
     best, cands = r_sq, []
     for v1 in sorted(range(-r, r + 1), key=abs) if ternary else (0,):
         if v1 * v1 > best:
@@ -74,9 +74,9 @@ def _scan_ball(form, mod: Modulus, r_sq: int, square: bool):
         hit = n23 <= best - v1 * v1
         if v1 == 0:
             hit[r, r] = False
-        for d, lin, rest, is_square in planes:
+        for d, lin, rest, table in planes:
             vals = rest if v1 == 0 else (lin * v1 + rest + a11 * v1 * v1 % d) % d
-            hit &= is_square[vals] if square else vals == 0
+            hit &= _chi(table, vals) >= 0 if square else vals == 0
         if not hit.any():
             continue
         m = v1 * v1 + int(n23[hit].min())

@@ -1,6 +1,7 @@
 import random
 import re
 import tracemalloc
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -15,13 +16,16 @@ from quadcong.errors import (
     SingularQTilde,
 )
 from quadcong.modmath import find_nonresidue, is_square_mod, jacobi, make_modulus
+from quadcong.oracle import brute_min_square
 from quadcong.qforms import BinaryForm, TernaryForm, adjugate4, det_gram2, monic_companion
 from quadcong import charsum
 from quadcong.charsum import (
     Box,
     Character,
     Disc,
+    _chi,
     _grid_rows,
+    _legendre_planes,
     _legendre_table,
     _log_tables,
     _pack,
@@ -40,7 +44,6 @@ from quadcong.charsum import (
     good_shift_vectors,
     in_lift_lattice,
     incomplete_sum,
-    jacobi_table,
     linear_shift_sum,
     make_character,
     max_window_power_sum,
@@ -53,7 +56,6 @@ from quadcong.charsum import (
     shifted_sum_bound,
     splits_mod,
     window_power_sum,
-    window_power_sum_expanded,
 )
 
 rng_int = st.integers(min_value=-100, max_value=100)
@@ -62,46 +64,55 @@ rng_int = st.integers(min_value=-100, max_value=100)
 # ---------------------------------------------------------------- characters
 
 
+def _jacobi_tables(d):
+    """jacobi(m, d) for m in [0, d), read twice from the per-prime Legendre
+    tables: column y = 0 of the grid of Q = x (_grid_rows with e = 1), and
+    incomplete_sum of Q = x y over the single points (m, 1)."""
+    grid = np.concatenate(list(_grid_rows(make_modulus(d).primes, 0, 0, 0, e=1)))[:, 0].tolist()
+    chi = make_character(d)
+    summed = [incomplete_sum(chi, BinaryForm(0, 1, 0), Box(m, m, 1, 1)) for m in range(d)]
+    return grid, summed
+
+
 def test_jacobi_table_frozen():
-    assert jacobi_table(3).tolist() == [0, 1, -1]
-    assert jacobi_table(15).tolist() == [0, 1, 1, 0, 1, 0, 0, -1, 1, 0, 0, -1, 0, -1, -1]
+    for d, want in ((3, [0, 1, -1]), (15, [0, 1, 1, 0, 1, 0, 0, -1, 1, 0, 0, -1, 0, -1, -1])):
+        assert _jacobi_tables(d) == (want, want)
 
 
 @pytest.mark.parametrize("d", [3, 5, 15, 105])
 def test_jacobi_table_matches_pointwise(d):
-    tbl = jacobi_table(d)
-    for m in range(d):
-        assert tbl[m] == jacobi(m, d)
+    want = [jacobi(m, d) for m in range(d)]
+    assert _jacobi_tables(d) == (want, want)
 
 
-@pytest.mark.parametrize("d", [262147, 255255], ids=["prime", "composite"])
+@pytest.mark.parametrize("d", [262147], ids=["prime"])
 def test_jacobi_table_block_seams(d):
-    # both above one build block of 2^16 entries
-    tbl = jacobi_table(d)
+    # the Jacobi table mod a prime is its Legendre table, here built from
+    # the squares of several blocks of roots
+    tbl = _legendre_table(d)
     assert tbl.dtype == np.int8 and tbl.shape == (d,) and not tbl.flags.writeable
-    if d == 262147:
-        assert int((tbl == 1).sum()) == int((tbl == -1).sum()) == (d - 1) // 2
+    assert int((tbl == 1).sum()) == int((tbl == -1).sum()) == (d - 1) // 2
     rng = random.Random(d)
-    seams = [m for k in range(1, (d >> 16) + 1) for m in ((k << 16) - 1, k << 16)]
+    step = charsum._BLOCK // 8  # roots per build block
+    seams = [i * i % d for k in range(1, d // 2 // step + 1) for i in (k * step - 1, k * step)]
     for m in seams + [rng.randrange(d) for _ in range(2000)] + [0, d - 1]:
         assert tbl[m] == jacobi(m, d), m
 
 
-_BIG_PRIME, _BIG_COMPOSITE = 4_000_037, 3 * 5 * 7 * 11 * 13 * 17 * 19
+_BIG_PRIME = 4_000_037
 
-# kernel: (call, d); each holds one int8 table of d entries and no int64 array of length d
+# kernel: (call, d); each holds one int8 table of d entries and no int64 array
+# of length d (the Jacobi table mod a prime is its Legendre table)
 TABLE_KERNELS = {
-    "jacobi_table_prime": (lambda: jacobi_table(_BIG_PRIME), _BIG_PRIME),
-    "jacobi_table_composite": (lambda: jacobi_table(_BIG_COMPOSITE), _BIG_COMPOSITE),
+    "jacobi_table_prime": (lambda: _legendre_table(_BIG_PRIME), _BIG_PRIME),
     "full_grid_sum": (lambda: full_grid_sum(BinaryForm(1, 1, 3), make_modulus(_BIG_PRIME)), _BIG_PRIME),
 }
 
 
 @pytest.mark.parametrize("call, d", TABLE_KERNELS.values(), ids=TABLE_KERNELS)
 def test_table_kernels_peak_memory_near_table_size(call, d):
-    # tables and O(p) sums run in blocks of 2^16 entries
+    # tables and O(p) sums run in blocks of 2^13 entries
     _legendre_table.cache_clear()
-    jacobi_table.cache_clear()
     tracemalloc.start()
     try:
         call()
@@ -109,6 +120,48 @@ def test_table_kernels_peak_memory_near_table_size(call, d):
     finally:
         tracemalloc.stop()
     assert peak < 2 * d
+
+
+def _legendre_readers():
+    """One value from every reader of the Legendre tables."""
+    return (
+        incomplete_sum(make_character(1155), BinaryForm(2, -3, 5), Disc(3, -2, 30)),
+        incomplete_sum(make_character(4_000_037), BinaryForm(4_000_036, 3, 4_000_032), Box(3999990, 3999998, 1, 9)),
+        full_grid_sum(BinaryForm(1, 2, 1), make_modulus(1009)),
+        full_grid_sum_direct(BinaryForm(2, 3, 5), 105),
+        linear_shift_sum(1009, (1, 2, 5, 9)),
+        norm_shift_sum(101, (1, 2, 3, 4)),
+        form_shift_sum_q_direct(BinaryForm(1, 1, 3), make_modulus(105), (1, 4)),
+        window_power_sum(BinaryForm(1, 1, 3), make_modulus(105), 3, 2),
+        exp_char_sum(TernaryForm(1, 2, 3, 1, 0, 1), 53, (1, 2, 3)).value,
+        brute_min_square(BinaryForm(3, 1, 7), make_modulus(105 * 101)),
+    )
+
+
+def _clear_charsum_caches():
+    for v in vars(charsum).values():
+        if hasattr(v, "cache_clear") and v.__module__ == charsum.__name__:
+            v.cache_clear()
+
+
+def test_packed_legendre_tables_match_int8(monkeypatch):
+    # above _PACKED a table keeps p / 8 bytes of bits; every reader gives the
+    # same values from packed tables as from int8 ones
+    p = 4_000_037
+    _clear_charsum_caches()
+    t = _legendre_table(p)
+    assert t.nbytes == -(-p // 8)
+    rng = random.Random(p)
+    ms = np.array([0, 1, p - 1] + [rng.randrange(p) for _ in range(2000)], dtype=np.int64)
+    assert _chi(t, ms).tolist() == [jacobi(int(m), p) for m in ms]
+    int8 = _legendre_readers()
+    monkeypatch.setattr(charsum, "_PACKED", 2)
+    _clear_charsum_caches()
+    try:
+        assert _legendre_table(3).dtype == np.uint8
+        assert _legendre_readers() == int8
+    finally:
+        _clear_charsum_caches()
 
 
 def test_character_principal():
@@ -159,6 +212,49 @@ def test_incomplete_sum_small_frozen():
     assert incomplete_sum(chi, f, Box(0, 1, 0, 1)) == 1  # chi: 0,1 / 1,-1
 
 
+def _pointwise_sum(d, f, region):
+    return sum(jacobi(f.evaluate((x, y)), d) for y, lo, hi in region.rows() for x in range(lo, hi + 1))
+
+
+def test_incomplete_sum_coordinates_beyond_int64():
+    # row starts and y are reduced mod each prime as Python ints, before any
+    # numpy call
+    chi, f = make_character(15), BinaryForm(1, 1, 3)
+    for region in (Disc(10**30, 0, 4), Box(-3, 9, 10**19, 10**19 + 4)):
+        assert incomplete_sum(chi, f, region) == _pointwise_sum(15, f, region)
+
+
+def test_incomplete_sum_modulus_above_int64():
+    # only the per-prime tables are built, so d itself may pass 2^63
+    d = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53
+    assert d > 2**63
+    f = BinaryForm(d - 1, 12345678901234567890, -(10**20))
+    for region in (Box(-3, 4, 10**6, 10**6 + 5), Disc(7, -2, 10)):
+        assert incomplete_sum(make_character(d), f, region) == _pointwise_sum(d, f, region)
+
+
+@pytest.mark.parametrize("d", [1, 3, 105, 1155])
+def test_incomplete_sum_row_chunks_pointwise(monkeypatch, d):
+    # chunks of 7 points: rows are cut into pieces and a chunk spans rows
+    monkeypatch.setattr(charsum, "_BLOCK", 7)
+    f = BinaryForm(2, -3, 5)
+    for region in (Disc(3, -2, 30), Box(-4, 20, 5, 9), Box(0, 6, 0, 0), Box(3, 2, 0, 5), Disc(0, 0, -1)):
+        assert incomplete_sum(make_character(d), f, region) == _pointwise_sum(d, f, region)
+
+
+def test_incomplete_sum_peak_memory_per_chunk():
+    # a row of 10^6 points goes in chunks of _BLOCK points, not one array
+    chi, f, region = make_character(105), BinaryForm(2, -3, 5), Box(0, 10**6 - 1, 7, 7)
+    _legendre_table.cache_clear()
+    tracemalloc.start()
+    try:
+        incomplete_sum(chi, f, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * charsum._BLOCK
+
+
 def test_incomplete_sum_large_modulus_exact():
     # a * x^2 in int64 overflows once d > 2^21 unless each product is reduced
     d = 4_000_037
@@ -176,7 +272,7 @@ def test_incomplete_sum_large_modulus_exact():
 
 def _whole_grid(d, a, b, c):
     """The d x d int8 grid of jacobi(a x^2 + b x y + c y^2, d), rows indexed by x."""
-    return np.concatenate(list(_grid_rows(d, a, b, c)))
+    return np.concatenate(list(_grid_rows(make_modulus(d).primes, a, b, c)))
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 15, 21, 35])
@@ -240,8 +336,17 @@ def test_prime_planes_are_grid_rows_in_log_order(p):
 
 
 def test_composite_planes_match_grid_table():
+    # rows stay in x order; column (j_1, ..., j_k), the last prime's index
+    # running fastest, is the y that is the log-order column j_i mod each p_i
     for d, (a, b, c) in [(15, (1, 1, 3)), (105, (2, 3, 5)), (1155, (1, 0, 1154))]:
-        assert (_unpack(_planes(d, a, b, c), d) == _whole_grid(d, a, b, c)).all()
+        perm, m = [0], 1
+        for p in make_modulus(d).primes:
+            g = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+            ys = [0] + [pow(g, -j, p) for j in range(p - 1)]
+            perm = [y0 + m * ((y - y0) * pow(m, -1, p) % p) for y0 in perm for y in ys]
+            m *= p
+        want = _whole_grid(d, a, b, c)[:, perm]
+        assert (_unpack(_planes(d, a, b, c), d) == want).all()
 
 
 def test_grid_vanishing_exhaustive_small():
@@ -458,8 +563,8 @@ def test_norm_shift_sum_frozen():
 
 
 def test_window_sums_do_not_evict_norm_planes():
-    # the window sums build their int8 grids uncached, so they cannot push
-    # a prime's norm planes out between two sums at that prime
+    # the window sums build their rows uncached, so they cannot push a
+    # prime's norm planes out between two sums at that prime
     _planes.cache_clear()
     norm_shift_sum(37, (1, 2, 3, 4))
     for q in (15, 21, 33, 35, 39, 51):
@@ -471,7 +576,7 @@ def test_window_sums_do_not_evict_norm_planes():
 def test_linear_shift_sum_brute():
     p = 11
     for ns in [(0, 0), (1, 5), (2, 2, 3, 7)]:
-        tbl = jacobi_table(p)
+        tbl = _legendre_table(p)
         total = 0
         for a in range(p):
             prod = 1
@@ -560,18 +665,19 @@ def test_window_sums_pointwise(monkeypatch):
 
 @pytest.mark.parametrize("kernel", [window_power_sum, max_window_power_sum], ids=lambda k: k.__name__)
 def test_window_sums_peak_bytes_per_charged_point(kernel):
-    # one int8 grid and one block at a time, not whole int64 grids; window 1
-    # charges q^2 points
+    # one block of rows at a time and no q x q grid; window 1 charges q^2
+    # points
     q = 1155
     mod = make_modulus(q)
-    jacobi_table.cache_clear()
+    _legendre_table.cache_clear()
+    _log_tables.cache_clear()
     tracemalloc.start()
     try:
         kernel(BinaryForm(1, 1, 3), mod, 1, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * q * q
+    assert peak <= 2 * q * q
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 257, 1009])
@@ -666,12 +772,13 @@ def test_shifted_sum_bound_values():
 
 
 def test_window_power_sum_matches_expansion():
+    # expanded: the sum over all 2r-tuples in [1, h]^{2r} of the composite
+    # shifted product sum
     mod = make_modulus(15)
     qt = BinaryForm(1, 1, 3)
     for h, r in [(2, 1), (3, 1), (4, 2), (2, 2)]:
-        direct = window_power_sum(qt, mod, h, r)
-        expanded = window_power_sum_expanded(qt, mod, h, r)
-        assert direct == expanded
+        expanded = sum(form_shift_sum_q(qt, mod, ns) for ns in product(range(1, h + 1), repeat=2 * r))
+        assert window_power_sum(qt, mod, h, r) == expanded
 
 
 def test_window_power_sum_frozen():
@@ -713,10 +820,10 @@ _LIFT = minimal_lift(1, 1, 3, _M15).form
 # kernel: (call, points it charges, what the RegionTooLarge message names)
 GUARDED = {
     "legendre_table": (lambda: _legendre_table(53), 53, "_legendre_table mod 53"),
-    "jacobi_table": (lambda: jacobi_table(55), 55, "jacobi_table mod 55"),
     "full_grid_sum_direct": (lambda: full_grid_sum_direct(_F, 53), 53**2, "_grid_rows mod 53"),
     "linear_shift_sum": (lambda: linear_shift_sum(53, (1, 2)), 53, "_legendre_table mod 53"),
     "planes": (lambda: _planes(53, 1, 1, 3), 53**2, "_planes mod 53"),
+    "composite_planes": (lambda: _planes(55, 1, 1, 3), 55**2, "_planes mod 55"),
     "log_tables": (lambda: _log_tables(53), 53, "_log_tables mod 53"),
     "norm_shift_sum": (lambda: norm_shift_sum(53, (1, 2)), 53**2, "_planes mod 53"),
     "form_shift_sum_direct": (
@@ -752,7 +859,7 @@ def test_point_guard_charges_each_kernel(monkeypatch, call, charge, what):
     caches = [
         v for v in vars(charsum).values() if hasattr(v, "cache_clear") and v.__module__ == charsum.__name__
     ]
-    assert jacobi_table in caches and _planes in caches
+    assert set(caches) == {_legendre_table, _planes, _legendre_planes, _log_tables}
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(charsum, "POINT_BUDGET", charge - 1)
@@ -763,12 +870,11 @@ def test_point_guard_charges_each_kernel(monkeypatch, call, charge, what):
     call()
 
 
-# the tables these would build take 10 GB (p = 100003) and 1 GB (d = 10^9 + 7)
+# the tables these would build take 10 GB (p = 100003) and 1 GB (p = 10^9 + 7)
 OVERSIZE = {
     "norm_shift_sum": lambda: norm_shift_sum(100003, (1, 2)),
     "form_shift_sum_direct": lambda: form_shift_sum_direct(100003, (1, 2), BinaryForm(1, 1, 0)),
     "linear_shift_sum": lambda: linear_shift_sum(10**9 + 7, (1, 2)),
-    "jacobi_table": lambda: jacobi_table(10**9 + 7),
     "incomplete_sum": lambda: incomplete_sum(make_character(10**9 + 7), BinaryForm(1, 0, 1), Box(0, 8, 0, 8)),
 }
 
