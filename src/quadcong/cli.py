@@ -19,7 +19,6 @@ Exit codes: 0 all checks pass, 1 a hard per-row check failed (the row is
 named on stderr), 2 configuration errors.
 """
 
-import argparse
 import math
 import random
 import sys
@@ -470,6 +469,8 @@ def _parse_range(text: str):
 
 
 def build_config(argv) -> ExperimentConfig:
+    import argparse  # here, not at the top: a library import should not pay for it
+
     ap = argparse.ArgumentParser(prog="quadcong", description=__doc__.splitlines()[0])
     ap.add_argument("command", nargs="?", choices=COMMANDS)
     ap.add_argument("--config", help="key=value configuration file")

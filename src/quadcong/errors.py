@@ -31,6 +31,10 @@ class BadFactorization(InvalidModulus):
     pass
 
 
+class FactoringExhausted(InvalidModulus):
+    pass
+
+
 class NotPrime(QuadCongError):
     pass
 

@@ -6,7 +6,7 @@ Canonical tie-breaks use intvec.vec_key so outputs are deterministic.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import DegenerateBasis, NotPrimitive, ZeroClass
 from .intvec import (
@@ -247,25 +247,6 @@ def lift_lattice(a: int, b: int, c: int, mod: Modulus) -> LiftLattice:
         raise ZeroClass(f"({a}, {b}, {c}) = 0 mod {q}")
     rows = hnf_rows3([(a % q, b % q, c % q), (q, 0, 0), (0, q, 0), (0, 0, q)])
     return LiftLattice(shortest=shortest_vector3(rows), det=abs(dot(rows[0], cross3(rows[1], rows[2]))))
-
-
-def iter_vectors_by_norm():
-    """Yield (norm_sq, vector) over Z^2 \\ {0}, norm ascending, vec_key within a shell."""
-    s = 1
-    while True:
-        shell = []
-        r = isqrt(s)
-        for x in range(0, r + 1):
-            y2 = s - x * x
-            y = isqrt(y2)
-            if y * y == y2:
-                for sx in ((x,) if x == 0 else (x, -x)):
-                    for sy in ((y,) if y == 0 else (y, -y)):
-                        shell.append((sx, sy))
-        shell = sorted(set(shell), key=vec_key)
-        for v in shell:
-            yield s, v
-        s += 1
 
 
 def congruence_basis2(l1: int, l2: int, m: int) -> Basis2:

@@ -11,6 +11,7 @@ from math import gcd, prod
 
 from .errors import (
     BadFactorization,
+    FactoringExhausted,
     InvalidInput,
     InvalidModulus,
     NotOdd,
@@ -24,6 +25,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Trial-division primes: the fast path of is_prime and the first stage of _factor.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
+
+# Pollard rho steps one split may take, over all its constants c.  Balanced
+# moduli near 1e18 split in a few times 1e4 steps (at most 39,360 over 450 of
+# them); past the budget the modulus is refused (FactoringExhausted) rather
+# than searched for ever.
+_RHO_BUDGET = 2**22
 
 
 def is_prime(n: int) -> bool:
@@ -180,11 +187,15 @@ def _rho_split(n: int):
     # Floyd's tortoise and hare; deterministic constant schedule
     if n % 2 == 0:
         return [2, n // 2]
+    steps = 0
     c = 1
     while True:
         x = y = 2
         d = 1
         while d == 1:
+            steps += 1
+            if steps > _RHO_BUDGET:
+                raise FactoringExhausted(f"Pollard rho found no factor of {n} in {_RHO_BUDGET} steps")
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n

@@ -12,9 +12,9 @@ predicate anywhere in the ball.
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .intvec import vec_key
 from .modmath import Modulus, sqrt_mod_squarefree
 from .qforms import TernaryForm, det_gram2
 from .charsum import _chi, _guard_points, _legendre_table
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -164,12 +167,12 @@ class CoprimeCount:
     box: int
     arity: int
     roots: dict  # p -> #{a mod p : p | F(a)}
-    prediction: Fraction  # A^n * prod (1 - roots[p] / p^n)
+    prediction: "Fraction"  # A^n * prod (1 - roots[p] / p^n)
 
-    def relative_gap(self) -> Fraction:
+    def relative_gap(self) -> "Fraction":
         if self.prediction == 0:
             raise ZeroDivisionError("prediction vanishes")
-        return abs(Fraction(self.count) - self.prediction) / self.prediction
+        return abs(self.count - self.prediction) / self.prediction
 
 
 def root_count_mod(f, arity: int, p: int) -> int:
@@ -179,6 +182,8 @@ def root_count_mod(f, arity: int, p: int) -> int:
 
 
 def _with_prediction(count: int, box: int, arity: int, roots: dict) -> CoprimeCount:
+    from fractions import Fraction  # here, not at the top: it loads decimal too
+
     pred = Fraction(box**arity)
     for p, n in roots.items():
         pred *= 1 - Fraction(n, p**arity)

@@ -4,7 +4,9 @@ The pipeline, for a ternary form Q nonsingular mod an odd square-free q:
 
 1. form the negated adjugate form mod q (small symmetric lift),
 2. find a small witness a with (-Q^adj)(a) ≡ t^2 (mod q)
-   (restriction to a coprime plane + square-value search on a binary form),
+   (restriction to a coprime plane + square-value search on a binary form:
+   a sieve over norm annuli that rejects vectors through per-prime tables
+   of squares and sorts only the survivors into the canonical order),
 3. split a = content * primitive, q = q0 * q1 with q0 = gcd(q, content),
 4. reduce the plane lattice orthogonal to the primitive part,
 5. restrict Q to that plane; the restriction factors into linear forms mod q1
@@ -17,6 +19,7 @@ final guarantee is 3 ||x||^4 <= 64 q^2 ||a||^2, i.e. ||x||^2 <= (8/sqrt 3) q ||a
 """
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
@@ -31,7 +34,6 @@ from .lattice import (
     Basis2,
     congruence_basis2,
     greedy_reduce,
-    iter_vectors_by_norm,
     orthogonal_basis,
     weighted_short_vectors,
 )
@@ -40,7 +42,7 @@ from .modmath import (
     _sqrt_mod_known_prime,
     crt_combine,
     inv_mod,
-    is_square_mod,
+    jacobi,
     sqrt_mod_squarefree,
 )
 from .qforms import (
@@ -70,21 +72,81 @@ def coprime_point_search(f, n: int, mod: Modulus, cap: int = 2**30):
     raise SearchExhausted(f"no point with sup-norm <= {cap} whose value is coprime to q = {q}")
 
 
+# Primes below _TABLE_LIMIT are tested through a cached table of their
+# squares (all such tables together hold about 80 KB); larger primes through
+# jacobi, only on the few vectors the tables let through, in order.
+_TABLE_LIMIT = 2**10
+# Norm widths of the annuli: the first _FIRST_WIDTH, then doubling up to
+# _MAX_WIDTH, so one annulus holds at most about pi * _MAX_WIDTH vectors.
+_FIRST_WIDTH = 4
+_MAX_WIDTH = 512
+
+
+@lru_cache(maxsize=None)
+def _squares_table(p: int) -> bytes:
+    """Length-p bytes: 1 at each square mod p, 0 included; 0 elsewhere."""
+    table = bytearray(p)
+    for i in range(p // 2 + 1):
+        table[i * i % p] = 1
+    return bytes(table)
+
+
+def _annuli(limit: int):
+    """Norm ranges [s0, s1) tiling [1, limit + 1), widths doubling to _MAX_WIDTH."""
+    s0, width = 1, _FIRST_WIDTH
+    while s0 <= limit:
+        s1 = min(s0 + width, limit + 1)
+        yield s0, s1
+        s0, width = s1, min(2 * width, _MAX_WIDTH)
+
+
+def _annulus_values(form: BinaryForm, s0: int, s1: int):
+    """(R(x, y), x, y) for every (x, y) with s0 <= x^2 + y^2 < s1, row by row."""
+    a, b, c = form.a, form.b, form.c
+    out = []
+    r = isqrt(s1 - 1)
+    for x in range(-r, r + 1):
+        x2 = x * x
+        lo = 0 if x2 >= s0 else isqrt(s0 - x2 - 1) + 1
+        hi = isqrt(s1 - 1 - x2)
+        ax2, bx = a * x2, b * x
+        out += [(ax2 + (bx + c * y) * y, x, y) for y in range(lo, hi + 1)]
+        out += [(ax2 - (bx - c * y) * y, x, -y) for y in range(max(lo, 1), hi + 1)]
+    return out
+
+
+def _canonical_order(entry):
+    """(norm, vec_key) of the vector in an _annulus_values entry."""
+    _, x, y = entry
+    return x * x + y * y, abs(x), x < 0, abs(y), y < 0
+
+
 def square_value_binary(form: BinaryForm, mod: Modulus):
     """Smallest nonzero (x, y) whose value is a square mod q (prime by prime).
 
-    Norm-shell enumeration with the canonical vec_key tie-break; gives up
-    past norm max(q^0.5, 4 q^0.3 + 16)^2.
+    Smallest in (norm, vec_key) order: the first vector of the norm-shell
+    walk whose value is a square or 0 mod every prime of q.  The search
+    sieves norm annuli (_annuli) in turn: every vector of an annulus is
+    evaluated once, rejected through the squares tables of the primes below
+    _TABLE_LIMIT (smallest prime first), and only the survivors are sorted
+    and tested with jacobi for the larger primes.  Gives up past norm
+    max(q^0.5, 4 q^0.3 + 16)^2.
     """
     q = mod.q
     cap_max = max(float(q) ** 0.5, 4.0 * q**0.3 + 16.0)
     limit = int(cap_max * cap_max) + 1
-    for s, v in iter_vectors_by_norm():
-        if s > limit:
-            raise SearchExhausted(f"{form.row()} takes no square value mod q = {q} below norm {cap_max}")
-        if is_square_mod(form.evaluate(v), mod):
-            return v
-    raise AssertionError("unreachable")
+    primes = sorted(mod.primes)
+    tables = [(p, _squares_table(p)) for p in primes if p < _TABLE_LIMIT]
+    large = [p for p in primes if p >= _TABLE_LIMIT]
+    for s0, s1 in _annuli(limit):
+        entries = _annulus_values(form, s0, s1)
+        for p, table in tables:
+            entries = [e for e in entries if table[e[0] % p]]
+        entries.sort(key=_canonical_order)
+        for value, x, y in entries:
+            if all(jacobi(value, p) != -1 for p in large):
+                return x, y
+    raise SearchExhausted(f"{form.row()} takes no square value mod q = {q} below norm {cap_max}")
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ from quadcong.lattice import (
     Basis2,
     congruence_basis2,
     greedy_reduce,
-    iter_vectors_by_norm,
     lift_lattice,
     orthogonal_basis,
     shortest_vector3,
     weighted_short_vectors,
 )
 from quadcong.modmath import make_modulus
+from reference_walk import iter_vectors_by_norm
 
 small = st.integers(min_value=-30, max_value=30)
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quadcong import modmath
 from quadcong.errors import (
     BadFactorization,
+    FactoringExhausted,
     InvalidModulus,
     NotOdd,
     NotPrime,
@@ -114,6 +116,26 @@ def test_make_modulus_factors_primes_past_the_small_table(p):
         make_modulus(p * p)
     with pytest.raises(NotSquareFree):
         make_modulus(5 * p * p)
+
+
+def test_rho_budget_refuses_with_a_typed_error(monkeypatch):
+    # past its step budget Pollard rho raises, naming n, where it used to
+    # loop for ever (as it does on a prime, which no constant c splits)
+    monkeypatch.setattr(modmath, "_RHO_BUDGET", 100)
+    n = 1_000_003 * 1_000_033
+    with pytest.raises(FactoringExhausted, match=f"no factor of {n} in 100 steps"):
+        make_modulus(n)
+    with pytest.raises(FactoringExhausted, match="no factor of 1000003 in"):
+        modmath._rho_split(1_000_003)
+    assert issubclass(FactoringExhausted, InvalidModulus)
+
+
+def test_rho_budget_far_above_balanced_1e18_moduli(monkeypatch):
+    # the budget is kept far above what balanced moduli near 1e18 need: the
+    # slowest of 450 such splits takes 39,360 steps, under a 64th of it
+    monkeypatch.setattr(modmath, "_RHO_BUDGET", modmath._RHO_BUDGET // 64)
+    for p1, p2 in ((477_554_729, 1_531_435_771), (999_999_937, 1_000_000_007)):
+        assert make_modulus(p1 * p2).primes == (p1, p2)
 
 
 def test_modulus_validation_survives_optimize_flag():

@@ -1,8 +1,9 @@
 import random
 import re
 import time
+import tracemalloc
 from functools import partial
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,6 +33,7 @@ from quadcong.solver import (
     trace_lines,
     verify_trace,
 )
+from reference_walk import square_value_walk
 
 IDENTITY = TernaryForm(1, 1, 1, 0, 0, 0)
 
@@ -90,6 +92,77 @@ def test_square_value_binary_frozen():
     mod = make_modulus(5)
     v = square_value_binary(BinaryForm(2, 3, 1), mod)
     assert v == (0, 1)
+
+
+PRIMES_TO_59 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+
+
+def _random_binary(rng, q, bound):
+    """Seeded form with coefficients in [-bound, bound) and disc coprime to q
+    (a disc sharing a prime with q can push the first hit past any test's time)."""
+    while True:
+        form = BinaryForm(*(rng.randrange(-bound, bound) for _ in range(3)))
+        if gcd(form.disc(), q) == 1:
+            return form
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_square_value_sieve_matches_walk(k):
+    # k primes from 3..59 (the table route); the third form adds a prime
+    # above the table limit, 65537 or 1000003 among them (the jacobi route);
+    # the second has coefficients of both signs up to 2^70
+    rng = random.Random(f"sieve:{k}")
+    for i in range(3):
+        primes = rng.sample(PRIMES_TO_59, k) + ([(1031, 65537, 1_000_003)[k % 3]] if i == 2 else [])
+        mod = make_modulus(prod(primes))
+        form = _random_binary(rng, mod.q, 2**70 if i == 1 else mod.q)
+        assert square_value_binary(form, mod) == square_value_walk(form, mod), (k, i, form)
+
+
+def test_square_value_sieve_large_primes_only():
+    # no table at all: every vector of an annulus is sorted, then tested with jacobi
+    rng = random.Random("sieve:large")
+    mod = make_modulus(1031 * 65537 * 1_000_003)
+    for _ in range(20):
+        form = _random_binary(rng, mod.q, mod.q)
+        assert square_value_binary(form, mod) == square_value_walk(form, mod), form
+    # a value 0 mod the large prime counts as a square there: R(0, +-1) = 3
+    # is a non-residue mod 65537, and R(1, 0) = 2 * 65537 is 0 mod 65537
+    # and 1 mod 3
+    assert square_value_binary(BinaryForm(2 * 65537, 0, 3), make_modulus(3 * 65537)) == (1, 0)
+
+
+def test_square_value_sieve_hits_on_annulus_seams():
+    # first hits on the first norm of an annulus, where a row bound off by
+    # one would skip the shell or leave it to the wrong annulus
+    seams = {s0 for s0, _ in solver._annuli(10**6)} - {1}
+    rng = random.Random("seams")
+    found = set()
+    for _ in range(300):
+        mod = make_modulus(prod(rng.sample(PRIMES_TO_59, rng.randint(2, 9))))
+        form = _random_binary(rng, mod.q, mod.q)
+        x, y = square_value_binary(form, mod)
+        if x * x + y * y in seams:
+            assert (x, y) == square_value_walk(form, mod), form
+            found.add(x * x + y * y)
+    assert {5, 13, 29, 61, 125} <= found
+
+
+def test_square_value_sieve_peak_memory():
+    # 13 primes and a first hit at norm 21106, far into the annuli of the
+    # capped width: the sieve holds one annulus at a time (about
+    # pi * _MAX_WIDTH entries), so its peak does not grow with the hit
+    mod = make_modulus(prod(PRIMES_TO_59[2:15]))
+    form = BinaryForm(914981361628100521, 605004518063820444, 878369110404396046)
+    square_value_binary(form, mod)  # the squares tables are cached from here on
+    tracemalloc.start()
+    try:
+        v = square_value_binary(form, mod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v == (145, -9)
+    assert peak < 2**18, peak
 
 
 def test_square_value_ternary_certificate():

@@ -49,14 +49,35 @@ def test_exp_sums_use_no_float_roots_of_unity():
     assert not {("np", "exp"), ("np", "pi")} & attrs
 
 
-def test_import_loads_no_process_pool():
-    # the CLI imports its process pool on first use with --jobs > 1, so a
-    # plain import pays for neither multiprocessing nor its socket and logging
-    code = "import sys, quadcong; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+def _loaded_by_import(names):
+    """The modules among names that a fresh `import quadcong` loads."""
+    code = f"import sys, quadcong; print(sorted({set(names)!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_import_loads_no_process_pool():
+    # the CLI imports its process pool on first use with --jobs > 1, so a
+    # plain import pays for neither multiprocessing nor its socket and logging
+    assert _loaded_by_import({"multiprocessing", "concurrent.futures.process"}) == "[]"
+
+
+def test_import_loads_no_argparse_or_fractions():
+    # argparse is imported by the CLI's entry point and Fraction by the
+    # coprime-count prediction, so a library import holds neither (nor the
+    # decimal module that fractions loads)
+    assert _loaded_by_import({"argparse", "fractions", "decimal"}) == "[]"
+
+
+def test_solver_imports_no_numpy():
+    # the solve path is pure Python: numpy's first use would cost the
+    # solver resident memory it does not need
+    tree = ast.parse((SRC / "solver.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    assert not any(m == "numpy" or m.startswith("numpy.") for m in modules)
 
 
 def test_one_point_budget():
