@@ -24,7 +24,13 @@ grid) runs through one kernel, ``_plane_product_sum``, over bit planes: a
 uint64 arrays, "nonzero" and "negative", packed along the columns.  Rolling
 the table by n rows is a row-offset slice, the product of rolled tables is
 an AND of the nonzero planes and an XOR of the negative ones, and the sum
-is popcount(nonzero) - 2 popcount(nonzero & negative).
+is popcount(nonzero) - 2 popcount(nonzero & negative).  ``_pack`` records
+the zeros of a table that has no more of them than rows (an inert companion
+grid and the F_{p^2} norm table vanish only at (0, 0), a Legendre table
+only at 0); on such a table, unless it is small enough to roll in a doubled
+copy, the kernel skips the nonzero plane and corrects the XOR's popcount at
+the few points where a rolled factor is zero.  Split companion grids
+(about 2p zeros) and composite grids keep the AND.
 
 The one character table is the Legendre table of a prime: d is
 square-free, so jacobi(., d) is the product of the Legendre symbols mod its
@@ -46,6 +52,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -536,14 +543,27 @@ def _require_scan_prime(p: int):
         raise InvalidInput(f"{p} is not an odd prime")
 
 
-def _pack(blocks, m: int, cols: int):
-    """Bit planes of a {-1, 0, 1} table with m rows and cols columns, given
-    as int8 row blocks: (nonzero, negative, m * cols), the planes two
-    contiguous read-only (m, ceil(cols / 64)) uint64 arrays with bit y of
-    row x set where entry (x, y) is nonzero, resp. negative."""
-    nbytes = 8 * -(-cols // 64)
-    nz = np.zeros((m, nbytes), dtype=np.uint8)
-    neg = np.zeros((m, nbytes), dtype=np.uint8)
+class _Planes(NamedTuple):
+    """Bit planes of a {-1, 0, 1} table with m rows and cols columns: nz and
+    neg are contiguous read-only (m, ceil(cols / 64)) uint64 arrays with bit
+    y of row x set where entry (x, y) is nonzero, resp. negative; size is
+    m * cols; zeros holds the (rows, cols) int64 arrays of the zero entries
+    when there are at most m of them, else None."""
+
+    nz: np.ndarray
+    neg: np.ndarray
+    size: int
+    zeros: tuple | None
+
+
+def _pack(blocks, m: int, cols: int) -> _Planes:
+    """The planes of a {-1, 0, 1} table with m rows and cols columns, given
+    as int8 row blocks.  The zeros are read from the nonzero plane: a
+    per-row popcount finds the rows that hold any, and the clear bits of
+    their words give the columns."""
+    w = -(-cols // 64)
+    nz = np.zeros((m, 8 * w), dtype=np.uint8)
+    neg = np.zeros((m, 8 * w), dtype=np.uint8)
     used = -(-cols // 8)
     x0 = 0
     for blk in blocks:
@@ -551,49 +571,86 @@ def _pack(blocks, m: int, cols: int):
         nz[x0:x1, :used] = np.packbits(blk != 0, axis=1, bitorder="little")
         neg[x0:x1, :used] = np.packbits(blk < 0, axis=1, bitorder="little")
         x0 = x1
+    nz, neg = nz.view(np.uint64), neg.view(np.uint64)
     nz.flags.writeable = neg.flags.writeable = False
-    return nz.view(np.uint64), neg.view(np.uint64), m * cols
+    per_row = cols - np.bitwise_count(nz).sum(axis=1, dtype=np.int64)
+    zeros = None
+    if per_row.sum() <= m:
+        rows = np.flatnonzero(per_row)
+        clear = ~nz[rows]
+        clear[:, -1] &= np.uint64((1 << (cols - 64 * (w - 1))) - 1)  # padding bits are not entries
+        zr, zw = np.nonzero(clear)
+        bits = np.unpackbits(clear[zr, zw].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        k, b = np.nonzero(bits)
+        zeros = (rows[zr[k]], 64 * zw[k] + b)
+    return _Planes(nz, neg, m * cols, zeros)
 
 
-def _plane_product_sum(planes, ns) -> int:
+def _plane_product_sum(planes: _Planes, ns) -> int:
     """Sum over every entry of the product of the table rolled by each n in
     ns (row i of a roll by n is row (i + n) mod m), on the table's planes.
 
-    A product of entries in {-1, 0, 1} is nonzero where every factor is and
-    negative where an odd number of factors are, so each roll ANDs the
-    nonzero plane and XORs the negative one.  The rows go in blocks of
-    about _BLOCK / 2 words, whose accumulators stay in cache; a block of a
-    roll is one row slice, or two where it wraps.  A table of at most
-    _BLOCK / 16 words costs numpy calls rather than bytes, so it is rolled
-    within a doubled copy, where no roll wraps."""
-    nz, neg, size = planes
+    Rolling every factor back by ns[0] leaves the sum unchanged, so the
+    factors are rolled by d = (n - ns[0]) mod m.  A product of entries in
+    {-1, 0, 1} is nonzero where every factor is and negative where an odd
+    number of factors are: each roll XORs the negative plane into X, and
+    ANDs the nonzero plane into the nonzero accumulator, and the sum is
+    popcount(nonzero) - 2 popcount(nonzero & X).
+
+    The rows go in blocks of about _BLOCK / 2 words, whose accumulators
+    stay in cache; a block of a roll is one row slice, or two where it
+    wraps.  A table of at most _BLOCK / 16 words costs numpy calls rather
+    than bytes, so it is rolled within a doubled copy, where no roll wraps.
+
+    A larger table with at most m zeros (planes.zeros) skips the nonzero
+    plane: the product is (-1)^X off the set U of points where some factor
+    is zero, row (z_row - d) mod m in each zero's column, so the sum is
+    size - 2 popcount(X) - sum over U of (-1)^X(P), with X(P) read from the
+    negative planes at U's points.  That correction is a fixed dozen numpy
+    calls, more than the AND saves on a doubled table."""
+    nz, neg, size, zeros = planes
     ns = tuple(ns)
     if not ns:
         return size
     m, w = nz.shape
+    small = m * w <= _BLOCK // 16
+    sparse = zeros is not None and not small
     rows = min(m, max(1, _BLOCK // (2 * w)))
-    if m * w <= _BLOCK // 16:
+    if small:
         nz, neg = np.concatenate((nz, nz)), np.concatenate((neg, neg))
-    acc = np.empty((2, rows, w), dtype=np.uint64)
+    acc = np.empty((2 - sparse, rows, w), dtype=np.uint64)  # [nonzero,] negative accumulators
     ones = negs = 0
     for r0 in range(0, m, rows):
         h = min(rows, m - r0)
-        acc_nz, acc_neg = acc[0, :h], acc[1, :h]
-        # rolling every factor back by ns[0] leaves the sum unchanged
-        acc_nz[:], acc_neg[:] = nz[r0 : r0 + h], neg[r0 : r0 + h]
+        acc_nz, acc_neg = acc[0, :h], acc[-1, :h]
+        if not sparse:
+            acc_nz[:] = nz[r0 : r0 + h]
+        acc_neg[:] = neg[r0 : r0 + h]
         for n in ns[1:]:
             s = (r0 + n - ns[0]) % m
-            k = min(h, len(nz) - s)
-            acc_nz[:k] &= nz[s : s + k]
+            k = min(h, len(neg) - s)
+            if not sparse:
+                acc_nz[:k] &= nz[s : s + k]
             acc_neg[:k] ^= neg[s : s + k]
             if k < h:
-                acc_nz[k:] &= nz[: h - k]
+                if not sparse:
+                    acc_nz[k:] &= nz[: h - k]
                 acc_neg[k:] ^= neg[: h - k]
-        acc_neg &= acc_nz
+        if not sparse:
+            acc_neg &= acc_nz
         counts = np.bitwise_count(acc[:, :h]).sum(axis=(1, 2), dtype=np.int64)
         ones += int(counts[0])
-        negs += int(counts[1])
-    return ones - 2 * negs
+        negs += int(counts[-1])
+    if not sparse:
+        return ones - 2 * negs
+    zr, zc = zeros
+    d = np.array([(n - ns[0]) % m for n in ns], dtype=np.int64)
+    # sorted and deduplicated by hand: np.unique imports numpy.ma, about 1.7 MB resident
+    keys = np.sort((zr - d[:, None]) % m * (64 * w) + zc, axis=None)
+    ur, uc = np.divmod(keys[np.diff(keys, prepend=-1) != 0], 64 * w)
+    bits = neg[(ur[:, None] + d) % m, uc[:, None] >> 6] >> (uc[:, None] & 63).astype(np.uint64)
+    odd = int((np.bitwise_xor.reduce(bits, axis=1) & np.uint64(1)).sum(dtype=np.int64))
+    return size - 2 * negs - (len(ur) - 2 * odd)
 
 
 @lru_cache(maxsize=_PLANE_SLOTS)

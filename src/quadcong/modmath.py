@@ -39,6 +39,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 71 * 71:  # a composite below 71^2 has a prime factor up to 67
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

@@ -315,11 +315,17 @@ def test_norm_table_balanced_and_multiplicative(p):
 
 
 def _unpack(planes, cols):
-    """The int8 table whose bit planes these are."""
-    nz, neg, _ = planes
-    bits = [np.unpackbits(pl.view(np.uint8), axis=1, bitorder="little") for pl in (nz, neg)]
+    """The int8 table whose bit planes these are; its zeros must be the
+    recorded ones when there are at most as many as rows."""
+    bits = [np.unpackbits(pl.view(np.uint8), axis=1, bitorder="little") for pl in (planes.nz, planes.neg)]
     assert not bits[0][:, cols:].any() and not bits[1][:, cols:].any()  # padding stays clear
-    return bits[0][:, :cols].astype(np.int8) * (1 - 2 * bits[1][:, :cols].astype(np.int8))
+    t = bits[0][:, :cols].astype(np.int8) * (1 - 2 * bits[1][:, :cols].astype(np.int8))
+    zr, zc = np.nonzero(t == 0)
+    if len(zr) > len(t):
+        assert planes.zeros is None
+    else:
+        assert (planes.zeros[0] == zr).all() and (planes.zeros[1] == zc).all()
+    return t
 
 
 @pytest.mark.parametrize("p", [p for p in range(3, 62, 2) if all(p % k for k in range(3, p, 2))])
@@ -600,6 +606,16 @@ def test_norm_shift_sum_brute():
         assert norm_shift_sum(p, ns) == total
 
 
+@pytest.mark.parametrize("p", [13, 1009])
+def test_shift_sums_take_unreduced_shifts(p):
+    # shifts are any integers, also past int64; at p = 1009 the norm table
+    # takes the zero-sparse path, at 13 the doubled copy
+    ns = (2**70 + 5, -(3**50), 7, 10**20 + 1)
+    reduced = tuple(n % p for n in ns)
+    assert norm_shift_sum(p, ns) == norm_shift_sum(p, reduced)
+    assert linear_shift_sum(p, ns) == linear_shift_sum(p, reduced)
+
+
 def _rolled_product_reference(t, ns):
     """Sum of the entrywise product of t rolled by each n (row i <- row
     (i + n) mod m), in int64 arithmetic."""
@@ -616,20 +632,38 @@ def _rolled_product_reference(t, ns):
     seed=st.integers(0, 2**32 - 1),
     ns=st.lists(st.integers(-100, 100), max_size=7),
     block=st.sampled_from([4, 64, 1 << 16]),
+    zeros=st.sampled_from(["uniform", 0, 1, "some", "m", "m+1"]),
 )
-def test_plane_product_sum_matches_int8_reference(m, cols, seed, ns, block):
+def test_plane_product_sum_matches_int8_reference(m, cols, seed, ns, block, zeros):
     # shifts may be repeated, negative or >= m; small blocks cut the rows
     # into many accumulator blocks, so rolls that wrap inside a block occur;
-    # at 2^16 every table here is rolled in a doubled copy, at 4 none is
-    t = np.random.default_rng(seed).integers(-1, 2, size=(m, cols)).astype(np.int8)
+    # at 2^16 every table here is rolled in a doubled copy, at 4 none is.
+    # A uniform draw has about m cols / 3 zeros; the other tables are +-1
+    # with 0, 1, up to m, m or m + 1 zeros, on rows 0 and m - 1 among
+    # others, so the points that correct the sparse path wrap around.
+    rng = np.random.default_rng(seed)
+    if zeros == "uniform":
+        t = rng.integers(-1, 2, size=(m, cols)).astype(np.int8)
+    else:
+        t = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, cols))
+        k = {"some": int(rng.integers(0, m + 1)), "m": m, "m+1": m + 1}.get(zeros, zeros)
+        k = min(k, m * cols)
+        if k < 2:
+            cells = rng.choice(m * cols, size=k, replace=False)
+        else:
+            ends = {int(rng.integers(cols)), (m - 1) * cols + int(rng.integers(cols))}
+            rest = np.setdiff1d(np.arange(m * cols), list(ends))
+            cells = [*ends, *rng.choice(rest, size=k - len(ends), replace=False)]
+        t.flat[cells] = 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(charsum, "_BLOCK", block)
         planes = _pack([t[: m // 2], t[m // 2 :]], m, cols)
         got = _plane_product_sum(planes, tuple(ns))
     assert got == _rolled_product_reference(t, ns)
-    nz, neg, size = planes
-    assert size == m * cols
-    for plane in (nz, neg):
+    assert planes.size == m * cols
+    assert (planes.zeros is None) == (int((t == 0).sum()) > m)
+    assert (_unpack(planes, cols) == t).all()
+    for plane in (planes.nz, planes.neg):
         assert plane.dtype == np.uint64 and plane.shape == (m, -(-cols // 64))
         assert plane.flags.c_contiguous and not plane.flags.writeable
 
@@ -680,14 +714,26 @@ def test_window_sums_peak_bytes_per_charged_point(kernel):
     assert peak <= 2 * q * q
 
 
+def _random_companion(rng, p, kind):
+    """A monic companion (1, b, c) mod p that splits with c != 0 (kind 1) or
+    is inert with b != 0 (kind -1); mod 3 no split form has b c != 0."""
+    while True:
+        b, c = rng.randrange(kind < 0, p), rng.randrange(kind > 0, p)
+        if jacobi(b * b - 4 * c, p) == kind:
+            return BinaryForm(1, b, c)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 257, 1009])
 @pytest.mark.parametrize("r", [1, 2])
 def test_form_shift_sum_dual_route(p, r):
+    # the norm form (1, 0, -delta) is the norm route's own table, so the
+    # random companions are what make the grid route an independent check
     rng = random.Random(f"{p}:{r}")
     split = BinaryForm(1, 1, 0)
     inert = BinaryForm(1, 0, -find_nonresidue(p))
-    assert splits_mod(split, p) and not splits_mod(inert, p)
-    for qt in (split, inert):
+    forms = (split, inert, _random_companion(rng, p, 1), _random_companion(rng, p, -1))
+    assert [splits_mod(qt, p) for qt in forms] == [True, False, True, False]
+    for qt in forms:
         for _ in range(10):
             ns = tuple(rng.randrange(0, 3 * p) for _ in range(2 * r))
             # check=True compares the structured route against the grid route

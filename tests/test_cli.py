@@ -161,8 +161,8 @@ def test_weil_scan_table_cache_stays_bounded(tmp_path):
     info = _planes.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
     assert info.misses == 2 * len(primes)
-    nz, neg, _ = _planes(101, 1, 1, 0)  # the largest planes the scan built
-    assert info.currsize * (nz.nbytes + neg.nbytes) <= 4 * 101**2
+    planes = _planes(101, 1, 1, 0)  # the largest planes the scan built
+    assert info.currsize * (planes.nz.nbytes + planes.neg.nbytes) <= 4 * 101**2
 
 
 def test_weil_scan_csv_frozen(tmp_path):

@@ -34,9 +34,14 @@ SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 101, 257, 65537]
 
 
 def test_is_prime_small():
-    known = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-    for n in range(2, 50):
-        assert is_prime(n) == (n in known)
+    # a sieve up to 10^4 covers the trial-division cut-off 71^2 = 5041 and
+    # the composites 67^2 = 4489 and 71 * 73 = 5183 around it
+    sieve = [False, False] + [True] * (10**4 - 2)
+    for k in range(2, 100):
+        if sieve[k]:
+            sieve[k * k :: k] = [False] * len(range(k * k, 10**4, k))
+    for n in range(-3, 10**4):
+        assert is_prime(n) == (n >= 0 and sieve[n]), n
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
 

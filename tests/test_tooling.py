@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -120,3 +121,29 @@ def test_scripts_run(script):
     env = dict(os.environ, PYTHONPATH=str(SRC.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     res = subprocess.run([sys.executable, str(path), *SCRIPTS[script]], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stdout + res.stderr
+
+
+def test_mutate_reductions_drops_one_reduction_at_a_time():
+    # the mutation script (run by hand, not by the suite) must find every
+    # reduction of the named functions, skip string formatting, and change
+    # nothing but the one reduction in each mutant
+    path = Path(__file__).resolve().parents[1] / "scripts" / "mutate_reductions.py"
+    spec = importlib.util.spec_from_file_location("mutate_reductions", path)
+    mut = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mut)
+    source = (
+        "def f(a, m):\n"
+        "    x = (a + 1) % m * 2\n"
+        "    x %= m\n"
+        '    return "%d" % x\n'
+        "\n"
+        "\n"
+        "def g(a):\n"
+        "    return a % 3\n"
+    )
+    sites = mut.reduction_sites(source, {"f"})
+    assert [(owner, node.lineno) for node, owner in sites] == [("f", 2), ("f", 3)]
+    assert len(mut.reduction_sites(source)) == 3
+    first, second = (mut.mutant(source, node) for node, _ in sites)
+    assert first == source.replace("(a + 1) % m * 2", "(a + 1) * 2")
+    assert second == source.replace("    x %= m\n", "    pass\n")
