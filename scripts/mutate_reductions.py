@@ -3,16 +3,20 @@
 Each mutant drops one reduction: `a % m` becomes `(a)` and `x %= m` becomes
 `pass`.  The script runs a test file against every mutant and lists the
 mutants that survive, that is, the reductions no test depends on.  Mutants
-are written to a copy of the source tree in a new scratch directory, removed
-at the end; the tree it reads is never changed.  A survivor is either a missing test or a reduction
-that is not needed (numpy, for one, wraps a negative index silently, so an
-unreduced row in -m < i < 0 reads the right entry).
+are written to a copy of the source tree in a new temporary directory (it
+honours TMPDIR, which must lie outside the tree), removed at the end; the
+tree it reads is never changed.  A survivor is either a missing test or a
+reduction that is not needed (numpy, for one, wraps a negative index
+silently, so an unreduced row in -m < i < 0 reads the right entry).
 
     python scripts/mutate_reductions.py src/quadcong/charsum.py tests/test_charsum.py \\
         --functions _pack,_plane_product_sum
 
 Run it from the root of the source tree.  It needs only the standard library
-and the test suite's own dependencies; it exits 1 when a mutant survives.
+and the test suite's own dependencies.  The test file is run once on the
+unmutated copy first; the script exits 2 if that run does not pass or if
+TMPDIR is inside the tree, 1 when a mutant survives or its run times out,
+else 0.
 """
 
 import argparse
@@ -23,6 +27,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+_TIMEOUT = 600  # seconds per test run; a killed mutant's hypothesis shrinking takes minutes
 
 
 def reduction_sites(source: str, functions=None):
@@ -72,40 +78,56 @@ def main():
     ap.add_argument("module", help="module file, relative to the root, e.g. src/quadcong/charsum.py")
     ap.add_argument("tests", help="test file that must kill each mutant")
     ap.add_argument("--functions", help="comma-separated function names (default: the whole module)")
-    ap.add_argument("--workdir", help="directory in which to make the scratch copy (default: the system's temporary one)")
-    ap.add_argument("--timeout", type=float, default=600, help="seconds per test run; a timeout kills")
     args = ap.parse_args()
 
     root = Path.cwd()
     functions = set(args.functions.split(",")) if args.functions else None
     source = (root / args.module).read_text()
     sites = reduction_sites(source, functions)
-    work = Path(tempfile.mkdtemp(prefix="mutants-", dir=args.workdir))
+    work = Path(tempfile.mkdtemp(prefix="mutants-")).resolve()
+    if root.resolve() in work.parents:
+        shutil.rmtree(work)
+        print(f"the temporary directory {work} is inside the tree; set TMPDIR outside it")
+        return 2
     copy = work / "tree"
     shutil.copytree(root, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache"))
     target = copy / args.module
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    survivors = []
-    print(f"{len(sites)} reductions in {args.module}" + (f" ({args.functions})" if functions else ""))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", args.tests]
+
+    def run_tests():
+        """(outcome, first failing test): outcome is "passed", "failed" or "timeout"."""
+        try:
+            run = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "timeout", ""
+        killer = next((ln.split(" - ")[0] for ln in run.stdout.splitlines() if ln.startswith(("FAILED", "ERROR"))), "")
+        return ("passed" if run.returncode == 0 else "failed"), killer or run.stdout[-500:] + run.stderr[-500:]
+
+    survivors, timeouts = [], []
     try:
+        outcome, detail = run_tests()
+        if outcome != "passed":
+            print(f"the unmutated copy does not pass {args.tests} ({outcome}):\n{detail}")
+            return 2
+        print(f"{len(sites)} reductions in {args.module}" + (f" ({args.functions})" if functions else ""))
         for node, owner in sites:
             target.write_text(mutant(source, node))
             where = f"{owner}:{node.lineno}  {ast.get_source_segment(source, node)}"
-            cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", args.tests]
-            try:
-                run = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=args.timeout)
-                killer = next((ln.split(" - ")[0] for ln in run.stdout.splitlines() if ln.startswith(("FAILED", "ERROR"))), "")
-                killed = run.returncode != 0
-            except subprocess.TimeoutExpired:
-                killer, killed = "timeout", True
-            print(f"killed   {where}  by {killer}" if killed else f"SURVIVED {where}", flush=True)
-            if not killed:
+            outcome, killer = run_tests()
+            if outcome == "failed":
+                print(f"killed   {where}  by {killer}", flush=True)
+            elif outcome == "timeout":
+                print(f"TIMEOUT  {where}  after {_TIMEOUT} s", flush=True)
+                timeouts.append(where)
+            else:
+                print(f"SURVIVED {where}", flush=True)
                 survivors.append(where)
     finally:
         shutil.rmtree(work)
-    print(f"{len(sites) - len(survivors)} of {len(sites)} killed")
-    return 1 if survivors else 0
-
+    print(f"{len(sites) - len(survivors) - len(timeouts)} of {len(sites)} killed, "
+          f"{len(timeouts)} timed out, {len(survivors)} survived")
+    return 1 if survivors or timeouts else 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -547,8 +547,8 @@ class _Planes(NamedTuple):
     """Bit planes of a {-1, 0, 1} table with m rows and cols columns: nz and
     neg are contiguous read-only (m, ceil(cols / 64)) uint64 arrays with bit
     y of row x set where entry (x, y) is nonzero, resp. negative; size is
-    m * cols; zeros holds the (rows, cols) int64 arrays of the zero entries
-    when there are at most m of them, else None."""
+    m * cols; zeros holds the read-only (rows, cols) int64 arrays of the zero
+    entries when there are at most m of them, else None."""
 
     nz: np.ndarray
     neg: np.ndarray
@@ -583,6 +583,7 @@ def _pack(blocks, m: int, cols: int) -> _Planes:
         bits = np.unpackbits(clear[zr, zw].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
         k, b = np.nonzero(bits)
         zeros = (rows[zr[k]], 64 * zw[k] + b)
+        zeros[0].flags.writeable = zeros[1].flags.writeable = False
     return _Planes(nz, neg, m * cols, zeros)
 
 

@@ -666,6 +666,8 @@ def test_plane_product_sum_matches_int8_reference(m, cols, seed, ns, block, zero
     for plane in (planes.nz, planes.neg):
         assert plane.dtype == np.uint64 and plane.shape == (m, -(-cols // 64))
         assert plane.flags.c_contiguous and not plane.flags.writeable
+    for where in planes.zeros or ():
+        assert where.dtype == np.int64 and not where.flags.writeable
 
 
 def test_window_sums_pointwise(monkeypatch):
