@@ -1,19 +1,26 @@
 """Reduction mutants: is every `% m` in a module load-bearing?
 
 Each mutant drops one reduction: `a % m` becomes `(a)` and `x %= m` becomes
-`pass`.  The script runs a test file against every mutant and lists the
-mutants that survive, that is, the reductions no test depends on.  Mutants
-are written to a copy of the source tree in a new temporary directory (it
-honours TMPDIR, which must lie outside the tree), removed at the end; the
-tree it reads is never changed.  A survivor is either a missing test or a
-reduction that is not needed (numpy, for one, wraps a negative index
-silently, so an unreduced row in -m < i < 0 reads the right entry).
+`pass`.  The script runs one or more test files (or test ids) against every
+mutant and lists the mutants that survive, that is, the reductions no test
+depends on.  Mutants are written to a copy of the source tree in a new
+temporary directory (it honours TMPDIR, which must lie outside the tree),
+removed at the end; the tree it reads is never changed.  A survivor is
+either a missing test or a reduction that is not needed (numpy, for one,
+wraps a negative index silently, so an unreduced row in -m < i < 0 reads
+the right entry).
 
-    python scripts/mutate_reductions.py src/quadcong/charsum.py tests/test_charsum.py \\
-        --functions _pack,_plane_product_sum
+    python scripts/mutate_reductions.py src/quadcong/charsum.py \\
+        tests/test_charsum.py tests/test_cli.py --functions _pack,_plane_product_sum
+
+The tests run with a small pytest plugin, written into the copy, that loads
+a Hypothesis profile with no shrink phase and no example database: a
+failing example still fails its test, so the set of killed mutants is the
+same, but a killed mutant's run stops at once instead of shrinking for
+minutes.
 
 Run it from the root of the source tree.  It needs only the standard library
-and the test suite's own dependencies.  The test file is run once on the
+and the test suite's own dependencies.  The tests are run once on the
 unmutated copy first; the script exits 2 if that run does not pass or if
 TMPDIR is inside the tree, 1 when a mutant survives or its run times out,
 else 0.
@@ -28,7 +35,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-_TIMEOUT = 600  # seconds per test run; a killed mutant's hypothesis shrinking takes minutes
+_TIMEOUT = 600  # seconds per test run
+_PLUGIN = "_mutant_profile"  # module name of the plugin written into the copy
+_PLUGIN_SOURCE = """\
+from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate, Phase.target), database=None)
+settings.load_profile("mutants")
+"""
 
 
 def reduction_sites(source: str, functions=None):
@@ -73,10 +87,16 @@ def mutant(source: str, node) -> str:
     return (data[:lo] + text + data[hi:]).decode()
 
 
+def pytest_command(tests):
+    """The pytest command run on each mutant: stop at the first failure, no
+    cache, and the plugin that turns shrinking off."""
+    return [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-p", _PLUGIN, *tests]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("module", help="module file, relative to the root, e.g. src/quadcong/charsum.py")
-    ap.add_argument("tests", help="test file that must kill each mutant")
+    ap.add_argument("tests", nargs="+", help="test files or test ids that must kill each mutant")
     ap.add_argument("--functions", help="comma-separated function names (default: the whole module)")
     args = ap.parse_args()
 
@@ -92,8 +112,9 @@ def main():
     copy = work / "tree"
     shutil.copytree(root, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache"))
     target = copy / args.module
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", args.tests]
+    (copy / f"{_PLUGIN}.py").write_text(_PLUGIN_SOURCE)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(copy / "src"), str(copy)]), PYTHONDONTWRITEBYTECODE="1")
+    cmd = pytest_command(args.tests)
 
     def run_tests():
         """(outcome, first failing test): outcome is "passed", "failed" or "timeout"."""
@@ -108,7 +129,7 @@ def main():
     try:
         outcome, detail = run_tests()
         if outcome != "passed":
-            print(f"the unmutated copy does not pass {args.tests} ({outcome}):\n{detail}")
+            print(f"the unmutated copy does not pass {' '.join(args.tests)} ({outcome}):\n{detail}")
             return 2
         print(f"{len(sites)} reductions in {args.module}" + (f" ({args.functions})" if functions else ""))
         for node, owner in sites:

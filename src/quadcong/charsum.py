@@ -238,22 +238,23 @@ def incomplete_sum(chi: Character, form: BinaryForm, region) -> int:
 def _grid_rows(primes, a: int, b: int, c: int, e: int = 0, f: int = 0, g: int = 0):
     """Row blocks of jacobi(a x^2 + b x y + c y^2 + e x + f y + g, d), d =
     prod(primes), over the d x d residue grid (rows indexed by x), int8, for
-    coefficients reduced mod d: pointwise products of the Legendre tables.
+    coefficients in [0, d): pointwise products of the Legendre tables.
 
-    Each term is reduced mod d before the terms are added, so every int64
-    intermediate stays below d^2 + 2d.
+    The guard charges d^2, so d <= 10^4, and the values are taken unreduced:
+    each of the three terms (a x + e) x, b x y and (c y + f) y + g is below
+    d^3 + d^2 + d, so int64 stays below 3.1e12 and only the value mod each
+    prime is taken.
     """
     d = prod(primes)
     _guard_points(d * d, f"_grid_rows mod {d}")
     tables = [(p, _legendre_table(p)) for p in primes]
     ys = np.arange(d, dtype=np.int64)
-    sq = ys * ys % d
-    row = (a * sq % d + e * ys % d) % d
-    col = (c * sq % d + f * ys % d + g) % d
+    row = (a * ys + e) * ys
+    col = (c * ys + f) * ys + g
     block = max(1, _BLOCK // d)
     for x0 in range(0, d, block):
         x1 = x0 + block
-        vals = row[x0:x1, None] + (b * ys[x0:x1] % d)[:, None] * ys + col
+        vals = row[x0:x1, None] + (b * ys[x0:x1])[:, None] * ys + col
         blk = np.ones(vals.shape, dtype=np.int8)
         for p, t in tables:
             blk *= _chi(t, vals % p)
@@ -263,7 +264,8 @@ def _grid_rows(primes, a: int, b: int, c: int, e: int = 0, f: int = 0, g: int = 
 def full_grid_sum_direct(form: BinaryForm, d: int) -> int:
     """Sum of jacobi(Q(x, y), d) over the complete d x d residue grid.
 
-    Sums the grid block by block, so the whole table is never held.
+    Sums the grid block by block, so the whole table is never held.  The
+    coefficients are reduced mod d, as _grid_rows's int64 bound requires.
     """
     rows = _grid_rows(_factor(d), form.a % d, form.b % d, form.c % d)
     return sum(int(blk.sum(dtype=np.int64)) for blk in rows)
@@ -275,14 +277,15 @@ def _prime_grid_sum(p: int, a: int, b: int, c: int) -> int:
 
     The row y = 0 gives (p - 1) jacobi(a); for y != 0 put x = t y, and since
     jacobi(y^2) = 1 each of the p - 1 rows sums jacobi(a t^2 + b t + c).
-    Terms are reduced mod p before they are added (int64 below p^2 + 2p),
-    and t runs in blocks, so no int64 array of length p is held.
+    The Legendre table charges p, so p <= 10^8; with the coefficients
+    reduced, the Horner form ((a t + b) mod p) t + c stays below p^2 + p <
+    2^54 in int64.  t runs in blocks, so no int64 array of length p is held.
     """
     a, b, c = a % p, b % p, c % p
     t = _legendre_table(p)
     row = int(_chi(t, a))
     for ts in _aranges(p):
-        row += int(_chi(t, (a * (ts * ts % p) % p + b * ts % p + c) % p).sum(dtype=np.int64))
+        row += int(_chi(t, ((a * ts + b) % p * ts + c) % p).sum(dtype=np.int64))
     return (p - 1) * row
 
 
@@ -348,7 +351,7 @@ def minimal_lift(a: int, b: int, c: int, mod: Modulus) -> MinimalLift:
     q = mod.q
     lat = lift_lattice(a, b, c, mod)
     va, vb, vc = lat.shortest
-    if va % q == 0 and vb % q == 0 and vc % q == 0:
+    if not any(v % q for v in lat.shortest):
         raise CertificateMismatch("minimal lattice vector vanishes mod q")
     cls = (a, b, c)
     pairs = []
@@ -358,7 +361,7 @@ def minimal_lift(a: int, b: int, c: int, mod: Modulus) -> MinimalLift:
             pairs.append((0, p))
             continue
         i = next(k for k in range(3) if rp[k] != 0)
-        lam_p = (va, vb, vc)[i] * inv_mod(rp[i], p) % p
+        lam_p = (va, vb, vc)[i] * inv_mod(rp[i], p)  # crt_combine reduces it
         for k in range(3):
             if ((va, vb, vc)[k] - lam_p * rp[k]) % p != 0:
                 raise CertificateMismatch("lattice vector not proportional to class")
@@ -444,7 +447,7 @@ def good_shift_vectors(form: BinaryForm, lift: BinaryForm, bound: int, mod: Modu
     for s1 in range(1, bound + 1):
         for s2 in range(1, isqrt(bound * bound - s1 * s1) + 1):
             s = (s1, s2)
-            if gcd(form.evaluate(s) % q, q) != 1:
+            if gcd(form.evaluate(s), q) != 1:
                 continue
             if lift.evaluate(s) == 0:
                 continue
@@ -468,10 +471,12 @@ def shift_pair_counts(
     ||x - center||^2 <= radius_sq.
 
     Returns a 1-D int64 array with one entry per cell (a, b) that some pair
-    hits, in an unspecified order; its sum is the number of pairs.  Every
-    factor is reduced mod q before each product, so every int64
-    intermediate, the cell key a q + b included, stays below q^2: the counts
-    are exact for q < PAIR_Q_LIMIT = 3 * 10^9, and larger q raises
+    hits, in an unspecified order; its sum is the number of pairs.  The
+    disc's charge keeps its width w below 2^14; the first coordinates,
+    reduced once per row, lie below q + w, the second ones and the
+    multipliers below q.  a and b each add one unreduced product to one
+    reduced one, so int64 stays below q^2 + q w + q < 2^63 and the cell key
+    a q + b below q^2 for q < PAIR_Q_LIMIT = 3 * 10^9; larger q raises
     InvalidInput.
     """
     q = mod.q
@@ -484,7 +489,7 @@ def shift_pair_counts(
     # disc rows yield (y, lo, hi); here the pair is (x1, x2) with x2 the row
     xs1 = np.concatenate(
         [np.zeros(0, dtype=np.int64)]
-        + [(lo % q + np.arange(hi - lo + 1, dtype=np.int64)) % q for _, lo, hi in rows]
+        + [lo % q + np.arange(hi - lo + 1, dtype=np.int64) for _, lo, hi in rows]
     )
     xs2 = np.repeat(
         np.array([y % q for y, _, _ in rows], dtype=np.int64),
@@ -492,11 +497,12 @@ def shift_pair_counts(
     )
     keys = [np.zeros(0, dtype=np.int64)]
     for s1, s2 in shifts:
-        iqs = inv_mod(form.evaluate((s1, s2)) % q, q)
+        iqs = inv_mod(form.evaluate((s1, s2)), q)
         ka = (form.a * s1 + form.b * s2) * iqs % q
         kc = form.c * s2 * iqs % q
-        av = (ka * xs1 % q + kc * xs2 % q) % q
-        bv = (s1 * iqs % q * xs2 % q - s2 * iqs % q * xs1 % q) % q
+        kb1, kb2 = -s2 * iqs % q, s1 * iqs % q
+        av = (ka * xs1 + kc * xs2 % q) % q
+        bv = (kb1 * xs1 % q + kb2 * xs2) % q
         keys.append(av * q + bv)
     _, counts = np.unique(np.concatenate(keys), return_counts=True)
     return counts.astype(np.int64, copy=False)
@@ -683,13 +689,16 @@ def _grid_source(primes, a: int, b: int, c: int):
     N[log x + j] for x != 0 != y = g^-j, N[k] = chi(Q(g^k, 1)), G_p[x] is
     the length-p window of [N, N, 0, chi(c), ...] at log x - 1 (mod p - 1)
     with entry y = 0 set to chi(a x^2), and G_p[0] the window at 2p - 2.
-    O(p) steps per prime, in int64 below p^2."""
+    O(p) steps per prime.  The coefficients may be any integers: they are
+    reduced mod p as Python ints.  Both callers charge d^2 or more, so p <=
+    10^4 and N's arguments, (a e + b) e + c with e < p, stay below p^3 + p
+    < 10^12 in int64."""
     parts = []
     for p in primes:
         t = _legendre_table(p)
         e, log = _log_tables(p)
         ap, bp, cp = a % p, b % p, c % p
-        n = _chi(t, ((ap * e + bp) % p * e + cp) % p)
+        n = _chi(t, ((ap * e + bp) * e + cp) % p)
         line = np.concatenate([n, n, [0], np.full(p - 1, _chi(t, cp))], dtype=np.int8)
         starts = (log - 1) % (p - 1)
         starts[0] = 2 * (p - 1)
@@ -758,6 +767,7 @@ def _check_companion(p: int, qt: BinaryForm):
 
 
 def _form_planes(qt: BinaryForm, d: int):
+    # reduced here so that congruent companions share one cache entry
     return _planes(d, qt.a % d, qt.b % d, qt.c % d)
 
 
@@ -827,13 +837,14 @@ def _window_rows(qt: BinaryForm, mod: Modulus, n: int):
     """For each block of m <= max(1, _BLOCK // q) window starts a = x0, ...,
     x0 + m - 1, yield m and the int8 rows x0 + 1, ..., x0 + m + n - 1 (mod q)
     of the grid of jacobi(qt, q) (_grid_source): window i adds rows i, ...,
-    i + n - 1.  Indices mod q cover the wrap-around and n > q alike."""
+    i + n - 1.  _grid_source reduces the coefficients and the row indices
+    mod each prime, which covers the wrap-around and n > q alike."""
     q = mod.q
-    rows = _grid_source(mod.primes, qt.a % q, qt.b % q, qt.c % q)
+    rows = _grid_source(mod.primes, qt.a, qt.b, qt.c)
     block = max(1, _BLOCK // q)
     for x0 in range(0, q, block):
         m = min(block, q - x0)
-        yield m, rows(np.arange(x0 + 1, x0 + m + n) % q)
+        yield m, rows(np.arange(x0 + 1, x0 + m + n))
 
 
 def _power_sum(counts: np.ndarray, e: int) -> int:
@@ -908,7 +919,8 @@ def exp_char_sum(form: TernaryForm, p: int, y) -> ExpCharSum:
     chart x1 = 1 (p^2 points, charged to the point budget) and the line
     x1 = 0 (an O(p) grid sum).  For y != 0, c_0 is the O(p) grid sum of Q
     restricted to a basis of the plane y.x = 0, and c_1 = (total - c_0) /
-    (p - 1); for y = 0 every x has phase 0.
+    (p - 1); for y = 0 every x has phase 0.  The coefficients are reduced
+    mod p, as _grid_rows's int64 bound requires.
     """
     _require_scan_prime(p)
     yv = tuple(k % p for k in y)

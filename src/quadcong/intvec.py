@@ -56,12 +56,11 @@ def round_div(num: int, den: int) -> int:
 
 
 def floor_sqrt_ratio(num: int, den: int) -> int:
-    """floor(sqrt(num/den)) for num >= 0, den > 0, exactly."""
+    """floor(sqrt(num/den)) for num >= 0, den > 0, exactly.
+
+    That is isqrt(floor(num/den)): with k = isqrt(floor(x)), k^2 <= x, and
+    (k + 1)^2 >= floor(x) + 1 > x.
+    """
     if num < 0:
         raise ValueError("negative radicand")
-    k = isqrt(num // den)
-    while (k + 1) * (k + 1) * den <= num:
-        k += 1
-    while k * k * den > num:
-        k -= 1
-    return k
+    return isqrt(num // den)

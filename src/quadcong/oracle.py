@@ -125,7 +125,7 @@ def brute_min_square(form, mod: Modulus, bound_sq=None):
     if best is None:
         return None
     s, v = best
-    t = sqrt_mod_squarefree(form.evaluate(v) % mod.q, mod)
+    t = sqrt_mod_squarefree(form.evaluate(v), mod)
     if t is None:
         raise CertificateMismatch(f"ball scan returned {v}, a non-square of {form} mod {mod.q}")
     return BruteResult(norm_sq=s, witness=v, t=t)
@@ -195,7 +195,7 @@ def coprime_count(f, arity: int, mod: Modulus, box: int) -> CoprimeCount:
     per-prime root counts and the product-formula prediction."""
     _guard_points(box**arity, f"coprime_count mod {mod.q}, box {box}, arity {arity}")
     q = mod.q
-    count = sum(1 for a in product(range(1, box + 1), repeat=arity) if gcd(f(a) % q, q) == 1)
+    count = sum(1 for a in product(range(1, box + 1), repeat=arity) if gcd(f(a), q) == 1)
     return _with_prediction(count, box, arity, {p: root_count_mod(f, arity, p) for p in mod.primes})
 
 
@@ -204,8 +204,11 @@ def _restriction_det4_grids(form: TernaryForm, d: int, edges: range):
 
     Yields (col1, det4_grid) with col1 ranging over edges^3 in lex order and
     det4_grid the int64 array of det4 mod d over all col2 in edges^3, lex
-    order.  a_r, q_c2 and b_grid are reduced mod d before every product, so
-    each intermediate stays below 5 d^2 (exact for d < 1.3e9).
+    order.  The coefficients, a_r and gr are reduced mod d as Python ints;
+    with coordinates below 22 (the box the budget admits), q_c2 < 2646 d
+    and b_grid < 63 d, so 4 a_r q_c2 - b_grid^2 stays within 10584 d^2 of 0
+    in int64.  That is exact for d < 2.9e7, and restriction_coprime_count's
+    budget keeps q <= 3 * 5 * ... * 19 = 4,849,845.
     """
     form = TernaryForm(*(c % d for c in form.coeffs()))
     rng = np.arange(edges.start, edges.stop, dtype=np.int64)
@@ -221,11 +224,11 @@ def _restriction_det4_grids(form: TernaryForm, d: int, edges: range):
         + form.a12 * a2 * a4
         + form.a13 * a2 * a6
         + form.a23 * a4 * a6
-    ) % d
+    )
     for col1 in product(edges, repeat=3):
         a_r = form.evaluate(col1) % d
         gr = tuple(sum(g[i][j] * col1[j] for j in range(3)) % d for i in range(3))
-        b_grid = (gr[0] * a2 + gr[1] * a4 + gr[2] * a6) % d
+        b_grid = gr[0] * a2 + gr[1] * a4 + gr[2] * a6
         yield col1, (4 * a_r * q_c2 - b_grid * b_grid) % d
 
 

@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
+from .charsum import _guard_points
 from .errors import (
     CertificateMismatch,
     SearchExhausted,
@@ -130,7 +131,9 @@ def square_value_binary(form: BinaryForm, mod: Modulus):
     evaluated once, rejected through the squares tables of the primes below
     _TABLE_LIMIT (smallest prime first), and only the survivors are sorted
     and tested with jacobi for the larger primes.  Gives up past norm
-    max(q^0.5, 4 q^0.3 + 16)^2.
+    max(q^0.5, 4 q^0.3 + 16)^2.  Every listed vector is charged to the
+    point budget as its annulus is listed, so a form that degenerates mod
+    primes of a large q raises RegionTooLarge instead of running on.
     """
     q = mod.q
     cap_max = max(float(q) ** 0.5, 4.0 * q**0.3 + 16.0)
@@ -138,8 +141,12 @@ def square_value_binary(form: BinaryForm, mod: Modulus):
     primes = sorted(mod.primes)
     tables = [(p, _squares_table(p)) for p in primes if p < _TABLE_LIMIT]
     large = [p for p in primes if p >= _TABLE_LIMIT]
+    what = f"square_value_binary {form.row()} mod q = {q}"
+    listed = 0
     for s0, s1 in _annuli(limit):
         entries = _annulus_values(form, s0, s1)
+        listed += len(entries)
+        _guard_points(listed, what)
         for p, table in tables:
             entries = [e for e in entries if table[e[0] % p]]
         entries.sort(key=_canonical_order)

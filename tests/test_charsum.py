@@ -3,6 +3,7 @@ import re
 import tracemalloc
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcong.errors import (
+    CertificateMismatch,
     InvalidInput,
     NotInGoodSet,
     RegionTooLarge,
@@ -478,8 +480,10 @@ def test_shift_params_frozen():
 def test_shift_params_rejects_nonunit():
     mod = make_modulus(15)
     f = BinaryForm(1, 0, 1)
-    with pytest.raises(NotInGoodSet):
+    with pytest.raises(NotInGoodSet, match=re.escape("Q(s) = 5 is not a unit mod 15")):
         shift_params(f, (1, 2), (0, 0), mod)  # Q(1,2) = 5 shares a factor
+    with pytest.raises(NotInGoodSet, match=re.escape("Q(s) = 5 is not a unit mod 15")):
+        shift_params(f, (2, 4), (0, 0), mod)  # the message names Q(s) = 20 by its residue
 
 
 @settings(max_examples=200)
@@ -759,6 +763,13 @@ def test_form_shift_sum_rejects_singular():
         form_shift_sum(5, (0, 1), BinaryForm(1, 2, 1))  # disc 0
     with pytest.raises(InvalidInput):
         form_shift_sum(5, (0, 1, 2), BinaryForm(1, 1, 0))  # odd tuple length
+    # the checks read residues: det4 = 4 p is nonzero but singular mod p,
+    # and a = p is nonzero but not a unit
+    for call in (form_shift_sum, form_shift_sum_direct):
+        with pytest.raises(SingularQTilde):
+            call(13, (0, 1), BinaryForm(1, 2, 14))
+        with pytest.raises(InvalidInput, match="leading coefficient"):
+            call(13, (0, 1), BinaryForm(13, 1, 1))
 
 
 def test_scan_prime_character_guards():
@@ -959,8 +970,12 @@ def _pair_counts_reference(form, lift, mod, center, radius_sq, shift_bound):
         (1155, (1, 1, 2), (0, 0), 1155, None, None),
         # multiplying before reducing would overflow int64 here
         (1000003, (1000002, 1000001, 1000000), (3 * 10**6, 0), 400, 10056, 13708),
+        # q just below PAIR_Q_LIMIT and a disc centred at 0 mod q beyond 2^63:
+        # the first coordinates wrap past q, every product nears q^2, and
+        # x / s = 2x / 2s (Gaussian integers) makes cells collide
+        (2999999929, (1, 0, 1), (2**32 * 2999999929, -3 * 2**32 * 2999999929), 50, 1288, 2680),
     ],
-    ids=["q15", "q1155", "int64-overflow"],
+    ids=["q15", "q1155", "int64-overflow", "pair-q-limit"],
 )
 def test_shift_pair_counts_match_shift_params(q, coeffs, center, radius_sq, total, moment):
     mod = make_modulus(q)
@@ -1114,3 +1129,77 @@ def test_exp_char_sum_gauss_closed_form(p):
         checked += 1
         cone += res.adj_zero
     assert cone >= 6
+
+
+# ------------------------------------------ reductions at each kernel's limit
+
+
+def test_entry_points_read_coefficients_by_class():
+    # every kernel reduces its caller's coefficients before int64 sees them:
+    # the same class, each coefficient shifted by k M with |k| near 2^70 and
+    # M a multiple of every modulus below, gives the same result
+    rng = random.Random(14)
+    m = 3 * 5 * 7 * 11 * 13
+
+    def far(coeffs):
+        return tuple(c + rng.choice((-1, 1)) * (2**70 + rng.randrange(2**20)) * m for c in coeffs)
+
+    mod105, mod1155 = make_modulus(105), make_modulus(1155)
+    lift = minimal_lift(1, 1, 3, mod105).form
+    binary = {
+        "full_grid_sum": lambda f: full_grid_sum(f, mod1155),
+        "full_grid_sum_direct": lambda f: full_grid_sum_direct(f, 105),
+        "form_shift_sum": lambda f: form_shift_sum(13, (0, 1, 3, 7), f),
+        "form_shift_sum_direct": lambda f: form_shift_sum_direct(13, (2, 5), f),
+        "form_shift_sum_q": lambda f: form_shift_sum_q(f, mod105, (1, 2, 4, 9)),
+        "form_shift_sum_q_direct": lambda f: form_shift_sum_q_direct(f, mod105, (1, 2, 4, 9)),
+        "window_power_sum": lambda f: window_power_sum(f, mod105, 3, 2),
+        "max_window_power_sum": lambda f: max_window_power_sum(f, mod105, 3, 1),
+        "incomplete_sum": lambda f: incomplete_sum(make_character(105), f, Disc(3, -2, 30)),
+        "shift_pair_counts": lambda f: sorted(shift_pair_counts(f, lift, mod105, (0, 0), 16, 4).tolist()),
+    }
+    f = BinaryForm(1, 1, 3)
+    g = BinaryForm(*far((f.a, f.b, f.c)))
+    for name, call in binary.items():
+        assert call(g) == call(f), name
+    form = TernaryForm(2, 3, 5, 1, 4, 6)
+    assert exp_char_sum(TernaryForm(*far(form.coeffs())), 13, (1, 2, 3)) == exp_char_sum(form, 13, (1, 2, 3))
+
+
+def test_congruent_companions_share_one_planes_entry():
+    # the companion grids are cached by coefficients reduced mod q, so a
+    # class builds its planes once
+    _planes.cache_clear()
+    for qt in (BinaryForm(1, 1, 3), BinaryForm(1 + 13 * 105, 1 - 13 * 105, 3 + 2 * 13 * 105)):
+        form_shift_sum_direct(13, (2, 5), qt)
+        form_shift_sum_q_direct(qt, make_modulus(105), (1, 2))
+    assert _planes.cache_info().misses == 2
+
+
+def test_full_grid_sum_vanishes_at_large_prime():
+    # a nonsingular form sums to 0 over F_p^2; with coefficients near p =
+    # 4,000,037 the Horner step (a t + b) t alone would pass 2^63
+    mod = make_modulus(_BIG_PRIME)
+    rng = random.Random(4)
+    for _ in range(3):
+        f = BinaryForm(*(_BIG_PRIME - 1 - rng.randrange(1000) for _ in range(3)))
+        assert f.det4() % _BIG_PRIME
+        assert full_grid_sum(f, mod) == 0
+
+
+def test_in_lift_lattice_reads_classes_mod_p():
+    # a class of nonzero multiples of 35 is the zero class mod 5 and mod 7:
+    # its lattice holds exactly the vectors that vanish mod 35
+    mod = make_modulus(35)
+    cls = (35, 70, 0)
+    assert in_lift_lattice((35, -70, 105), cls, mod)
+    assert not in_lift_lattice((1, 0, 0), cls, mod)
+    assert not in_lift_lattice((0, 0, 5), cls, mod)
+
+
+def test_minimal_lift_refuses_vector_vanishing_mod_q(monkeypatch):
+    # a lattice reduction that returned a nonzero multiple of q would be a bug
+    mod = make_modulus(15)
+    monkeypatch.setattr(charsum, "lift_lattice", lambda *args: SimpleNamespace(shortest=(15, -30, 45)))
+    with pytest.raises(CertificateMismatch, match="vanishes mod q"):
+        minimal_lift(1, 1, 3, mod)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quadcong.charsum import in_lift_lattice, minimal_lift
 from quadcong.errors import DegenerateBasis, NotPrimitive, ZeroClass
-from quadcong.intvec import cross3, dot, norm_sq, vec_key
+from quadcong.intvec import cross3, dot, floor_sqrt_ratio, norm_sq, vec_key
 from quadcong.lattice import (
     Basis2,
     congruence_basis2,
@@ -223,6 +223,18 @@ def test_lift_lattice_membership_shifted(lam, k):
     cls = (3, 1, 4)
     v = tuple(lam * c + 35 * k[i] for i, c in enumerate(cls))
     assert in_lift_lattice(v, cls, mod)
+
+
+@given(st.integers(0, 2**200), st.integers(1, 2**100))
+def test_floor_sqrt_ratio_brackets_the_root(num, den):
+    # isqrt(num // den) needs no correction, far past 2^64 too
+    k = floor_sqrt_ratio(num, den)
+    assert k * k * den <= num < (k + 1) * (k + 1) * den
+
+
+def test_floor_sqrt_ratio_rejects_negative_radicand():
+    with pytest.raises(ValueError, match="negative radicand"):
+        floor_sqrt_ratio(-1, 3)
 
 
 def test_iter_vectors_by_norm_order_dim2():

@@ -265,3 +265,23 @@ def test_point_guard_charges_each_oracle(monkeypatch, call, charge, what):
         call()
     monkeypatch.setattr(charsum, "POINT_BUDGET", charge)
     call()
+
+
+def test_oracle_reads_coefficients_by_class():
+    # the scans reduce their caller's coefficients before int64 sees them:
+    # each coefficient shifted by k q with |k| near 2^70 gives the same minima
+    rng = random.Random(14)
+
+    def far(coeffs, q):
+        return tuple(c + rng.choice((-1, 1)) * (2**70 + rng.randrange(2**20)) * q for c in coeffs)
+
+    for q, form in ((35, TernaryForm(2, 3, 5, 1, 4, 6)), (105, BinaryForm(3, 4, 5))):
+        mod = make_modulus(q)
+        coeffs = form.coeffs() if form.arity == 3 else (form.a, form.b, form.c)
+        shifted = type(form)(*far(coeffs, q))
+        assert brute_min_zero(shifted, mod) == brute_min_zero(form, mod)
+        assert brute_min_square(shifted, mod) == brute_min_square(form, mod)
+    mod = make_modulus(15)
+    form = TernaryForm(2, 3, 5, 1, 4, 6)
+    shifted = TernaryForm(*far(form.coeffs(), 15))
+    assert restriction_coprime_count(shifted, mod, 4) == restriction_coprime_count(form, mod, 4)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quadcong.errors import (
     CertificateMismatch,
+    RegionTooLarge,
     SearchExhausted,
     SingularForm,
     TraceInvariantViolation,
@@ -18,7 +19,7 @@ from quadcong.errors import (
 from quadcong.intvec import norm_sq, vec_key
 from quadcong.modmath import is_square_mod, make_modulus
 from quadcong.oracle import sample_forms
-from quadcong import solver
+from quadcong import charsum, solver
 from quadcong.qforms import BinaryForm, TernaryForm, adjoint_mod, det_gram2, negate_mod
 from quadcong.solver import (
     _box_pair,
@@ -195,6 +196,15 @@ def test_search_exhausted_names_q_and_form(monkeypatch):
     with pytest.raises(SearchExhausted, match=re.escape("restrictions of 3 3 3 0 0 0: no point")) as exc:
         ternary_to_binary(TernaryForm(3, 3, 3, 0, 0, 0), make_modulus(15))
     assert "q = 15" in str(exc.value)
+
+
+def test_square_value_search_charges_listed_vectors(monkeypatch):
+    # the degenerate form above lists about pi * 10008 vectors before it
+    # gives up; a smaller budget refuses it, naming the form and q
+    monkeypatch.setattr(charsum, "POINT_BUDGET", 10**4)
+    with pytest.raises(RegionTooLarge, match=re.escape("square_value_binary 5 1070 7210 mod q = 10007")):
+        square_value_binary(BinaryForm(5, 1070, 7210), make_modulus(10007))
+    square_value_binary(BinaryForm(1, 0, 1), make_modulus(10007))
 
 
 def test_ternary_to_binary_restriction_nonsingular():

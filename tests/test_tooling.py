@@ -123,14 +123,19 @@ def test_scripts_run(script):
     assert res.returncode == 0, res.stdout + res.stderr
 
 
-def test_mutate_reductions_drops_one_reduction_at_a_time():
-    # the mutation script (run by hand, not by the suite) must find every
-    # reduction of the named functions, skip string formatting, and change
-    # nothing but the one reduction in each mutant
+def _mutation_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "mutate_reductions.py"
     spec = importlib.util.spec_from_file_location("mutate_reductions", path)
     mut = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mut)
+    return mut
+
+
+def test_mutate_reductions_drops_one_reduction_at_a_time():
+    # the mutation script (run by hand, not by the suite) must find every
+    # reduction of the named functions, skip string formatting, and change
+    # nothing but the one reduction in each mutant
+    mut = _mutation_script()
     source = (
         "def f(a, m):\n"
         "    x = (a + 1) % m * 2\n"
@@ -147,3 +152,17 @@ def test_mutate_reductions_drops_one_reduction_at_a_time():
     first, second = (mut.mutant(source, node) for node, _ in sites)
     assert first == source.replace("(a + 1) % m * 2", "(a + 1) * 2")
     assert second == source.replace("    x %= m\n", "    pass\n")
+
+
+def test_mutate_reductions_runs_every_test_file_without_shrinking():
+    # each mutant's run takes several test files and loads the plugin that
+    # drops Hypothesis's shrink phase and example database
+    mut = _mutation_script()
+    tests = ["tests/test_charsum.py", "tests/test_cli.py::test_weil_scan_csv_frozen"]
+    cmd = mut.pytest_command(tests)
+    assert cmd[:3] == [sys.executable, "-m", "pytest"] and cmd[-2:] == tests
+    assert cmd[cmd.index(mut._PLUGIN) - 1] == "-p" and "-x" in cmd
+    probe = mut._PLUGIN_SOURCE + "print(Phase.shrink in settings.default.phases, settings.default.database)\n"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "None"]
