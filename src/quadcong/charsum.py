@@ -84,12 +84,15 @@ _PLANE_SLOTS = 12  # planes kept: a scan's two grids per prime, or the norm tabl
 _PACKED = 1 << 20  # primes above this keep their Legendre table as bits: p / 8 bytes
 
 
-def _guard_points(n: int, what: str):
+def _guard_points(n: int, what):
     """The one work bound: raise RegionTooLarge when a kernel is about to
     touch more than POINT_BUDGET points.  Kernels call it before they
-    allocate; what names the kernel and its modulus or size."""
+    allocate; what names the kernel and its modulus or size, or is a
+    function of no arguments that returns that name, called only when the
+    budget is exceeded (a kernel that charges many times keeps its name
+    unbuilt)."""
     if n > POINT_BUDGET:
-        raise RegionTooLarge(f"{what}: {n} points exceeds budget {POINT_BUDGET}")
+        raise RegionTooLarge(f"{what() if callable(what) else what}: {n} points exceeds budget {POINT_BUDGET}")
 
 
 # ---------------------------------------------------------------- characters

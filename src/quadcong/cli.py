@@ -35,7 +35,7 @@ from .charsum import (
     shifted_sum_bound,
     splits_mod,
 )
-from .errors import CertificateMismatch, FitError, InvalidModulus, QuadCongError
+from .errors import CertificateMismatch, FitError, InvalidModulus, NotOdd, NotSquareFree, QuadCongError, TooSmall
 from .modmath import Modulus, find_nonresidue, is_prime, make_modulus
 from .oracle import oracle_scan, rank_two_family_min, restriction_coprime_count, sample_forms
 from .qforms import BinaryForm
@@ -104,7 +104,12 @@ def _hash_ints(vals) -> str:
 
 
 def nearest_odd_squarefree(n: int) -> int:
-    """The valid modulus closest to n (ties toward smaller)."""
+    """The valid modulus closest to n (ties toward smaller).
+
+    Skips only the candidates make_modulus rejects as even, not square-free
+    or too small; any other refusal, such as FactoringExhausted on a
+    candidate Pollard rho cannot split, reaches the caller.
+    """
     n = max(n, 3)
     for d in range(0, 2 * n):
         for cand in (n - d, n + d):
@@ -113,7 +118,7 @@ def nearest_odd_squarefree(n: int) -> int:
             try:
                 make_modulus(cand)
                 return cand
-            except QuadCongError:
+            except (NotOdd, NotSquareFree, TooSmall):
                 continue
     raise ValueError("unreachable")
 

@@ -157,6 +157,8 @@ class Modulus:
     primes: tuple
 
     def __post_init__(self):
+        if not (isinstance(self.q, int) and isinstance(self.primes, tuple) and all(isinstance(p, int) for p in self.primes)):
+            raise BadFactorization(f"{self.primes!r} is not a tuple of int primes of an int modulus {self.q!r}")
         if self.q < 3:
             raise TooSmall(f"modulus must be >= 3, got {self.q}")
         if self.q % 2 == 0:

@@ -5,8 +5,11 @@ The pipeline, for a ternary form Q nonsingular mod an odd square-free q:
 1. form the negated adjugate form mod q (small symmetric lift),
 2. find a small witness a with (-Q^adj)(a) ≡ t^2 (mod q)
    (restriction to a coprime plane + square-value search on a binary form:
-   a sieve over norm annuli that rejects vectors through per-prime tables
-   of squares and sorts only the survivors into the canonical order),
+   a sieve over norm annuli that widen with the radius; each row keeps only
+   the vectors whose value passes the squares table of the first group of
+   small primes, the survivors pass the other groups' tables, and only
+   those left are sorted into the canonical order and meet jacobi for the
+   primes above 2^10),
 3. split a = content * primitive, q = q0 * q1 with q0 = gcd(q, content),
 4. reduce the plane lattice orthogonal to the primitive part,
 5. restrict Q to that plane; the restriction factors into linear forms mod q1
@@ -21,7 +24,7 @@ final guarantee is 3 ||x||^4 <= 64 q^2 ||a||^2, i.e. ||x||^2 <= (8/sqrt 3) q ||a
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .charsum import _guard_points
 from .errors import (
@@ -73,14 +76,20 @@ def coprime_point_search(f, n: int, mod: Modulus, cap: int = 2**30):
     raise SearchExhausted(f"no point with sup-norm <= {cap} whose value is coprime to q = {q}")
 
 
-# Primes below _TABLE_LIMIT are tested through a cached table of their
-# squares (all such tables together hold about 80 KB); larger primes through
+# Primes below _TABLE_LIMIT are tested through cached tables of squares,
+# merged into groups whose modulus m = prod(p) stays at most _GROUP_LIMIT
+# (3 * 5 * 7 * 11 * 13 = 15015 is one group), so that one reduction mod m
+# and one table read test a whole group; larger primes are tested through
 # jacobi, only on the few vectors the tables let through, in order.
 _TABLE_LIMIT = 2**10
-# Norm widths of the annuli: the first _FIRST_WIDTH, then doubling up to
-# _MAX_WIDTH, so one annulus holds at most about pi * _MAX_WIDTH vectors.
+_GROUP_LIMIT = 2**14
+# Norm widths of the annuli [s0, s1): the first _FIRST_WIDTH, then doubling,
+# but at most 32 isqrt(s0), so that the 2 isqrt(s1) + 1 rows an annulus walks
+# stay a small share of the about pi * width vectors it lists, and at most
+# _MAX_WIDTH, so that one annulus lists at most about pi * _MAX_WIDTH (51k)
+# vectors.
 _FIRST_WIDTH = 4
-_MAX_WIDTH = 512
+_MAX_WIDTH = 2**14
 
 
 @lru_cache(maxsize=None)
@@ -92,33 +101,66 @@ def _squares_table(p: int) -> bytes:
     return bytes(table)
 
 
+@lru_cache(maxsize=64)  # at most 64 tables of at most _GROUP_LIMIT bytes: 1 MB
+def _group_table(group: tuple) -> bytes:
+    """Length-m bytes, m = prod(group): 1 at each residue that is a square,
+    0 included, mod every prime of the group; 0 elsewhere."""
+    m = prod(group)
+    bits = -1
+    for p in group:
+        # byte i of the repeated table is 1 when i mod p is a square, so the
+        # AND of the big-endian integers is the bytewise AND of the tables
+        bits &= int.from_bytes(_squares_table(p) * (m // p), "big")
+    return bits.to_bytes(m, "big")
+
+
+def _groups(primes):
+    """The primes below _TABLE_LIMIT of the sorted primes, smallest first, in
+    groups whose product stays at most _GROUP_LIMIT."""
+    groups, m = [], _GROUP_LIMIT
+    for p in primes:
+        if p >= _TABLE_LIMIT:
+            break
+        if m * p > _GROUP_LIMIT:
+            groups.append([])
+            m = 1
+        groups[-1].append(p)
+        m *= p
+    return [tuple(g) for g in groups]
+
+
 def _annuli(limit: int):
-    """Norm ranges [s0, s1) tiling [1, limit + 1), widths doubling to _MAX_WIDTH."""
+    """Norm ranges [s0, s1) tiling [1, limit + 1): widths doubling from
+    _FIRST_WIDTH, at most 32 isqrt(s0) and at most _MAX_WIDTH."""
     s0, width = 1, _FIRST_WIDTH
     while s0 <= limit:
         s1 = min(s0 + width, limit + 1)
         yield s0, s1
-        s0, width = s1, min(2 * width, _MAX_WIDTH)
+        s0, width = s1, min(2 * width, 32 * isqrt(s1), _MAX_WIDTH)
 
 
-def _annulus_values(form: BinaryForm, s0: int, s1: int):
-    """(R(x, y), x, y) for every (x, y) with s0 <= x^2 + y^2 < s1, row by row."""
-    a, b, c = form.a, form.b, form.c
-    out = []
+def _annulus_rows(s0: int, s1: int):
+    """(x, ys) for the vectors (x, y), y in the range ys, that make up the
+    annulus s0 <= x^2 + y^2 < s1: each row x gives its y <= 0 and its y > 0
+    part, either of which may be empty."""
     r = isqrt(s1 - 1)
     for x in range(-r, r + 1):
         x2 = x * x
         lo = 0 if x2 >= s0 else isqrt(s0 - x2 - 1) + 1
         hi = isqrt(s1 - 1 - x2)
-        ax2, bx = a * x2, b * x
-        out += [(ax2 + (bx + c * y) * y, x, y) for y in range(lo, hi + 1)]
-        out += [(ax2 - (bx - c * y) * y, x, -y) for y in range(max(lo, 1), hi + 1)]
-    return out
+        yield x, range(-hi, 1 - lo)
+        yield x, range(lo or 1, hi + 1)
 
 
-def _canonical_order(entry):
-    """(norm, vec_key) of the vector in an _annulus_values entry."""
-    _, x, y = entry
+def _vectors_below(s: int) -> int:
+    """The number of vectors of Z^2 \\ {0} with x^2 + y^2 < s, row by row."""
+    r = isqrt(s - 1)
+    return sum(2 * isqrt(s - 1 - x * x) + 1 for x in range(-r, r + 1)) - 1
+
+
+def _canonical_order(v):
+    """(norm, vec_key) of the vector (x, y)."""
+    x, y = v
     return x * x + y * y, abs(x), x < 0, abs(y), y < 0
 
 
@@ -127,30 +169,45 @@ def square_value_binary(form: BinaryForm, mod: Modulus):
 
     Smallest in (norm, vec_key) order: the first vector of the norm-shell
     walk whose value is a square or 0 mod every prime of q.  The search
-    sieves norm annuli (_annuli) in turn: every vector of an annulus is
-    evaluated once, rejected through the squares tables of the primes below
-    _TABLE_LIMIT (smallest prime first), and only the survivors are sorted
-    and tested with jacobi for the larger primes.  Gives up past norm
-    max(q^0.5, 4 q^0.3 + 16)^2.  Every listed vector is charged to the
-    point budget as its annulus is listed, so a form that degenerates mod
-    primes of a large q raises RegionTooLarge instead of running on.
+    sieves norm annuli (_annuli) in turn.  The primes below _TABLE_LIMIT
+    form groups (_groups), each with one table of the residues that are
+    squares mod all its primes.  Each row of an annulus keeps only the
+    vectors that pass the first group's table, evaluating R(x, y) with the
+    coefficients reduced mod that group's modulus; the survivors pass the
+    other groups' tables in turn, and are then sorted and tested with jacobi
+    for the larger primes.  Gives up past norm max(q^0.5, 4 q^0.3 + 16)^2.
+    Before an annulus [s0, s1) is listed, every vector below s1 is charged
+    to the point budget, so a form that degenerates mod primes of a large q
+    raises RegionTooLarge instead of running on.
     """
     q = mod.q
     cap_max = max(float(q) ** 0.5, 4.0 * q**0.3 + 16.0)
     limit = int(cap_max * cap_max) + 1
     primes = sorted(mod.primes)
-    tables = [(p, _squares_table(p)) for p in primes if p < _TABLE_LIMIT]
+    sieves = []
+    for group in _groups(primes):
+        m = prod(group)
+        sieves.append((m, _group_table(group), form.a % m, form.b % m, form.c % m))
+    # with no prime below _TABLE_LIMIT, a table mod 1 lets every vector through
+    m1, t1, a1, b1, c1 = sieves[0] if sieves else (1, b"\x01", 0, 0, 0)
     large = [p for p in primes if p >= _TABLE_LIMIT]
-    what = f"square_value_binary {form.row()} mod q = {q}"
-    listed = 0
+    big = prod(large)
+    a, b, c = form.a % big, form.b % big, form.c % big
+
+    def what():
+        return f"square_value_binary {form.row()} mod q = {q}"
+
     for s0, s1 in _annuli(limit):
-        entries = _annulus_values(form, s0, s1)
-        listed += len(entries)
-        _guard_points(listed, what)
-        for p, table in tables:
-            entries = [e for e in entries if table[e[0] % p]]
-        entries.sort(key=_canonical_order)
-        for value, x, y in entries:
+        _guard_points(_vectors_below(s1), what)
+        found = []
+        for x, ys in _annulus_rows(s0, s1):
+            ax2, bx = a1 * x * x, b1 * x
+            found += [(x, y) for y in ys if t1[(ax2 + (bx + c1 * y) * y) % m1]]
+        for m, t, am, bm, cm in sieves[1:]:
+            found = [v for v in found if t[((am * v[0] + bm * v[1]) * v[0] + cm * v[1] * v[1]) % m]]
+        found.sort(key=_canonical_order)
+        for x, y in found:
+            value = (a * x + b * y) * x + c * y * y
             if all(jacobi(value, p) != -1 for p in large):
                 return x, y
     raise SearchExhausted(f"{form.row()} takes no square value mod q = {q} below norm {cap_max}")
@@ -275,10 +332,14 @@ class SolveTrace:
         return 3 * nx * nx <= 64 * self.q * self.q * self.witness_norm_sq()
 
 
+# fields() builds a new tuple on every call; the trace is written and read per solve
+_TRACE_FIELDS = fields(SolveTrace)
+
+
 def trace_lines(trace: SolveTrace):
     """Line-oriented serialization, one field per line, in field order."""
     out = []
-    for f in fields(SolveTrace):
+    for f in _TRACE_FIELDS:
         val = getattr(trace, f.name)
         if f.type is int:
             text = str(val)
@@ -296,7 +357,7 @@ def parse_trace(lines) -> SolveTrace:
         name, _, rest = line.partition(":")
         vals[name.strip()] = rest.strip()
     kwargs = {}
-    for f in fields(SolveTrace):
+    for f in _TRACE_FIELDS:
         if f.type is int:
             kwargs[f.name] = int(vals[f.name])
         else:
@@ -343,7 +404,7 @@ def solve_from_witness(form: TernaryForm, mod: Modulus, witness, t: int) -> Solv
     a0 = tuple(c // alpha for c in witness)
     q0 = gcd(q, alpha)
     q1 = q // q0
-    q1_primes = tuple(p for p in mod.primes if q1 % p == 0)
+    q1_primes = [p for p in mod.primes if q1 % p == 0]
 
     basis = orthogonal_basis(a0)
     x1, x2 = basis.b1, basis.b2

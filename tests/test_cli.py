@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from quadcong import errors
+from quadcong import cli, errors
 from quadcong.charsum import _planes
 from quadcong.cli import (
     ExperimentConfig,
@@ -54,6 +54,21 @@ def test_nearest_odd_squarefree():
     assert nearest_odd_squarefree(9) == 7  # ties toward smaller
     assert nearest_odd_squarefree(1) == 3
     assert nearest_odd_squarefree(49) == 47
+
+
+def test_nearest_odd_squarefree_passes_factoring_failures_on(monkeypatch):
+    # only even, non-square-free and too-small candidates are skipped: a
+    # square-free candidate that cannot be factored is an error, not a gap
+    def make_modulus(q):
+        if q == 17:
+            raise errors.FactoringExhausted(f"Pollard rho found no factor of {q}")
+        return real(q)
+
+    real = cli.make_modulus
+    monkeypatch.setattr(cli, "make_modulus", make_modulus)
+    assert nearest_odd_squarefree(15) == 15
+    with pytest.raises(errors.FactoringExhausted, match="no factor of 17"):
+        nearest_odd_squarefree(17)
 
 
 def test_parse_config_file(tmp_path):

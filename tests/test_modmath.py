@@ -111,6 +111,17 @@ def test_modulus_rejects_bad_factorizations():
     assert Modulus(105, (3, 5, 7)).q == 105
 
 
+@pytest.mark.parametrize(
+    "q, primes",
+    [(15, (3, 5.0)), (15.0, (3, 5)), (15, [3, 5]), (15, None), ("15", (3, 5)), (15, (3, "5"))],
+)
+def test_modulus_requires_int_primes(q, primes):
+    # prod((3, 5.0)) == 15 and is_prime(5.0) hold, so a float prime used to
+    # pass and fail untyped later, in the square-value sieve's tables
+    with pytest.raises(BadFactorization, match="tuple of int primes"):
+        Modulus(q, primes)
+
+
 @pytest.mark.parametrize("p", [71, 9973, 99991])
 def test_make_modulus_factors_primes_past_the_small_table(p):
     # primes above _SMALL_PRIMES are split off by Pollard rho alone

@@ -17,7 +17,7 @@ from quadcong.errors import (
     TraceInvariantViolation,
 )
 from quadcong.intvec import norm_sq, vec_key
-from quadcong.modmath import is_square_mod, make_modulus
+from quadcong.modmath import is_square_mod, jacobi, make_modulus
 from quadcong.oracle import sample_forms
 from quadcong import charsum, solver
 from quadcong.qforms import BinaryForm, TernaryForm, adjoint_mod, det_gram2, negate_mod
@@ -34,7 +34,7 @@ from quadcong.solver import (
     trace_lines,
     verify_trace,
 )
-from reference_walk import square_value_walk
+from reference_walk import points_below, square_value_walk, square_value_walk_charged
 
 IDENTITY = TernaryForm(1, 1, 1, 0, 0, 0)
 
@@ -120,6 +120,94 @@ def test_square_value_sieve_matches_walk(k):
         assert square_value_binary(form, mod) == square_value_walk(form, mod), (k, i, form)
 
 
+def _shared_disc_binary(rng, primes, bound):
+    """Seeded form whose disc is 0 mod each of primes: a (x + r y)^2 plus
+    prod(primes) times a random form, so that it degenerates mod them."""
+    a, r, p = rng.randrange(1, bound), rng.randrange(bound), prod(primes)
+    return BinaryForm(*(u + p * rng.randrange(-bound, bound) for u in (a, 2 * a * r, a * r * r)))
+
+
+def _search_outcome(search, form, mod):
+    """The witness, or the (error type name, message) the search raised."""
+    try:
+        return search(form, mod)
+    except (RegionTooLarge, SearchExhausted) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("k", range(8, 14))
+def test_square_value_sieve_matches_charged_walk_on_windows(k, monkeypatch):
+    # perfbench-shaped moduli: windows of k consecutive primes of 3..59;
+    # besides a form with disc coprime to q, forms whose disc shares one to
+    # three primes with q, which push the first hit out, some past a small
+    # budget: both sides give the same witness, or the same error
+    monkeypatch.setattr(charsum, "POINT_BUDGET", 6000)
+    walk = partial(square_value_walk_charged, annuli=solver._annuli, budget=6000)
+    rng = random.Random(f"windows:{k}")
+    kinds = set()
+    for start in (0, len(PRIMES_TO_59) - k):
+        primes = PRIMES_TO_59[start:start + k]
+        mod = make_modulus(prod(primes))
+        forms = [_random_binary(rng, mod.q, mod.q)]
+        forms += [_shared_disc_binary(rng, rng.sample(primes, j), mod.q) for j in (1, 2, 3)]
+        for form in forms:
+            outcome = _search_outcome(square_value_binary, form, mod)
+            assert outcome == _search_outcome(walk, form, mod), (k, form)
+            kinds.add(outcome[0] if isinstance(outcome[0], str) else "witness")
+    assert kinds == {"witness", "RegionTooLarge"}
+
+
+def test_annuli_tile_keep_seams_and_widen():
+    # no gaps in [1, limit]; the seams 5, 13, 29, 61 and 125 of the first,
+    # doubling annuli stay put; widths stay within _MAX_WIDTH and, from norm
+    # 2^12 on, grow with the radius, so that the rows walked stay a small
+    # share of the vectors listed
+    for limit in (1, 4, 5, 1020, 1021, 4096, 10**6 + 7, 10**9):
+        annuli = list(solver._annuli(limit))
+        assert annuli[0][0] == 1 and annuli[-1][1] == limit + 1
+        assert all(s1 == t0 and s0 < s1 for (s0, s1), (t0, _) in zip(annuli, annuli[1:]))
+        assert all(s1 - s0 <= 2**14 for s0, s1 in annuli)
+        full = annuli[:-1]  # the last one is cut at limit + 1
+        assert all(s1 - s0 >= min(2**14, 16 * isqrt(s0)) for s0, s1 in full if s0 >= 2**12)
+        if limit >= 125:
+            assert {5, 13, 29, 61, 125} <= {s0 for s0, _ in annuli}
+    widths = [s1 - s0 for s0, s1 in annuli]
+    assert max(widths) == 2**14 and widths[:8] == [4, 8, 16, 32, 64, 128, 256, 512]
+
+
+def test_group_tables_and_groups():
+    # groups take the smallest primes first, each with a product <= 2^14;
+    # a group table marks exactly the residues square mod all its primes
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 101, 103, 131, 1031)
+    assert solver._groups(primes) == [(3, 5, 7, 11, 13), (17, 19, 23), (29, 31), (101, 103), (131,)]
+    for group in solver._groups(primes):
+        table = solver._group_table(group)
+        assert len(table) == prod(group)
+        assert all(table[r] == all(jacobi(r, p) != -1 for p in group) for r in range(len(table)))
+
+
+def test_square_value_sieve_memory_flat_in_coefficient_size():
+    # coefficients of 2^22 bits (512 KB each), congruent mod q to a small
+    # form: the sieve reduces them once per group and once mod the product
+    # of the large primes, so no value it computes per vector grows with
+    # them, and its peak stays far below one coefficient
+    mod = make_modulus(prod(PRIMES_TO_59[:10]) * 1031)
+    form = BinaryForm(914981361628100521, 605004518063820444, 878369110404396046)
+    huge = mod.q << 2**22
+    wide = BinaryForm(form.a + huge, form.b - 3 * huge, form.c + 5 * huge)
+    expected = square_value_binary(form, mod)
+    assert expected == square_value_walk(form, mod)
+    assert len(solver._groups(sorted(mod.primes))) == 3 and points_below(sum(v * v for v in expected) + 1) > 10**3
+    tracemalloc.start()
+    try:
+        v = square_value_binary(wide, mod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v == expected
+    assert peak < 2**18, peak
+
+
 def test_square_value_sieve_large_primes_only():
     # no table at all: every vector of an annulus is sorted, then tested with jacobi
     rng = random.Random("sieve:large")
@@ -150,9 +238,9 @@ def test_square_value_sieve_hits_on_annulus_seams():
 
 
 def test_square_value_sieve_peak_memory():
-    # 13 primes and a first hit at norm 21106, far into the annuli of the
-    # capped width: the sieve holds one annulus at a time (about
-    # pi * _MAX_WIDTH entries), so its peak does not grow with the hit
+    # 13 primes and a first hit at norm 21106, in an annulus of about
+    # 13,000 vectors: the sieve holds only one annulus's survivors at a
+    # time, so its peak does not grow with the hit
     mod = make_modulus(prod(PRIMES_TO_59[2:15]))
     form = BinaryForm(914981361628100521, 605004518063820444, 878369110404396046)
     square_value_binary(form, mod)  # the squares tables are cached from here on
