@@ -7,11 +7,10 @@ import argparse
 import math
 import random
 
-from quadcong import make_modulus, solve_ternary
+from quadcong import make_modulus, sample_forms, solve_ternary
 from quadcong.cli import fit_exponent
 from quadcong.errors import QuadCongError
 from quadcong.intvec import norm_sq
-from quadcong.oracle import sample_forms
 
 
 def pick_modulus(rng, lo, hi):

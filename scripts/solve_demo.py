@@ -8,9 +8,8 @@ is exactly what `quadcong.parse_trace` accepts back.
 
 import sys
 
-from quadcong import make_modulus, parse_ternary, solve_ternary, trace_lines, verify_trace
+from quadcong import make_modulus, parse_ternary, sample_forms, solve_ternary, trace_lines, verify_trace
 from quadcong.intvec import norm_sq
-from quadcong.oracle import sample_forms
 
 
 def main(argv):

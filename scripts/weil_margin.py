@@ -20,7 +20,8 @@ def main():
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    worst = {"split": (0.0, None), "inert": (0.0, None)}
+    # below any ratio, so the first tuple tested sets both entries
+    worst = {"split": (-1.0, None), "inert": (-1.0, None)}
     for p in range(3, args.pmax + 1, 2):
         if not is_prime(p):
             continue
@@ -39,6 +40,9 @@ def main():
                 if ratio > worst["inert"][0]:
                     worst["inert"] = (ratio, (p, r, ns))
 
+    if worst["split"][1] is None:
+        print("no tuple without degenerate shifts was tested")
+        return
     for cls, (ratio, at) in worst.items():
         p, r, ns = at
         print(f"{cls}: worst usage {ratio:.4f} of the bound at p={p} r={r} ns={ns}")

@@ -6,80 +6,41 @@ replayable trace whose invariants (divisibility, orthogonality, the norm
 chain) are rechecked on construction, and the complete-sum machinery
 always keeps an independent brute-force route next to each structured
 evaluation.
+
+Public names are listed once, in _EXPORTS, and each is imported from its
+module on first use (PEP 562).  So ``import quadcong`` and the solve path
+(solver, trace, verify, the ``solve`` command) load no numpy; numpy loads
+with the first character-sum or oracle name.
 """
 
-from .charsum import (
-    Box,
-    Character,
-    Disc,
-    divisor_char_sum,
-    divisor_sum_positive,
-    exp_char_sum,
-    form_shift_sum,
-    form_shift_sum_q,
-    full_grid_sum,
-    incomplete_sum,
-    make_character,
-    max_window_power_sum,
-    minimal_lift,
-    second_moment,
-    shift_pair_counts,
-    shift_params,
-    shifted_sum_bound,
-    window_power_sum,
-)
-from .cli import ExperimentConfig, fit_exponent, main
-from .errors import QuadCongError
-from .lattice import shortest_vector3
-from .modmath import Modulus, is_prime, jacobi, make_modulus, sqrt_mod_squarefree
-from .oracle import brute_min_square, brute_min_zero, oracle_scan, sample_forms
-from .qforms import BinaryForm, TernaryForm, monic_companion, parse_binary, parse_ternary
-from .solver import SolveTrace, parse_trace, solve_from_witness, solve_ternary, trace_lines, verify_trace
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryForm",
-    "Box",
-    "Character",
-    "Disc",
-    "ExperimentConfig",
-    "Modulus",
-    "QuadCongError",
-    "SolveTrace",
-    "TernaryForm",
-    "brute_min_square",
-    "brute_min_zero",
-    "divisor_char_sum",
-    "divisor_sum_positive",
-    "exp_char_sum",
-    "fit_exponent",
-    "form_shift_sum",
-    "form_shift_sum_q",
-    "full_grid_sum",
-    "incomplete_sum",
-    "is_prime",
-    "jacobi",
-    "main",
-    "make_character",
-    "make_modulus",
-    "max_window_power_sum",
-    "minimal_lift",
-    "monic_companion",
-    "oracle_scan",
-    "parse_binary",
-    "parse_ternary",
-    "parse_trace",
-    "trace_lines",
-    "verify_trace",
-    "sample_forms",
-    "second_moment",
-    "shift_pair_counts",
-    "shift_params",
-    "shifted_sum_bound",
-    "shortest_vector3",
-    "solve_from_witness",
-    "solve_ternary",
-    "sqrt_mod_squarefree",
-    "window_power_sum",
-]
+_EXPORTS = {
+    "charsum": (
+        "Box", "Character", "Disc", "divisor_char_sum", "divisor_sum_positive",
+        "exp_char_sum", "form_shift_sum", "form_shift_sum_q", "full_grid_sum",
+        "incomplete_sum", "make_character", "max_window_power_sum", "minimal_lift",
+        "second_moment", "shift_pair_counts", "shift_params", "shifted_sum_bound",
+        "window_power_sum",
+    ),
+    "cli": ("ExperimentConfig", "fit_exponent", "main"),
+    "errors": ("QuadCongError",),
+    "lattice": ("shortest_vector3",),
+    "modmath": ("Modulus", "is_prime", "jacobi", "make_modulus", "sqrt_mod_squarefree"),
+    "oracle": ("brute_min_square", "brute_min_zero", "oracle_scan"),
+    "qforms": ("BinaryForm", "TernaryForm", "monic_companion", "parse_binary", "parse_ternary", "sample_forms"),
+    "solver": ("SolveTrace", "parse_trace", "solve_from_witness", "solve_ternary", "trace_lines", "verify_trace"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

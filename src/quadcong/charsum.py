@@ -60,8 +60,8 @@ from .errors import (
     CertificateMismatch,
     InvalidInput,
     NotInGoodSet,
-    RegionTooLarge,
     SingularQTilde,
+    _guard_points,
 )
 from .intvec import cross3
 from .lattice import lift_lattice
@@ -78,21 +78,9 @@ from .modmath import (
 )
 from .qforms import BinaryForm, TernaryForm, adjugate4, monic_companion, restrict
 
-POINT_BUDGET = 10**8
 _BLOCK = 1 << 16  # entries per block of a table build: its int64 temporaries stay in cache
 _PLANE_SLOTS = 12  # planes kept: a scan's two grids per prime, or the norm tables of 11 small primes
 _PACKED = 1 << 20  # primes above this keep their Legendre table as bits: p / 8 bytes
-
-
-def _guard_points(n: int, what):
-    """The one work bound: raise RegionTooLarge when a kernel is about to
-    touch more than POINT_BUDGET points.  Kernels call it before they
-    allocate; what names the kernel and its modulus or size, or is a
-    function of no arguments that returns that name, called only when the
-    budget is exceeded (a kernel that charges many times keeps its name
-    unbuilt)."""
-    if n > POINT_BUDGET:
-        raise RegionTooLarge(f"{what() if callable(what) else what}: {n} points exceeds budget {POINT_BUDGET}")
 
 
 # ---------------------------------------------------------------- characters

@@ -25,20 +25,9 @@ import sys
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .charsum import (
-    diff_products,
-    form_shift_sum,
-    full_grid_sum,
-    minimal_lift,
-    second_moment,
-    shift_pair_counts,
-    shifted_sum_bound,
-    splits_mod,
-)
 from .errors import CertificateMismatch, FitError, InvalidModulus, NotOdd, NotSquareFree, QuadCongError, TooSmall
 from .modmath import Modulus, find_nonresidue, is_prime, make_modulus
-from .oracle import oracle_scan, rank_two_family_min, restriction_coprime_count, sample_forms
-from .qforms import BinaryForm
+from .qforms import BinaryForm, sample_forms
 from .solver import solve_ternary
 
 DEFAULTS = {
@@ -155,6 +144,8 @@ def sample_binary_forms(mod: Modulus, count: int, seed) -> list:
 # ------------------------------------------------------------------- workers
 # one task per modulus (or prime); module level so the process pool can
 # pickle them.  Each returns (rows, ok) with rows already in canonical order.
+# The charsum and oracle names are imported in the tasks that use them, not at
+# the top: they load numpy, which the solve command never needs.
 
 
 def _task_solve(args):
@@ -187,6 +178,8 @@ def _task_solve(args):
 
 
 def _task_oracle(args):
+    from .oracle import oracle_scan
+
     q, samples, seed = args
     mod = make_modulus(q)
     rows, ok = [], True
@@ -213,6 +206,8 @@ def _task_oracle(args):
 
 
 def _task_weil(args):
+    from .charsum import diff_products, form_shift_sum, shifted_sum_bound, splits_mod
+
     p, samples, seed = args
     rows, ok = [], True
     split_qt = BinaryForm(1, 1, 0)  # disc 1: factors over every F_p
@@ -239,6 +234,8 @@ def _task_weil(args):
 
 
 def _task_grid_vanish(args):
+    from .charsum import full_grid_sum
+
     q, samples, seed = args
     mod = make_modulus(q)
     rows, ok = [], True
@@ -251,6 +248,8 @@ def _task_grid_vanish(args):
 
 
 def _task_cop_count(args):
+    from .oracle import restriction_coprime_count
+
     q, box, seed = args
     mod = make_modulus(q)
     form = sample_forms(mod, 1, f"{seed}:cop")[0]
@@ -269,6 +268,8 @@ def _task_cop_count(args):
 
 
 def _task_second_moment(args):
+    from .charsum import minimal_lift, second_moment, shift_pair_counts
+
     q, samples, seed = args
     mod = make_modulus(q)
     rows, ok = [], True
@@ -371,6 +372,8 @@ def _cmd_grid_vanish(cfg):
 
 
 def _cmd_exponent_fit(cfg):
+    from .oracle import rank_two_family_min
+
     if cfg.qs:
         for q in cfg.qs:
             make_modulus(q)

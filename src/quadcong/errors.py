@@ -1,7 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one work bound.
 
 Every failure mode that callers are expected to catch gets its own class;
 anything else is a plain ValueError/AssertionError and means a bug.
+
+POINT_BUDGET is bound here and nowhere else: the solver, the character-sum
+kernels and the oracle scans all charge their points through
+``_guard_points``, so patching ``errors.POINT_BUDGET`` moves every guard at
+once.  This module imports nothing, so the solve path can charge its search
+without loading the numpy kernels.
 """
 
 
@@ -93,6 +99,20 @@ class SingularQTilde(QuadCongError):
 
 class RegionTooLarge(QuadCongError):
     pass
+
+
+POINT_BUDGET = 10**8
+
+
+def _guard_points(n: int, what):
+    """The one work bound: raise RegionTooLarge when a kernel is about to
+    touch more than POINT_BUDGET points.  Kernels call it before they
+    allocate; what names the kernel and its modulus or size, or is a
+    function of no arguments that returns that name, called only when the
+    budget is exceeded (a kernel that charges many times keeps its name
+    unbuilt)."""
+    if n > POINT_BUDGET:
+        raise RegionTooLarge(f"{what() if callable(what) else what}: {n} points exceeds budget {POINT_BUDGET}")
 
 
 # -- experiment fitting --------------------------------------------------------

@@ -10,7 +10,6 @@ reported witness means no nonzero vector of smaller (norm, key) satisfies the
 predicate anywhere in the ball.
 """
 
-import random
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt
@@ -18,11 +17,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CertificateMismatch, InvalidInput
+from .errors import CertificateMismatch, InvalidInput, _guard_points
 from .intvec import vec_key
 from .modmath import Modulus, sqrt_mod_squarefree
-from .qforms import TernaryForm, det_gram2
-from .charsum import _chi, _guard_points, _legendre_table
+from .qforms import TernaryForm, sample_forms
+from .charsum import _chi, _legendre_table
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -252,22 +251,6 @@ def restriction_coprime_count(form: TernaryForm, mod: Modulus, box: int) -> Copr
     for p in mod.primes:
         roots[p] = sum(int((d4 == 0).sum()) for _, d4 in _restriction_det4_grids(form, p, range(p)))
     return _with_prediction(count, box, 6, roots)
-
-
-# ----------------------------------------------------------------- sampling
-
-
-def sample_forms(mod: Modulus, count: int, seed) -> list:
-    """count ternary forms, coefficients uniform in [0, q), resampled until
-    nonsingular mod q; reproducible from the seed."""
-    rng = random.Random(f"{seed}:forms:{mod.q}")
-    q = mod.q
-    out = []
-    while len(out) < count:
-        form = TernaryForm(*(rng.randrange(q) for _ in range(6)))
-        if gcd(det_gram2(form), q) == 1:
-            out.append(form)
-    return out
 
 
 @dataclass(frozen=True)

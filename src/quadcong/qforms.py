@@ -11,6 +11,7 @@ variants divide out the 2s and 4s with modular inverses (q odd) and lift to
 the symmetric interval (-q/2, q/2].
 """
 
+import random
 from dataclasses import dataclass
 
 from .errors import ArityError, CertificateMismatch
@@ -118,6 +119,19 @@ def nonsingular_mod(form, mod: Modulus) -> bool:
     from math import gcd
 
     return gcd(det_gram2(form), mod.q) == 1
+
+
+def sample_forms(mod: Modulus, count: int, seed) -> list:
+    """count ternary forms, coefficients uniform in [0, q), resampled until
+    nonsingular mod q; reproducible from the seed."""
+    rng = random.Random(f"{seed}:forms:{mod.q}")
+    q = mod.q
+    out = []
+    while len(out) < count:
+        form = TernaryForm(*(rng.randrange(q) for _ in range(6)))
+        if nonsingular_mod(form, mod):
+            out.append(form)
+    return out
 
 
 def lift_symmetric(r: int, q: int) -> int:

@@ -21,17 +21,17 @@ Every inequality in the trace is checked in exact integer arithmetic; the
 final guarantee is 3 ||x||^4 <= 64 q^2 ||a||^2, i.e. ||x||^2 <= (8/sqrt 3) q ||a||.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, prod
 
-from .charsum import _guard_points
 from .errors import (
     CertificateMismatch,
     SearchExhausted,
     SingularForm,
     TraceInvariantViolation,
+    _guard_points,
 )
 from .intvec import add, content, dot, norm_sq, scale
 from .lattice import (
@@ -158,6 +158,16 @@ def _vectors_below(s: int) -> int:
     return sum(2 * isqrt(s - 1 - x * x) + 1 for x in range(-r, r + 1)) - 1
 
 
+def _form_name(form, q: int) -> str:
+    """form.row() for a give-up message; a form with a coefficient past
+    Python's int-to-str digit limit is named by its coefficients reduced
+    mod q, marked as reduced."""
+    try:
+        return form.row()
+    except ValueError:
+        return f"{type(form)(*(c % q for c in astuple(form))).row()} (coefficients reduced mod q)"
+
+
 def _canonical_order(v):
     """(norm, vec_key) of the vector (x, y)."""
     x, y = v
@@ -195,7 +205,7 @@ def square_value_binary(form: BinaryForm, mod: Modulus):
     a, b, c = form.a % big, form.b % big, form.c % big
 
     def what():
-        return f"square_value_binary {form.row()} mod q = {q}"
+        return f"square_value_binary {_form_name(form, q)} mod q = {q}"
 
     for s0, s1 in _annuli(limit):
         _guard_points(_vectors_below(s1), what)
@@ -210,7 +220,7 @@ def square_value_binary(form: BinaryForm, mod: Modulus):
             value = (a * x + b * y) * x + c * y * y
             if all(jacobi(value, p) != -1 for p in large):
                 return x, y
-    raise SearchExhausted(f"{form.row()} takes no square value mod q = {q} below norm {cap_max}")
+    raise SearchExhausted(f"{_form_name(form, q)} takes no square value mod q = {q} below norm {cap_max}")
 
 
 @dataclass(frozen=True)
@@ -238,7 +248,7 @@ def ternary_to_binary(form: TernaryForm, mod: Modulus) -> RestrictionChoice:
     try:
         a = coprime_point_search(delta4, 6, mod)
     except SearchExhausted as exc:
-        raise SearchExhausted(f"restrictions of {form.row()}: {exc}") from None
+        raise SearchExhausted(f"restrictions of {_form_name(form, mod.q)}: {exc}") from None
     r = _restriction_form(form, a)
     return RestrictionChoice(vecs=a, form=r, delta4=r.det4(), max_abs=max(a))
 

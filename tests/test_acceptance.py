@@ -32,7 +32,6 @@ from quadcong.oracle import (
     brute_min_square,
     brute_min_zero,
     restriction_coprime_count,
-    sample_forms,
 )
 from quadcong.qforms import (
     BinaryForm,
@@ -41,6 +40,7 @@ from quadcong.qforms import (
     covariant,
     monic_companion,
     restrict,
+    sample_forms,
 )
 from quadcong.solver import solve_ternary, square_value_binary, verify_trace
 

@@ -20,7 +20,7 @@ from quadcong.errors import (
 from quadcong.modmath import find_nonresidue, is_square_mod, jacobi, make_modulus
 from quadcong.oracle import brute_min_square
 from quadcong.qforms import BinaryForm, TernaryForm, adjugate4, det_gram2, monic_companion
-from quadcong import charsum
+from quadcong import charsum, errors
 from quadcong.charsum import (
     Box,
     Character,
@@ -921,11 +921,11 @@ def test_point_guard_charges_each_kernel(monkeypatch, call, charge, what):
     assert set(caches) == {_legendre_table, _planes, _legendre_planes, _log_tables}
     for cache in caches:
         cache.cache_clear()
-    monkeypatch.setattr(charsum, "POINT_BUDGET", charge - 1)
+    monkeypatch.setattr(errors, "POINT_BUDGET", charge - 1)
     with pytest.raises(RegionTooLarge, match=re.escape(what)):
         call()
     assert [c.cache_info().currsize for c in caches] == [0] * len(caches)  # refused before any table was built
-    monkeypatch.setattr(charsum, "POINT_BUDGET", charge)
+    monkeypatch.setattr(errors, "POINT_BUDGET", charge)
     call()
 
 

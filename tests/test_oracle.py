@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadcong import charsum
+from quadcong import errors
 from quadcong.cli import sample_binary_forms
 from quadcong.errors import InvalidInput, RegionTooLarge
 from quadcong.intvec import norm_sq, vec_key
@@ -24,9 +24,8 @@ from quadcong.oracle import (
     rank_two_family_min,
     restriction_coprime_count,
     root_count_mod,
-    sample_forms,
 )
-from quadcong.qforms import BinaryForm, TernaryForm, det_gram2, restrict
+from quadcong.qforms import BinaryForm, TernaryForm, det_gram2, restrict, sample_forms
 from quadcong.solver import solve_ternary, square_value_binary
 
 IDENTITY = TernaryForm(1, 1, 1, 0, 0, 0)
@@ -260,10 +259,10 @@ ORACLE_GUARDED = {
 
 @pytest.mark.parametrize("call, charge, what", ORACLE_GUARDED.values(), ids=ORACLE_GUARDED)
 def test_point_guard_charges_each_oracle(monkeypatch, call, charge, what):
-    monkeypatch.setattr(charsum, "POINT_BUDGET", charge - 1)
+    monkeypatch.setattr(errors, "POINT_BUDGET", charge - 1)
     with pytest.raises(RegionTooLarge, match=re.escape(what)):
         call()
-    monkeypatch.setattr(charsum, "POINT_BUDGET", charge)
+    monkeypatch.setattr(errors, "POINT_BUDGET", charge)
     call()
 
 

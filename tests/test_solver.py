@@ -18,9 +18,8 @@ from quadcong.errors import (
 )
 from quadcong.intvec import norm_sq, vec_key
 from quadcong.modmath import is_square_mod, jacobi, make_modulus
-from quadcong.oracle import sample_forms
-from quadcong import charsum, solver
-from quadcong.qforms import BinaryForm, TernaryForm, adjoint_mod, det_gram2, negate_mod
+from quadcong import errors, solver
+from quadcong.qforms import BinaryForm, TernaryForm, adjoint_mod, det_gram2, negate_mod, sample_forms
 from quadcong.solver import (
     _box_pair,
     coprime_point_search,
@@ -141,7 +140,7 @@ def test_square_value_sieve_matches_charged_walk_on_windows(k, monkeypatch):
     # besides a form with disc coprime to q, forms whose disc shares one to
     # three primes with q, which push the first hit out, some past a small
     # budget: both sides give the same witness, or the same error
-    monkeypatch.setattr(charsum, "POINT_BUDGET", 6000)
+    monkeypatch.setattr(errors, "POINT_BUDGET", 6000)
     walk = partial(square_value_walk_charged, annuli=solver._annuli, budget=6000)
     rng = random.Random(f"windows:{k}")
     kinds = set()
@@ -286,10 +285,33 @@ def test_search_exhausted_names_q_and_form(monkeypatch):
     assert "q = 15" in str(exc.value)
 
 
+# the forms above with a coefficient past Python's 4,300-digit int-to-str
+# limit: a give-up message names them by their coefficients mod q
+HUGE = 10**5000
+REDUCED = "(coefficients reduced mod q)"
+
+
+def test_search_exhausted_names_huge_binary_form_mod_q():
+    with pytest.raises(SearchExhausted, match=re.escape(f"5 1070 7210 {REDUCED} takes no square value mod q = 10007")):
+        square_value_binary(BinaryForm(5 + 10007 * HUGE, 1070, 7210), make_modulus(10007))
+
+
+def test_region_too_large_names_huge_binary_form_mod_q(monkeypatch):
+    monkeypatch.setattr(errors, "POINT_BUDGET", 10**4)
+    with pytest.raises(RegionTooLarge, match=re.escape(f"square_value_binary 5 1070 7210 {REDUCED} mod q = 10007")):
+        square_value_binary(BinaryForm(5 + 10007 * HUGE, 1070, 7210), make_modulus(10007))
+
+
+def test_restriction_search_names_huge_ternary_form_mod_q(monkeypatch):
+    monkeypatch.setattr(solver, "coprime_point_search", partial(coprime_point_search, cap=2))
+    with pytest.raises(SearchExhausted, match=re.escape(f"restrictions of 3 3 3 0 0 0 {REDUCED}: no point")):
+        ternary_to_binary(TernaryForm(3 - 15 * HUGE, 3, 3, 0, 0, 0), make_modulus(15))
+
+
 def test_square_value_search_charges_listed_vectors(monkeypatch):
     # the degenerate form above lists about pi * 10008 vectors before it
     # gives up; a smaller budget refuses it, naming the form and q
-    monkeypatch.setattr(charsum, "POINT_BUDGET", 10**4)
+    monkeypatch.setattr(errors, "POINT_BUDGET", 10**4)
     with pytest.raises(RegionTooLarge, match=re.escape("square_value_binary 5 1070 7210 mod q = 10007")):
         square_value_binary(BinaryForm(5, 1070, 7210), make_modulus(10007))
     square_value_binary(BinaryForm(1, 0, 1), make_modulus(10007))

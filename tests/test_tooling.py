@@ -50,9 +50,10 @@ def test_exp_sums_use_no_float_roots_of_unity():
     assert not {("np", "exp"), ("np", "pi")} & attrs
 
 
-def _loaded_by_import(names):
-    """The modules among names that a fresh `import quadcong` loads."""
-    code = f"import sys, quadcong; print(sorted({set(names)!r} & set(sys.modules)))"
+def _loaded_by_import(names, then=""):
+    """The modules among names that a fresh `import quadcong`, followed by
+    the statements in then, loads."""
+    code = f"import os, sys, quadcong\n{then}\nprint(sorted({set(names)!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -72,18 +73,61 @@ def test_import_loads_no_argparse_or_fractions():
     assert _loaded_by_import({"argparse", "fractions", "decimal"}) == "[]"
 
 
+SOLVE_PATH = """
+from quadcong import cli
+mod = quadcong.make_modulus(1155)
+form = quadcong.sample_forms(mod, 1, "no-numpy")[0]
+trace = quadcong.solve_ternary(form, mod)
+quadcong.verify_trace(quadcong.parse_trace(quadcong.trace_lines(trace)), mod)
+assert cli.main(["solve", "--out", os.devnull]) == 0
+"""
+
+
 def test_solver_imports_no_numpy():
-    # the solve path is pure Python: numpy's first use would cost the
-    # solver resident memory it does not need
-    tree = ast.parse((SRC / "solver.py").read_text())
-    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
-    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
-    assert not any(m == "numpy" or m.startswith("numpy.") for m in modules)
+    # the solve path is pure Python: importing, solving, round-tripping and
+    # verifying a trace, and the solve command, load no numpy, whose import
+    # would cost every solve more set-up time and resident memory than the
+    # solve itself
+    assert _loaded_by_import({"numpy"}) == "[]"
+    assert _loaded_by_import({"numpy"}, SOLVE_PATH) == "[]"
+    # the check can fail: the first character-sum name loads numpy
+    assert _loaded_by_import({"numpy"}, "quadcong.full_grid_sum") == "['numpy']"
+
+
+# the public names before they were imported lazily; the set must not change
+PUBLIC = {
+    "BinaryForm", "Box", "Character", "Disc", "ExperimentConfig", "Modulus", "QuadCongError",
+    "SolveTrace", "TernaryForm", "brute_min_square", "brute_min_zero", "divisor_char_sum",
+    "divisor_sum_positive", "exp_char_sum", "fit_exponent", "form_shift_sum", "form_shift_sum_q",
+    "full_grid_sum", "incomplete_sum", "is_prime", "jacobi", "main", "make_character",
+    "make_modulus", "max_window_power_sum", "minimal_lift", "monic_companion", "oracle_scan",
+    "parse_binary", "parse_ternary", "parse_trace", "sample_forms", "second_moment",
+    "shift_pair_counts", "shift_params", "shifted_sum_bound", "shortest_vector3",
+    "solve_from_witness", "solve_ternary", "sqrt_mod_squarefree", "trace_lines", "verify_trace",
+    "window_power_sum",
+}
+
+
+def test_lazy_public_names():
+    assert len(PUBLIC) == 43 and set(quadcong.__all__) == PUBLIC and len(quadcong.__all__) == 43
+    for name in quadcong.__all__:
+        value = getattr(quadcong, name)
+        assert value.__module__.startswith("quadcong.") and value.__name__ == name
+    star = {}
+    exec("from quadcong import *", star)
+    assert PUBLIC <= set(star)
+    assert not hasattr(quadcong, "nope")
+    with pytest.raises(AttributeError, match="nope"):
+        quadcong.nope
+    from quadcong import charsum  # a submodule still imports by name (the benchmark's load_api does)
+
+    assert charsum.full_grid_sum is quadcong.full_grid_sum
 
 
 def test_one_point_budget():
     # one fixed work bound: POINT_BUDGET is bound once, and no parameter,
-    # field or variable named budget can override it
+    # field or variable named budget can override it.  No module imports it
+    # either: a copy bound at import time would not see a patched budget
     bound = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -93,7 +137,9 @@ def test_one_point_budget():
                 for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
                     if isinstance(t, ast.Name):
                         bound.append((t.id, path.name))
-    assert [f for name, f in bound if name == "POINT_BUDGET"] == ["charsum.py"]
+            elif isinstance(node, ast.ImportFrom):
+                bound += [(alias.name, path.name) for alias in node.names]
+    assert [f for name, f in bound if name == "POINT_BUDGET"] == ["errors.py"]
     assert [f for name, f in bound if name == "budget"] == []
 
 
@@ -108,19 +154,24 @@ def test_benchmark_api_names_resolve(monkeypatch):
 
 
 SCRIPTS = {
-    "solve_demo.py": [],
-    "exponent_scan.py": ["--samples", "8", "--lo", "1000", "--hi", "100000"],
-    "weil_margin.py": ["--pmax", "30", "--tuples", "10"],
+    "solve_demo.py": ("solve_demo.py", []),
+    "exponent_scan.py": ("exponent_scan.py", ["--samples", "8", "--lo", "1000", "--hi", "100000"]),
+    "weil_margin.py": ("weil_margin.py", ["--pmax", "30", "--tuples", "10"]),
+    # no prime p >= 3 is scanned, so no tuple is tested
+    "weil_margin.py-no-tuples": ("weil_margin.py", ["--pmax", "2"]),
 }
 
 
-@pytest.mark.parametrize("script", SCRIPTS)
-def test_scripts_run(script):
+@pytest.mark.parametrize("case", SCRIPTS)
+def test_scripts_run(case):
     # nothing else imports the scripts, so an API rename would break them silently
+    script, args = SCRIPTS[case]
     path = Path(__file__).resolve().parents[1] / "scripts" / script
     env = dict(os.environ, PYTHONPATH=str(SRC.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    res = subprocess.run([sys.executable, str(path), *SCRIPTS[script]], env=env, capture_output=True, text=True)
+    res = subprocess.run([sys.executable, str(path), *args], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stdout + res.stderr
+    if case == "weil_margin.py-no-tuples":
+        assert res.stdout == "no tuple without degenerate shifts was tested\n"
 
 
 def _mutation_script():
