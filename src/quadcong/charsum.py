@@ -24,7 +24,7 @@ grid) runs through one kernel, ``_plane_product_sum``, over bit planes: a
 uint64 arrays, "nonzero" and "negative", packed along the columns.  Rolling
 the table by n rows is a row-offset slice, the product of rolled tables is
 an AND of the nonzero planes and an XOR of the negative ones, and the sum
-is popcount(nonzero) - 2 popcount(nonzero & negative).  ``_pack`` records
+is popcount(nonzero) - 2 popcount(nonzero & negative).  ``_seal`` records
 the zeros of a table that has no more of them than rows (an inert companion
 grid and the F_{p^2} norm table vanish only at (0, 0), a Legendre table
 only at 0); on such a table, unless it is small enough to roll in a doubled
@@ -36,13 +36,22 @@ The one character table is the Legendre table of a prime: d is
 square-free, so jacobi(., d) is the product of the Legendre symbols mod its
 primes.  A prime's p x p grid comes from homogeneity: with g the least
 primitive root, chi(Q(x, y)) = N[log x - log y] for x, y != 0, where
-N[k] = chi(Q(g^k, 1)), so row x is a window of the doubled N, its columns
-in log order.  A composite grid is the Kronecker product of its prime
-grids, columns in CRT x log order (``_grid_source``); no sum over all
-columns sees that order.  ``_grid_rows`` evaluates each point instead.
+N[k] = chi(Q(g^k, 1)), so row x is a window of one line holding the doubled
+N (``_prime_line``), its columns in log order.  A prime's planes are
+gathered from that line, packed once at each of the 64 bit offsets, with no
+grid built (``_prime_planes``).  A composite grid is the Kronecker product
+of its prime grids, columns in CRT x log order (``_grid_source``), packed
+row block by row block (``_pack``); no sum over all columns sees that
+order.  ``_grid_rows`` evaluates each point instead.
+
+The norm table of F_{p^2}, the grid of c^2 - delta e^2, is even in e, and
+-y = g^((p-1)/2) y, so its log-order columns j and j + (p - 1)/2 are equal:
+``norm_shift_sum`` sums only the (p + 1)/2 columns 0..(p - 1)/2 and doubles
+every column but y = 0.  The direct grid of a companion form keeps all p.
 
 Caches (four): ``_legendre_table`` keeps every Legendre table, as bits above
-_PACKED (read through ``_chi``); ``_planes``, ``_legendre_planes`` and
+_PACKED (read through ``_chi``); ``_planes`` (keyed by the column count as
+well, for the half-width norm tables), ``_legendre_planes`` and
 ``_log_tables`` keep the last _PLANE_SLOTS grids' planes, Legendre planes and
 (exp, log) tables.  The window sums read their grid rows one block at a time
 per call (``_window_rows``).
@@ -76,10 +85,10 @@ from .modmath import (
     jacobi,
     make_modulus,
 )
-from .qforms import BinaryForm, TernaryForm, adjugate4, monic_companion, restrict
+from .qforms import BinaryForm, TernaryForm, _check_arity, adjugate4, monic_companion, restrict
 
 _BLOCK = 1 << 16  # entries per block of a table build: its int64 temporaries stay in cache
-_PLANE_SLOTS = 12  # planes kept: a scan's two grids per prime, or the norm tables of 11 small primes
+_PLANE_SLOTS = 12  # planes kept: a scan's three tables per prime, or the norm tables of 11 small primes
 _PACKED = 1 << 20  # primes above this keep their Legendre table as bits: p / 8 bytes
 
 
@@ -555,9 +564,8 @@ class _Planes(NamedTuple):
 
 def _pack(blocks, m: int, cols: int) -> _Planes:
     """The planes of a {-1, 0, 1} table with m rows and cols columns, given
-    as int8 row blocks.  The zeros are read from the nonzero plane: a
-    per-row popcount finds the rows that hold any, and the clear bits of
-    their words give the columns."""
+    as int8 row blocks: packbits over every entry.  _planes packs composite
+    grids here, _legendre_planes the Legendre tables."""
     w = -(-cols // 64)
     nz = np.zeros((m, 8 * w), dtype=np.uint8)
     neg = np.zeros((m, 8 * w), dtype=np.uint8)
@@ -568,7 +576,15 @@ def _pack(blocks, m: int, cols: int) -> _Planes:
         nz[x0:x1, :used] = np.packbits(blk != 0, axis=1, bitorder="little")
         neg[x0:x1, :used] = np.packbits(blk < 0, axis=1, bitorder="little")
         x0 = x1
-    nz, neg = nz.view(np.uint64), neg.view(np.uint64)
+    return _seal(nz.view(np.uint64), neg.view(np.uint64), cols)
+
+
+def _seal(nz: np.ndarray, neg: np.ndarray, cols: int) -> _Planes:
+    """The _Planes of a table with cols columns from its (m, w) uint64
+    nonzero and negative planes, padding bits clear, made read-only.  The
+    zeros are read from the nonzero plane: a per-row popcount finds the rows
+    that hold any, and the clear bits of their words give the columns."""
+    m, w = nz.shape
     nz.flags.writeable = neg.flags.writeable = False
     per_row = cols - np.bitwise_count(nz).sum(axis=1, dtype=np.int64)
     zeros = None
@@ -636,16 +652,23 @@ def _plane_product_sum(planes: _Planes, ns) -> int:
                 acc_neg[k:] ^= neg[: h - k]
         if not sparse:
             acc_neg &= acc_nz
-        counts = np.bitwise_count(acc[:, :h]).sum(axis=(1, 2), dtype=np.int64)
+        # a block holds h w <= max(_BLOCK / 2, w) words, at most 64 max(2^15,
+        # 157) <= 2^21 set bits per plane (the guard keeps cols <= 10^4), so
+        # uint32 sums them exactly, and faster than int64
+        counts = np.bitwise_count(acc[:, :h]).sum(axis=(1, 2), dtype=np.uint32)
         ones += int(counts[0])
         negs += int(counts[-1])
     if not sparse:
         return ones - 2 * negs
     zr, zc = zeros
     d = np.array([(n - ns[0]) % m for n in ns], dtype=np.int64)
-    # sorted and deduplicated by hand: np.unique imports numpy.ma, about 1.7 MB resident
+    # sorted and deduplicated by hand: np.unique imports numpy.ma, about 1.7 MB
+    # resident, and np.diff's prepend costs more than the rest of this path
     keys = np.sort((zr - d[:, None]) % m * (64 * w) + zc, axis=None)
-    ur, uc = np.divmod(keys[np.diff(keys, prepend=-1) != 0], 64 * w)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    ur, uc = np.divmod(keys[keep], 64 * w)
     bits = neg[(ur[:, None] + d) % m, uc[:, None] >> 6] >> (uc[:, None] & 63).astype(np.uint64)
     odd = int((np.bitwise_xor.reduce(bits, axis=1) & np.uint64(1)).sum(dtype=np.int64))
     return size - 2 * negs - (len(ur) - 2 * odd)
@@ -673,28 +696,68 @@ def _log_tables(p: int):
     return e, log
 
 
+def _prime_line(p: int, a: int, b: int, c: int):
+    """(line, starts, col0) of the p x p grid G of jacobi(a x^2 + b x y +
+    c y^2, p), columns in log order: row x of G is the length-p window of
+    the int8 line at starts[x], with entry y = 0 set to col0[x].
+
+    As chi(Q(x, y)) = N[log x + j] for x != 0 != y = g^-j, N[k] =
+    chi(Q(g^k, 1)), the line is [N, N, 0, chi(c), ...] (3p - 2 entries),
+    row x != 0 starts at log x - 1 (mod p - 1) with col0[x] = chi(a x^2) =
+    chi(a), and row 0 at 2p - 2 with col0[0] = 0.  O(p) steps.  The
+    coefficients may be any integers: they are reduced mod p as Python
+    ints.  Every caller charges p^2 or more, so p <= 10^4 and N's arguments,
+    (a e + b) e + c with e < p, stay below p^3 + p < 10^12 in int64."""
+    t = _legendre_table(p)
+    e, log = _log_tables(p)
+    ap, bp, cp = a % p, b % p, c % p
+    n = _chi(t, ((ap * e + bp) * e + cp) % p)
+    line = np.concatenate([n, n, [0], np.full(p - 1, _chi(t, cp))], dtype=np.int8)
+    starts = (log - 1) % (p - 1)
+    starts[0] = 2 * (p - 1)
+    col0 = np.full(p, _chi(t, ap), dtype=np.int8)
+    col0[0] = 0
+    return line, starts, col0
+
+
+def _prime_planes(p: int, a: int, b: int, c: int, cols: int) -> _Planes:
+    """The planes of the first cols columns of _prime_line's p x p grid,
+    built without the grid.  Each plane of the line is packed once at each
+    of the 64 bit offsets, as (64, n) uint64 words with word k at offset o
+    holding bits o + 64 k, ..., o + 64 k + 63.  Row x's w words are then the
+    w words from word s >> 6 at offset s & 63, s = starts[x]: one gather
+    through a strided view of every run of w words.  Bit 0 is then set from
+    col0 and the padding bits cleared."""
+    line, starts, col0 = _prime_line(p, a, b, c)
+    w = -(-cols // 64)
+    n = ((2 * p - 2) >> 6) + w  # words per offset: the last window starts at bit 2p - 2
+    o = np.arange(64, dtype=np.uint64)[:, None]
+    planes = []
+    for bits, first in ((line != 0, col0 != 0), (line < 0, col0 < 0)):
+        buf = np.zeros(64 * (n + 1), dtype=bool)  # the line, cut or padded with zeros
+        k = min(len(bits), len(buf))
+        buf[:k] = bits[:k]
+        words = np.packbits(buf, bitorder="little").view(np.uint64)
+        # (hi << 1) << (63 - o): a shift by 64 is undefined, this one gives 0 at o = 0
+        shifted = (words[:-1] >> o) | ((words[1:] << np.uint64(1)) << (np.uint64(63) - o))
+        runs = np.ndarray((64, n - w + 1, w), np.uint64, shifted, strides=(8 * n, 8, 8))
+        plane = runs[starts & 63, starts >> 6]
+        plane[:, 0] = (plane[:, 0] & ~np.uint64(1)) | first
+        plane[:, -1] &= np.uint64((1 << (cols - 64 * (w - 1))) - 1)
+        planes.append(plane)
+    return _seal(*planes, cols)
+
+
 def _grid_source(primes, a: int, b: int, c: int):
     """rows(xs): the int8 rows x in xs (int64 residues) of the d x d grid of
     jacobi(a x^2 + b x y + c y^2, d), d = prod(primes).  By CRT, row x is
-    the Kronecker product of the prime rows G_p[x mod p].  As chi(Q(x, y)) =
-    N[log x + j] for x != 0 != y = g^-j, N[k] = chi(Q(g^k, 1)), G_p[x] is
-    the length-p window of [N, N, 0, chi(c), ...] at log x - 1 (mod p - 1)
-    with entry y = 0 set to chi(a x^2), and G_p[0] the window at 2p - 2.
-    O(p) steps per prime.  The coefficients may be any integers: they are
-    reduced mod p as Python ints.  Both callers charge d^2 or more, so p <=
-    10^4 and N's arguments, (a e + b) e + c with e < p, stay below p^3 + p
-    < 10^12 in int64."""
+    the Kronecker product of the prime rows G_p[x mod p], each a window of
+    _prime_line's line.  The window sums read their rows here
+    (_window_rows), and _planes the rows of a composite grid; a prime's
+    planes come from the packed line (_prime_planes)."""
     parts = []
     for p in primes:
-        t = _legendre_table(p)
-        e, log = _log_tables(p)
-        ap, bp, cp = a % p, b % p, c % p
-        n = _chi(t, ((ap * e + bp) * e + cp) % p)
-        line = np.concatenate([n, n, [0], np.full(p - 1, _chi(t, cp))], dtype=np.int8)
-        starts = (log - 1) % (p - 1)
-        starts[0] = 2 * (p - 1)
-        col0 = np.full(p, _chi(t, ap), dtype=np.int8)
-        col0[0] = 0
+        line, starts, col0 = _prime_line(p, a, b, c)
         # the 2p - 1 windows as one view; sliding_window_view costs more per call
         parts.append((p, np.ndarray((2 * p - 1, p), np.int8, line, strides=(1, 1)), starts, col0))
 
@@ -711,14 +774,22 @@ def _grid_source(primes, a: int, b: int, c: int):
 
 
 @lru_cache(maxsize=_PLANE_SLOTS)
-def _planes(d: int, a: int, b: int, c: int):
-    """The bit planes of the d x d grid of jacobi(a x^2 + b x y + c y^2, d),
-    coefficients reduced mod d, for the shifted product sums, read from
-    _grid_source in row blocks.  Charges d^2 before it allocates."""
+def _planes(d: int, a: int, b: int, c: int, cols: int | None = None):
+    """The bit planes of the first cols (default all d) columns of the d x d
+    grid of jacobi(a x^2 + b x y + c y^2, d), for the shifted product sums:
+    the companion grids (_form_planes) and the half-width norm table
+    (norm_shift_sum).  _form_planes reduces the coefficients mod d, so
+    congruent companions share one entry.  A prime's planes come from its packed line
+    (_prime_planes), a composite grid's from its rows (_grid_source, _pack)
+    in row blocks.  Charges d^2 before it allocates, whatever cols is."""
     _guard_points(d * d, f"_planes mod {d}")
-    rows = _grid_source(_factor(d), a, b, c)
+    cols = d if cols is None else cols
+    primes = _factor(d)
+    if len(primes) == 1:
+        return _prime_planes(d, a, b, c, cols)
+    rows = _grid_source(primes, a, b, c)
     block = max(1, _BLOCK // d)
-    return _pack((rows(np.arange(x0, min(x0 + block, d))) for x0 in range(0, d, block)), d, d)
+    return _pack((rows(np.arange(x0, min(x0 + block, d)))[:, :cols] for x0 in range(0, d, block)), d, cols)
 
 
 @lru_cache(maxsize=_PLANE_SLOTS)
@@ -745,9 +816,16 @@ def norm_shift_sum(p: int, ns) -> int:
     complete sum for any inert companion form: the substitution
     z = a - (root) b identifies the (a, b) grid with F_{p^2} and sends
     companion(n + a, b) to Norm(n + z).
+
+    The norm is even in e and -y = g^((p-1)/2) y, so log-order columns j
+    and j + (p - 1)/2 are equal: only columns 0..(p - 1)/2 are summed
+    (S_half), and the full sum is 2 S_half less column y = 0, counted twice
+    there.  That column's product is 1 at each c where no c + n vanishes.
     """
     _require_scan_prime(p)
-    return _plane_product_sum(_planes(p, 1, 0, -find_nonresidue(p) % p), ns)
+    ns = tuple(ns)
+    half = _plane_product_sum(_planes(p, 1, 0, -find_nonresidue(p), (p + 1) // 2), ns)
+    return 2 * half - (p - len({n % p for n in ns}))
 
 
 def _check_companion(p: int, qt: BinaryForm):
@@ -914,6 +992,7 @@ def exp_char_sum(form: TernaryForm, p: int, y) -> ExpCharSum:
     mod p, as _grid_rows's int64 bound requires.
     """
     _require_scan_prime(p)
+    _check_arity(y, 3)
     yv = tuple(k % p for k in y)
     a11, a22, a33 = form.a11 % p, form.a22 % p, form.a33 % p
     a12, a13, a23 = form.a12 % p, form.a13 % p, form.a23 % p

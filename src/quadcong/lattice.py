@@ -22,6 +22,7 @@ from .intvec import (
     cross3,
 )
 from .modmath import Modulus
+from .qforms import _check_arity
 
 
 @dataclass(frozen=True)
@@ -202,6 +203,7 @@ def shortest_vector3(rows) -> tuple:
     Greedy reduction first, then exhaustive enumeration inside the Cramer
     coefficient box, so the output is provably minimal.  Tie-break by vec_key.
     """
+    _check_arity(rows, 3, "rows")
     red = greedy_reduce(rows)
     det = abs(dot(red[0], cross3(red[1], red[2])))
     n = [norm_sq(v) for v in red]

@@ -231,6 +231,8 @@ def sqrt_mod_squarefree(a: int, mod: Modulus):
 
     Per-prime canonical roots glued by CRT, so the result is deterministic.
     """
+    if not isinstance(a, int):
+        raise InvalidInput(f"sqrt_mod_squarefree needs an int, got {type(a)!r}")
     parts = []
     for p in mod.primes:
         r = _sqrt_mod_known_prime(a, p)

@@ -14,14 +14,15 @@ the symmetric interval (-q/2, q/2].
 import random
 from dataclasses import dataclass
 
-from .errors import ArityError, CertificateMismatch
+from .errors import ArityError, CertificateMismatch, InvalidInput
 from .intvec import add
 from .modmath import Modulus, inv_mod
 
 
-def _check_point(point, n):
-    if len(point) != n:
-        raise ArityError(f"expected {n} coordinates, got {len(point)}")
+def _check_arity(seq, n, what="coordinates"):
+    """The one shape check at the public boundary: seq must hold n items."""
+    if len(seq) != n:
+        raise ArityError(f"expected {n} {what}, got {len(seq)}")
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class BinaryForm:
     arity = 2
 
     def evaluate(self, point) -> int:
-        _check_point(point, 2)
+        _check_arity(point, 2)
         x, y = point
         return self.a * x * x + self.b * x * y + self.c * y * y
 
@@ -60,7 +61,7 @@ class TernaryForm:
     arity = 3
 
     def evaluate(self, point) -> int:
-        _check_point(point, 3)
+        _check_arity(point, 3)
         x, y, z = point
         return (
             self.a11 * x * x
@@ -86,18 +87,22 @@ class TernaryForm:
         return " ".join(str(c) for c in self.coeffs())
 
 
+def _parse_row(text: str, n: int, kind: str):
+    try:
+        parts = [int(t) for t in text.replace(",", " ").split()]
+    except ValueError as e:
+        raise InvalidInput(f"{kind} form row needs {n} integers: {e}") from None
+    if len(parts) != n:
+        raise ArityError(f"{kind} form row needs {n} integers, got {len(parts)}")
+    return parts
+
+
 def parse_binary(text: str) -> BinaryForm:
-    parts = [int(t) for t in text.replace(",", " ").split()]
-    if len(parts) != 3:
-        raise ArityError(f"binary form row needs 3 integers, got {len(parts)}")
-    return BinaryForm(*parts)
+    return BinaryForm(*_parse_row(text, 3, "binary"))
 
 
 def parse_ternary(text: str) -> TernaryForm:
-    parts = [int(t) for t in text.replace(",", " ").split()]
-    if len(parts) != 6:
-        raise ArityError(f"ternary form row needs 6 integers, got {len(parts)}")
-    return TernaryForm(*parts)
+    return TernaryForm(*_parse_row(text, 6, "ternary"))
 
 
 def _det3(m) -> int:

@@ -28,6 +28,7 @@ from math import gcd, isqrt, prod
 
 from .errors import (
     CertificateMismatch,
+    InvalidInput,
     SearchExhausted,
     SingularForm,
     TraceInvariantViolation,
@@ -347,16 +348,25 @@ _TRACE_FIELDS = fields(SolveTrace)
 
 
 def trace_lines(trace: SolveTrace):
-    """Line-oriented serialization, one field per line, in field order."""
+    """Line-oriented serialization, one field per line, in field order.
+
+    A field holding an integer past Python's int-to-str digit limit raises
+    InvalidInput, naming the field and the form by its coefficients mod q."""
     out = []
     for f in _TRACE_FIELDS:
         val = getattr(trace, f.name)
-        if f.type is int:
-            text = str(val)
-        elif f.type is tuple:
-            text = " ".join(str(c) for c in val)
-        else:  # TernaryForm, BinaryForm
-            text = val.row()
+        try:
+            if f.type is int:
+                text = str(val)
+            elif f.type is tuple:
+                text = " ".join(str(c) for c in val)
+            else:  # TernaryForm, BinaryForm
+                text = val.row()
+        except ValueError:
+            raise InvalidInput(
+                f"trace field {f.name} of form {_form_name(trace.form, trace.q)} has an integer"
+                " past the int-to-str digit limit"
+            ) from None
         out.append(f"{f.name}: {text}")
     return out
 

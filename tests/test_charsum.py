@@ -330,9 +330,15 @@ def _unpack(planes, cols):
     return t
 
 
-@pytest.mark.parametrize("p", [p for p in range(3, 62, 2) if all(p % k for k in range(3, p, 2))])
+@pytest.mark.parametrize(
+    "p", [p for p in range(3, 62, 2) if all(p % k for k in range(3, p, 2))] + [67, 127, 131, 191, 193, 257]
+)
 def test_prime_planes_are_grid_rows_in_log_order(p):
-    # rows stay in x order; the columns are y = 0, then g^-j for j = 0..p-2
+    # rows stay in x order; the columns are y = 0, then g^-j for j = 0..p-2.
+    # The planes are gathered from the line packed at each bit offset, so the
+    # primes past 64 put row starts and row ends on every side of a word
+    # boundary; the half-width tables keep columns 0..(p - 1)/2, full or
+    # short last words alike
     g = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
     perm = [0] + [pow(g, -j, p) for j in range(p - 1)]
     delta = find_nonresidue(p)
@@ -341,6 +347,8 @@ def test_prime_planes_are_grid_rows_in_log_order(p):
         a, b, c = a % p, b % p, c % p
         want = _whole_grid(p, a, b, c)[:, perm]
         assert (_unpack(_planes(p, a, b, c), p) == want).all()
+        half = (p + 1) // 2
+        assert (_unpack(_planes(p, a, b, c, half), half) == want[:, :half]).all()
 
 
 def test_composite_planes_match_grid_table():
@@ -608,6 +616,28 @@ def test_norm_shift_sum_brute():
                     prod *= jacobi((n + c) ** 2 - d * e * e, p)
                 total += prod
         assert norm_shift_sum(p, ns) == total
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 67, 131])
+def test_norm_shift_sum_matches_plain_field_sum(p):
+    # the half-width table doubles every column but y = 0, so repeated
+    # shifts mod p, a shift = 0 mod p and the empty tuple each exercise
+    # the y = 0 correction; the direct grid of the norm form reads the
+    # full table
+    delta = find_nonresidue(p)
+    chi = [0] + [1 if pow(v, (p - 1) // 2, p) == 1 else -1 for v in range(1, p)]
+    norm = [[chi[(c * c - delta * e * e) % p] for e in range(p)] for c in range(p)]
+    tuples = [(), (0,), (3, 3 + p), (0, 1), (1, 2, 1 + 2 * p, 4), (p, 2, 3, 5, 7, 2 - p), (1, 2, 3, 4, 5, 6)]
+    for ns in tuples:
+        want = 0
+        for c in range(p):
+            for e in range(p):
+                v = 1
+                for n in ns:
+                    v *= norm[(n + c) % p][e]
+                want += v
+        assert norm_shift_sum(p, ns) == want, ns
+        assert form_shift_sum_direct(p, ns, BinaryForm(1, 0, -delta)) == want, ns
 
 
 @pytest.mark.parametrize("p", [13, 1009])

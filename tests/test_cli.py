@@ -165,8 +165,9 @@ def test_weil_scan_columns(tmp_path):
 
 
 def test_weil_scan_table_cache_stays_bounded(tmp_path):
-    # each prime needs two grids' planes (split companion; inert companion,
-    # which is also the norm table), so a bounded cache builds each once per
+    # each prime needs three tables' planes (split companion; inert
+    # companion, which is the norm form, for the direct grid; the half-width
+    # norm table for the norm route), so a bounded cache builds each once per
     # prime and holds no more bytes than four int8 tables of the largest prime
     _planes.cache_clear()
     out = tmp_path / "w.csv"
@@ -175,7 +176,7 @@ def test_weil_scan_table_cache_stays_bounded(tmp_path):
     assert len(primes) == 25
     info = _planes.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
-    assert info.misses == 2 * len(primes)
+    assert info.misses == 3 * len(primes)
     planes = _planes(101, 1, 1, 0)  # the largest planes the scan built
     assert info.currsize * (planes.nz.nbytes + planes.neg.nbytes) <= 4 * 101**2
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quadcong.errors import (
     CertificateMismatch,
+    InvalidInput,
     RegionTooLarge,
     SearchExhausted,
     SingularForm,
@@ -449,6 +450,17 @@ def test_trace_lines_frozen():
         "uv: 35 0",
         "solution: 0 -70 35",
     ]
+
+
+def test_trace_lines_refuses_coefficient_past_digit_limit():
+    # the solve and its check read the form mod q, so this trace verifies;
+    # writing it would convert a 5,000-digit coefficient to decimal
+    mod = make_modulus(1155)
+    tr = solve_ternary(TernaryForm(1 + 1155 * 10**5000, 2, 3, 1, 1, 1), mod)
+    verify_trace(tr, mod)
+    msg = "trace field form of form 1 2 3 1 1 1 (coefficients reduced mod q) has an integer"
+    with pytest.raises(InvalidInput, match=re.escape(msg)):
+        trace_lines(tr)
 
 
 def test_trace_roundtrip():

@@ -124,6 +124,34 @@ def test_lazy_public_names():
     assert charsum.full_grid_sum is quadcong.full_grid_sum
 
 
+# public call with a bad argument: the QuadCongError it must raise, and the
+# start of the message
+BAD_ARGUMENTS = {
+    "parse_ternary_token": (
+        lambda api: api.parse_ternary("a,b,c,d,e,f"), "InvalidInput", "ternary form row needs 6 integers: invalid"
+    ),
+    "parse_binary_token": (lambda api: api.parse_binary("1 x 2"), "InvalidInput", "binary form row needs 3 integers: invalid"),
+    "exp_char_sum_short_y": (
+        lambda api: api.exp_char_sum(api.TernaryForm(1, 2, 3, 1, 0, 1), 7, (1, 2)), "ArityError", "expected 3 coordinates, got 2"
+    ),
+    "shortest_vector3_two_rows": (
+        lambda api: api.shortest_vector3([(1, 0, 0), (0, 1, 0)]), "ArityError", "expected 3 rows, got 2"
+    ),
+    "sqrt_mod_squarefree_float": (
+        lambda api: api.sqrt_mod_squarefree(4.0, api.make_modulus(15)), "InvalidInput", "sqrt_mod_squarefree needs an int"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_bad_arguments_raise_typed_errors(call, error, message):
+    # errors.py: a plain ValueError, IndexError or TypeError means a bug, so
+    # a bad argument must fail at the boundary with a QuadCongError
+    with pytest.raises(quadcong.QuadCongError) as info:
+        call(quadcong)
+    assert type(info.value).__name__ == error and str(info.value).startswith(message)
+
+
 def test_one_point_budget():
     # one fixed work bound: POINT_BUDGET is bound once, and no parameter,
     # field or variable named budget can override it.  No module imports it
