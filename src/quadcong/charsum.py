@@ -16,7 +16,8 @@ planes internally):
   integer, with the adjugate-based size dichotomy.
 
 Complete sums use homogeneity, chi(lam^2 m) = chi(m): a binary grid sum
-mod p takes O(p) steps and a ternary exponential sum O(p^2).
+mod p takes O(p) steps, and so does a ternary exponential sum, whose chart
+x1 = 1 is summed in closed form (_chart_sum).
 
 Every shifted product sum (one-variable, norm, companion grid, composite
 grid) runs through one kernel, ``_plane_product_sum``, over bit planes: a
@@ -42,7 +43,7 @@ gathered from that line, packed once at each of the 64 bit offsets, with no
 grid built (``_prime_planes``).  A composite grid is the Kronecker product
 of its prime grids, columns in CRT x log order (``_grid_source``), packed
 row block by row block (``_pack``); no sum over all columns sees that
-order.  ``_grid_rows`` evaluates each point instead.
+order.  No kernel evaluates Q point by point over a grid.
 
 The norm table of F_{p^2}, the grid of c^2 - delta e^2, is even in e, and
 -y = g^((p-1)/2) y, so its log-order columns j and j + (p - 1)/2 are equal:
@@ -59,7 +60,7 @@ per call (``_window_rows``).
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -110,13 +111,6 @@ class Character:
 
     def __post_init__(self):
         object.__setattr__(self, "primes", () if self.d == 1 else make_modulus(self.d).primes)
-
-    @property
-    def principal(self) -> bool:
-        return self.d == 1
-
-    def evaluate(self, m: int) -> int:
-        return jacobi(m, self.d)
 
 
 def make_character(d: int) -> Character:
@@ -235,42 +229,6 @@ def incomplete_sum(chi: Character, form: BinaryForm, region) -> int:
     return total
 
 
-def _grid_rows(primes, a: int, b: int, c: int, e: int = 0, f: int = 0, g: int = 0):
-    """Row blocks of jacobi(a x^2 + b x y + c y^2 + e x + f y + g, d), d =
-    prod(primes), over the d x d residue grid (rows indexed by x), int8, for
-    coefficients in [0, d): pointwise products of the Legendre tables.
-
-    The guard charges d^2, so d <= 10^4, and the values are taken unreduced:
-    each of the three terms (a x + e) x, b x y and (c y + f) y + g is below
-    d^3 + d^2 + d, so int64 stays below 3.1e12 and only the value mod each
-    prime is taken.
-    """
-    d = prod(primes)
-    _guard_points(d * d, f"_grid_rows mod {d}")
-    tables = [(p, _legendre_table(p)) for p in primes]
-    ys = np.arange(d, dtype=np.int64)
-    row = (a * ys + e) * ys
-    col = (c * ys + f) * ys + g
-    block = max(1, _BLOCK // d)
-    for x0 in range(0, d, block):
-        x1 = x0 + block
-        vals = row[x0:x1, None] + (b * ys[x0:x1])[:, None] * ys + col
-        blk = np.ones(vals.shape, dtype=np.int8)
-        for p, t in tables:
-            blk *= _chi(t, vals % p)
-        yield blk
-
-
-def full_grid_sum_direct(form: BinaryForm, d: int) -> int:
-    """Sum of jacobi(Q(x, y), d) over the complete d x d residue grid.
-
-    Sums the grid block by block, so the whole table is never held.  The
-    coefficients are reduced mod d, as _grid_rows's int64 bound requires.
-    """
-    rows = _grid_rows(_factor(d), form.a % d, form.b % d, form.c % d)
-    return sum(int(blk.sum(dtype=np.int64)) for blk in rows)
-
-
 def _prime_grid_sum(p: int, a: int, b: int, c: int) -> int:
     """Sum of jacobi(a x^2 + b x y + c y^2, p) over the p x p grid mod an odd
     prime p, in O(p) by homogeneity.
@@ -280,6 +238,9 @@ def _prime_grid_sum(p: int, a: int, b: int, c: int) -> int:
     The Legendre table charges p, so p <= 10^8; with the coefficients
     reduced, the Horner form ((a t + b) mod p) t + c stays below p^2 + p <
     2^54 in int64.  t runs in blocks, so no int64 array of length p is held.
+
+    The sum over t has a closed form (_chart_sum's), kept numeric here:
+    grid-vanish and C06 check that these complete sums vanish.
     """
     a, b, c = a % p, b % p, c % p
     t = _legendre_table(p)
@@ -795,8 +756,10 @@ def _planes(d: int, a: int, b: int, c: int, cols: int | None = None):
 @lru_cache(maxsize=_PLANE_SLOTS)
 def _legendre_planes(p: int):
     """The planes of the Legendre table mod p as a one-column table: one
-    word per row, holding the entry in bit 0."""
-    t = _legendre_table(p)  # charges p before _pack allocates the planes
+    word per row, holding the entry in bit 0.  The two planes hold 128 bits
+    per residue, charged before the Legendre table or the planes are built."""
+    _guard_points(128 * p, f"_legendre_planes mod {p}")
+    t = _legendre_table(p)
     return _pack((_chi(t, i)[:, None] for i in _aranges(p)), p, 1)
 
 
@@ -979,28 +942,54 @@ class ExpCharSum:
     large: bool  # S^2 > p^3: |S| exceeds p^{3/2}, the dichotomy threshold
 
 
+def _chart_sum(p: int, a11: int, a22: int, a33: int, a12: int, a13: int, a23: int) -> int:
+    """Sum of jacobi(Q(1, s, t), p) over (s, t) mod p in closed form, for the
+    coefficients of the ternary Q (in TernaryForm order) reduced mod p.
+
+    Q(1, s, t) = a33 t^2 + B t + C, B = a23 s + a13, C = a22 s^2 + a12 s +
+    a11.  With a33 != 0 the sum over t is jacobi(a33) (p [D = 0] - 1), D =
+    B^2 - 4 a33 C, so the chart is p jacobi(a33) (Z - 1), Z the number of
+    roots of D(s) = L s^2 + M s + N: 1 + jacobi(M^2 - 4 L N) if L != 0, else
+    1, 0 or p.  With a33 = 0, jacobi(B t + C) sums to 0 unless B = 0: the
+    chart is p jacobi(C(s0)) at s0 = -a13 / a23 if a23 != 0, 0 if only a13
+    != 0, else p sum_s jacobi(C(s)) = p (G / (p - 1) - jacobi(a22)), G the
+    grid sum of a22 x^2 + a12 x y + a11 y^2 (_prime_grid_sum)."""
+    if a33:
+        lead = (a23 * a23 - 4 * a33 * a22) % p
+        mid = (2 * a23 * a13 - 4 * a33 * a12) % p
+        const = (a13 * a13 - 4 * a33 * a11) % p
+        if lead:
+            roots = 1 + jacobi(mid * mid - 4 * lead * const, p)
+        else:
+            roots = 1 if mid else (0 if const else p)
+        return p * jacobi(a33, p) * (roots - 1)
+    if a23:
+        s0 = -a13 * inv_mod(a23, p)
+        return p * jacobi((a22 * s0 + a12) * s0 + a11, p)
+    return 0 if a13 else p * (_prime_grid_sum(p, a22, a12, a11) // (p - 1) - jacobi(a22, p))
+
+
 def exp_char_sum(form: TernaryForm, p: int, y) -> ExpCharSum:
     """Exact evaluation of the ternary exponential character sum, integers only.
 
     x -> lam x maps the phase class k onto lam k and keeps jacobi(Q(x), p)
     (Q(lam x) = lam^2 Q(x)), so c_1 = ... = c_{p-1}.  The complete sum over
     F_p^3 is p - 1 times the sum over the p^2 + p + 1 projective points: the
-    chart x1 = 1 (p^2 points, charged to the point budget) and the line
-    x1 = 0 (an O(p) grid sum).  For y != 0, c_0 is the O(p) grid sum of Q
-    restricted to a basis of the plane y.x = 0, and c_1 = (total - c_0) /
-    (p - 1); for y = 0 every x has phase 0.  The coefficients are reduced
-    mod p, as _grid_rows's int64 bound requires.
+    chart x1 = 1 (_chart_sum, in closed form) and the line x1 = 0 (an O(p)
+    grid sum).  For y != 0, c_0 is the O(p) grid sum of Q restricted to a
+    basis of the plane y.x = 0, and c_1 = (total - c_0) / (p - 1); for y = 0
+    every x has phase 0.  Nothing of size p^2 is held: the p-entry phase
+    vector, one pointer per entry, is charged to the point budget before
+    anything is built.  The coefficients are reduced mod p for _chart_sum.
     """
     _require_scan_prime(p)
     _check_arity(y, 3)
+    _guard_points(p, f"exp_char_sum mod {p}")
     yv = tuple(k % p for k in y)
-    a11, a22, a33 = form.a11 % p, form.a22 % p, form.a33 % p
-    a12, a13, a23 = form.a12 % p, form.a13 % p, form.a23 % p
-    # Q(1, s, t) = a22 s^2 + a23 s t + a33 t^2 + a12 s + a13 t + a11
-    chart = sum(int(blk.sum(dtype=np.int64)) for blk in _grid_rows((p,), a22, a23, a33, a12, a13, a11))
-    total = (p - 1) * chart + _prime_grid_sum(p, a22, a23, a33)
+    chart = _chart_sum(p, *(k % p for k in form.coeffs()))
+    total = (p - 1) * chart + _prime_grid_sum(p, form.a22, form.a23, form.a33)
     if yv == (0, 0, 0):
-        coef = (total,) + (0,) * (p - 1)
+        c0, c1 = total, 0
     else:
         i = next(m for m in range(3) if yv[m])
         j, k = (m for m in range(3) if m != i)
@@ -1012,12 +1001,12 @@ def exp_char_sum(form: TernaryForm, p: int, y) -> ExpCharSum:
         c1, rem = divmod(total - c0, p - 1)
         if rem:
             raise CertificateMismatch(f"phase classes of y = {yv} are not equal at p = {p} (bug)")
-        coef = (c0,) + (c1,) * (p - 1)
-    s = coef[0] - coef[1]
+    s = c0 - c1
     return ExpCharSum(
         p=p,
         y=yv,
-        phase_coefficients=coef,
+        # built once: a tuple sum would hold two p-entry tuples at its peak
+        phase_coefficients=tuple(chain((c0,), repeat(c1, p - 1))),
         value=s,
         magnitude=float(abs(s)),
         adj_zero=adjugate4(form).evaluate(yv) % p == 0,

@@ -313,7 +313,7 @@ def _expand_primes(cfg: ExperimentConfig):
         bad = [p for p in cfg.qs if p < 3 or not is_prime(p)]
         if bad:
             raise ValueError(f"weil-scan moduli must be odd primes, got {bad}")
-        return list(cfg.qs)
+        return sorted(set(cfg.qs))
     if not cfg.q_range:
         return []
     lo, hi = cfg.q_range

@@ -23,12 +23,13 @@ final guarantee is 3 ||x||^4 <= 64 q^2 ||a||^2, i.e. ||x||^2 <= (8/sqrt 3) q ||a
 
 from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from math import gcd, isqrt, prod
 
 from .errors import (
     CertificateMismatch,
     InvalidInput,
+    RegionTooLarge,
     SearchExhausted,
     SingularForm,
     TraceInvariantViolation,
@@ -60,21 +61,23 @@ from .qforms import (
 )
 
 
-def coprime_point_search(f, n: int, mod: Modulus, cap: int = 2**30):
+def coprime_point_search(f, n: int, mod: Modulus):
     """First positive point a in [1, A]^n with gcd(f(a), q) = 1.
 
     Scans sup-norm shells A = 1, 2, 3, ... in lexicographic order inside each
-    shell, so the hit minimizes max(a_i) over everything examined.  Raises
-    SearchExhausted once the box edge passes ``cap``.
+    shell, so the hit minimizes max(a_i) over everything examined.  Shell A
+    walks [1, A]^n, after charging every point walked so far to the budget.
     """
     q = mod.q
-    for a in range(1, cap + 1):
+    walked = 0
+    for a in count(1):
+        walked += a**n
+        _guard_points(walked, f"coprime_point_search in dimension {n} mod q = {q}")
         for point in product(range(1, a + 1), repeat=n):
             if max(point) != a:
                 continue
             if gcd(f(point) % q, q) == 1:
                 return point
-    raise SearchExhausted(f"no point with sup-norm <= {cap} whose value is coprime to q = {q}")
 
 
 # Primes below _TABLE_LIMIT are tested through cached tables of squares,
@@ -241,15 +244,18 @@ def _restriction_form(form: TernaryForm, a) -> BinaryForm:
 
 
 def ternary_to_binary(form: TernaryForm, mod: Modulus) -> RestrictionChoice:
-    """Restrict a nonsingular ternary form to a plane keeping det coprime to q."""
+    """Restrict a nonsingular ternary form to a plane keeping det coprime to q;
+    a singular one raises SingularForm (at rank <= 1 mod p no plane would do)."""
+    if not nonsingular_mod(form, mod):
+        raise SingularForm(f"{_form_name(form, mod.q)} is singular mod q = {mod.q}")
 
     def delta4(a):
         return _restriction_form(form, a).det4()
 
     try:
         a = coprime_point_search(delta4, 6, mod)
-    except SearchExhausted as exc:
-        raise SearchExhausted(f"restrictions of {_form_name(form, mod.q)}: {exc}") from None
+    except RegionTooLarge as exc:
+        raise RegionTooLarge(f"restrictions of {_form_name(form, mod.q)}: {exc}") from None
     r = _restriction_form(form, a)
     return RestrictionChoice(vecs=a, form=r, delta4=r.det4(), max_abs=max(a))
 

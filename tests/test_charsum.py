@@ -26,7 +26,6 @@ from quadcong.charsum import (
     Character,
     Disc,
     _chi,
-    _grid_rows,
     _legendre_planes,
     _legendre_table,
     _log_tables,
@@ -42,7 +41,6 @@ from quadcong.charsum import (
     form_shift_sum_q,
     form_shift_sum_q_direct,
     full_grid_sum,
-    full_grid_sum_direct,
     good_shift_vectors,
     in_lift_lattice,
     incomplete_sum,
@@ -68,12 +66,13 @@ rng_int = st.integers(min_value=-100, max_value=100)
 
 def _jacobi_tables(d):
     """jacobi(m, d) for m in [0, d), read twice from the per-prime Legendre
-    tables: column y = 0 of the grid of Q = x (_grid_rows with e = 1), and
-    incomplete_sum of Q = x y over the single points (m, 1)."""
-    grid = np.concatenate(list(_grid_rows(make_modulus(d).primes, 0, 0, 0, e=1)))[:, 0].tolist()
+    tables: the product of _chi over the primes of d, and incomplete_sum of
+    Q = x y over the single points (m, 1)."""
+    ms = np.arange(d, dtype=np.int64)
+    table = np.prod([_chi(_legendre_table(p), ms % p) for p in make_modulus(d).primes], axis=0).tolist()
     chi = make_character(d)
     summed = [incomplete_sum(chi, BinaryForm(0, 1, 0), Box(m, m, 1, 1)) for m in range(d)]
-    return grid, summed
+    return table, summed
 
 
 def test_jacobi_table_frozen():
@@ -130,7 +129,6 @@ def _legendre_readers():
         incomplete_sum(make_character(1155), BinaryForm(2, -3, 5), Disc(3, -2, 30)),
         incomplete_sum(make_character(4_000_037), BinaryForm(4_000_036, 3, 4_000_032), Box(3999990, 3999998, 1, 9)),
         full_grid_sum(BinaryForm(1, 2, 1), make_modulus(1009)),
-        full_grid_sum_direct(BinaryForm(2, 3, 5), 105),
         linear_shift_sum(1009, (1, 2, 5, 9)),
         norm_shift_sum(101, (1, 2, 3, 4)),
         form_shift_sum_q_direct(BinaryForm(1, 1, 3), make_modulus(105), (1, 4)),
@@ -167,11 +165,11 @@ def test_packed_legendre_tables_match_int8(monkeypatch):
 
 
 def test_character_principal():
-    chi = make_character(1)
-    assert chi.principal
-    assert chi.evaluate(7) == 1
-    chi3 = make_character(3)
-    assert not chi3.principal
+    # d = 1 is the trivial character: no primes, so every product is empty
+    assert make_character(1).primes == ()
+    assert jacobi(7, 1) == 1
+    assert make_character(3).primes == (3,)
+    assert incomplete_sum(make_character(1), BinaryForm(1, 0, 1), Box(0, 2, 0, 2)) == 9
 
 
 def test_make_character_rejects_even():
@@ -273,33 +271,39 @@ def test_incomplete_sum_large_modulus_exact():
 
 
 def _whole_grid(d, a, b, c):
-    """The d x d int8 grid of jacobi(a x^2 + b x y + c y^2, d), rows indexed by x."""
-    return np.concatenate(list(_grid_rows(make_modulus(d).primes, a, b, c)))
+    """The d x d int8 grid of jacobi(a x^2 + b x y + c y^2, d), rows indexed
+    by x, built here point by point from jacobi, outside the package."""
+    r = np.arange(d, dtype=np.int64)
+    chi = np.array([jacobi(m, d) for m in range(d)], dtype=np.int8)
+    return chi[(a * r[:, None] ** 2 + b * r[:, None] * r + c * r * r) % d]
+
+
+def _box_sum(f, d):
+    """The complete-grid sum of jacobi(f, d) by incomplete_sum over the box
+    [0, d - 1]^2: point by point, without the homogeneity argument."""
+    return incomplete_sum(make_character(d), f, Box(0, d - 1, 0, d - 1))
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 15, 21, 35])
 def test_grid_table_matches_pointwise(d):
+    # the O(p) homogeneity route and incomplete_sum's box against the grid
+    # evaluated point by point
     forms = [(1, 1, 0), (2, 3, 5), (0, 1, 0), (d - 1, 0, d - 2)]
     if d in (3, 5, 7, 11):
         forms.append((1, 0, -find_nonresidue(d) % d))  # the F_{p^2} norm table, c^2 - delta e^2
     for a, b, c in forms:
         t = _whole_grid(d, a, b, c)
-        assert t.shape == (d, d) and t.dtype == np.int8
-        for x in range(d):
-            for y in range(d):
-                assert t[x, y] == jacobi(a * x * x + b * x * y + c * y * y, d)
-        assert full_grid_sum_direct(BinaryForm(a, b, c), d) == int(t.sum())
+        f = BinaryForm(a, b, c)
+        assert full_grid_sum(f, make_modulus(d)) == _box_sum(f, d) == int(t.sum(dtype=np.int64))
 
 
 def test_grid_table_block_seams():
-    # above 256 the grid is built in several row blocks (255 rows at d = 257)
+    # incomplete_sum walks the 66,049 points of the box mod 257 in two chunks,
+    # the first _BLOCK = 255 * 257 + 1 points long: the seam is inside a row
     d = 257
-    a, b, c = 123, 56, 89
-    t = _whole_grid(d, a, b, c)
-    for x in range(d):
-        for y in range(d):
-            assert t[x, y] == jacobi(a * x * x + b * x * y + c * y * y, d)
-    assert full_grid_sum_direct(BinaryForm(a, b, c), d) == int(t.sum(dtype=np.int64))
+    f = BinaryForm(123, 56, 89)
+    t = _whole_grid(d, f.a, f.b, f.c)
+    assert full_grid_sum(f, make_modulus(d)) == _box_sum(f, d) == int(t.sum(dtype=np.int64))
 
 
 @pytest.mark.parametrize("p", [3, 7, 19])
@@ -375,14 +379,14 @@ def test_grid_vanishing_exhaustive_small():
                     if gcd(f.det4(), q) != 1:
                         continue
                     assert full_grid_sum(f, mod) == 0
-                    assert full_grid_sum_direct(f, q) == 0
+                    assert _box_sum(f, q) == 0
 
 
 def test_grid_sum_factored_matches_direct_singular_cases():
     # also on forms that are singular mod part of q, both routes must agree
     mod = make_modulus(15)
     for f in (BinaryForm(3, 0, 1), BinaryForm(5, 1, 5), BinaryForm(0, 3, 0)):
-        assert full_grid_sum(f, mod) == full_grid_sum_direct(f, 15)
+        assert full_grid_sum(f, mod) == _box_sum(f, 15)
 
 
 _GRID_MODULI = (3, 5, 7, 11, 13, 15, 21, 35, 97, 105, 143, 1009)
@@ -395,11 +399,11 @@ _GRID_MODULI = (3, 5, 7, 11, 13, 15, 21, 35, 97, 105, 143, 1009)
     st.tuples(*[st.sampled_from([None, 0, 3, 5, 7, 11, 13])] * 3),
 )
 def test_full_grid_sum_matches_direct(q, coeffs, zero_mod):
-    # the O(p) homogeneity route against the direct grid, on nonsingular and
-    # singular forms, a = 0 mod some prime, and composite q
+    # the O(p) homogeneity route against the box summed point by point, on
+    # nonsingular and singular forms, a = 0 mod some prime, and composite q
     coeffs = tuple(k if z is None else z * k for k, z in zip(coeffs, zero_mod))
     f = BinaryForm(*coeffs)
-    assert full_grid_sum(f, make_modulus(q)) == full_grid_sum_direct(f, q)
+    assert full_grid_sum(f, make_modulus(q)) == _box_sum(f, q)
 
 
 # ------------------------------------------------------------- divisor sums
@@ -909,8 +913,7 @@ _LIFT = minimal_lift(1, 1, 3, _M15).form
 # kernel: (call, points it charges, what the RegionTooLarge message names)
 GUARDED = {
     "legendre_table": (lambda: _legendre_table(53), 53, "_legendre_table mod 53"),
-    "full_grid_sum_direct": (lambda: full_grid_sum_direct(_F, 53), 53**2, "_grid_rows mod 53"),
-    "linear_shift_sum": (lambda: linear_shift_sum(53, (1, 2)), 53, "_legendre_table mod 53"),
+    "linear_shift_sum": (lambda: linear_shift_sum(53, (1, 2)), 128 * 53, "_legendre_planes mod 53"),
     "planes": (lambda: _planes(53, 1, 1, 3), 53**2, "_planes mod 53"),
     "composite_planes": (lambda: _planes(55, 1, 1, 3), 55**2, "_planes mod 55"),
     "log_tables": (lambda: _log_tables(53), 53, "_log_tables mod 53"),
@@ -932,7 +935,7 @@ GUARDED = {
     ),
     "full_grid_sum": (lambda: full_grid_sum(_F, make_modulus(53)), 53, "_legendre_table mod 53"),
     "exp_char_sum": (
-        lambda: exp_char_sum(TernaryForm(1, 2, 3, 1, 0, 1), 53, (1, 2, 3)), 53**2, "_grid_rows mod 53"
+        lambda: exp_char_sum(TernaryForm(1, 2, 3, 1, 0, 1), 53, (1, 2, 3)), 53, "exp_char_sum mod 53"
     ),
     "shift_pair_counts": (
         lambda: shift_pair_counts(_F, _LIFT, _M15, (0, 0), 9, 4),
@@ -965,6 +968,7 @@ OVERSIZE = {
     "form_shift_sum_direct": lambda: form_shift_sum_direct(100003, (1, 2), BinaryForm(1, 1, 0)),
     "linear_shift_sum": lambda: linear_shift_sum(10**9 + 7, (1, 2)),
     "incomplete_sum": lambda: incomplete_sum(make_character(10**9 + 7), BinaryForm(1, 0, 1), Box(0, 8, 0, 8)),
+    "exp_char_sum": lambda: exp_char_sum(TernaryForm(1, 1, 1, 0, 0, 0), 10**9 + 7, (1, 2, 3)),
 }
 
 
@@ -978,6 +982,30 @@ def test_oversize_moduli_refused_before_allocating(call):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_split_route_charges_legendre_planes():
+    # the Legendre planes hold two 64-bit words per residue: at p = 10,000,019
+    # about 320 MB, refused before the Legendre table or the planes are built
+    _clear_charsum_caches()
+    with pytest.raises(RegionTooLarge, match="_legendre_planes mod 10000019"):
+        form_shift_sum_q(BinaryForm(1, 1, 0), make_modulus(10_000_019), (1, 2))
+    assert _legendre_table.cache_info().currsize == _legendre_planes.cache_info().currsize == 0
+
+
+def test_exp_char_sum_peak_memory_per_point():
+    # the chart is a closed form, so the p-entry phase vector, one pointer per
+    # entry, is the largest thing held: at most 10 bytes per charged point
+    p = _BIG_PRIME
+    _legendre_table.cache_clear()
+    tracemalloc.start()
+    try:
+        res = exp_char_sum(TernaryForm(1, 2, 3, 1, 0, 1), p, (1, 2, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.phase_coefficients) == p
+    assert peak <= 10 * p
 
 
 # ----------------------------------------------------------- counting grids
@@ -1067,6 +1095,21 @@ def _exp_coefficients_enumerated(form, p, y):
     return np.bincount(phase.ravel(), weights=chi[vals].ravel(), minlength=p).astype(np.int64).tolist()
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_chart_sum_exhaustive(p):
+    # the closed form against the p^2 points of the chart x1 = 1, for every
+    # coefficient vector mod p: every case of the identity, and discriminant
+    # coefficients that are nonzero multiples of p
+    r = np.arange(p, dtype=np.int64)
+    s, t = (u.ravel() for u in np.meshgrid(r, r, indexing="ij"))
+    monomials = np.stack([np.ones_like(s), s * s, t * t, s, t, s * t])  # Q(1, s, t) in TernaryForm order
+    coeffs = np.array(list(product(range(p), repeat=6)), dtype=np.int64)
+    chi = np.array([jacobi(m, p) for m in range(p)], dtype=np.int64)
+    want = chi[coeffs @ monomials % p].sum(axis=1)
+    got = [charsum._chart_sum(p, *map(int, c)) for c in coeffs]
+    assert got == want.tolist()
+
+
 def test_exp_char_sum_identity_zero_vector():
     res = exp_char_sum(TernaryForm(1, 1, 1, 0, 0, 0), 5, (0, 0, 0))
     assert res.value == 20 and res.magnitude == 20.0  # p(p-1)
@@ -1100,10 +1143,15 @@ def test_exp_char_sum_dichotomy_small_primes():
                     assert res.large == on_cone
 
 
-def test_exp_char_sum_guards():
-    # no prime cap: the chart x1 = 1 charges p^2 points, above the budget here
-    with pytest.raises(RegionTooLarge, match="_grid_rows mod 10007"):
-        exp_char_sum(TernaryForm(1, 1, 1, 0, 0, 0), 10007, (0, 0, 0))
+def test_exp_char_sum_guards(monkeypatch):
+    # no prime cap: the p-entry phase vector charges p points, above the
+    # budget here; within it, y = 0 gives the Gauss-sum value p (p - 1)
+    # jacobi(-2 det M), M = gram2
+    f, p = TernaryForm(1, 1, 1, 0, 0, 0), 10007
+    with monkeypatch.context() as m, pytest.raises(RegionTooLarge, match="exp_char_sum mod 10007"):
+        m.setattr(errors, "POINT_BUDGET", p - 1)
+        exp_char_sum(f, p, (0, 0, 0))
+    assert exp_char_sum(f, p, (0, 0, 0)).value == jacobi(-2 * det_gram2(f), p) * p * (p - 1)
     with pytest.raises(InvalidInput):
         exp_char_sum(TernaryForm(1, 1, 1, 0, 0, 0), 15, (0, 0, 0))
 
@@ -1178,7 +1226,6 @@ def test_entry_points_read_coefficients_by_class():
     lift = minimal_lift(1, 1, 3, mod105).form
     binary = {
         "full_grid_sum": lambda f: full_grid_sum(f, mod1155),
-        "full_grid_sum_direct": lambda f: full_grid_sum_direct(f, 105),
         "form_shift_sum": lambda f: form_shift_sum(13, (0, 1, 3, 7), f),
         "form_shift_sum_direct": lambda f: form_shift_sum_direct(13, (2, 5), f),
         "form_shift_sum_q": lambda f: form_shift_sum_q(f, mod105, (1, 2, 4, 9)),

@@ -189,6 +189,16 @@ def test_weil_scan_csv_frozen(tmp_path):
     assert digest == "859d702db87939ae7326c703d186ef95c05ed325b41a8ce4ccbafdf8c9bad64e"
 
 
+def test_weil_scan_sorts_and_dedupes_explicit_primes(tmp_path):
+    # as every other command does with --q: each prime once, in increasing order
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["weil-scan", "--q", "7,5,7", "--samples", "1", "--out", str(a)]) == 0
+    assert main(["weil-scan", "--q", "5,7", "--samples", "1", "--out", str(b)]) == 0
+    assert read(a) == read(b)
+    rows = [ln.split(",")[0] for ln in read(a).splitlines() if ln[:1].isdigit()]
+    assert rows == sorted(rows, key=int) and set(rows) == {"5", "7"}
+
+
 def test_weil_scan_refuses_grid_above_point_budget(capsys):
     # the direct check needs a 10007 x 10007 grid, just above 10^8 points
     assert main(["weil-scan", "--q", "10007", "--samples", "1"]) == 1

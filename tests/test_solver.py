@@ -263,14 +263,16 @@ def test_square_value_ternary_certificate():
     assert w.t * w.t % 105 == neg_adj.evaluate(w.x) % 105
 
 
-def test_coprime_point_search_lex_order():
+def test_coprime_point_search_lex_order(monkeypatch):
     mod = make_modulus(15)
     pt = coprime_point_search(lambda v: v[0] + v[1], 2, mod)
     # shells by max coordinate, lexicographic inside; (1, 1) gives 2, a unit
     assert pt == (1, 1)
-    with pytest.raises(SearchExhausted, match=re.escape("sup-norm <= 4 whose value is coprime to q = 15")):
-        # 3*v0 is never coprime to 15
-        coprime_point_search(lambda v: 3 * v[0], 2, mod, cap=4)
+    # 3*v0 is never coprime to 15: shells 1..4 walk 1 + 4 + 9 + 16 points,
+    # and the budget refuses shell 5
+    monkeypatch.setattr(errors, "POINT_BUDGET", 30)
+    with pytest.raises(RegionTooLarge, match=re.escape("coprime_point_search in dimension 2 mod q = 15: 55 points")):
+        coprime_point_search(lambda v: 3 * v[0], 2, mod)
 
 
 def test_search_exhausted_names_q_and_form(monkeypatch):
@@ -279,10 +281,16 @@ def test_search_exhausted_names_q_and_form(monkeypatch):
     # lies past the search's norm cap 10008
     with pytest.raises(SearchExhausted, match=re.escape("5 1070 7210 takes no square value mod q = 10007")):
         square_value_binary(BinaryForm(5, 1070, 7210), make_modulus(10007))
-    # every restriction of 3 (x^2 + y^2 + z^2) has det4 divisible by 3
-    monkeypatch.setattr(solver, "coprime_point_search", partial(coprime_point_search, cap=2))
-    with pytest.raises(SearchExhausted, match=re.escape("restrictions of 3 3 3 0 0 0: no point")) as exc:
-        ternary_to_binary(TernaryForm(3, 3, 3, 0, 0, 0), make_modulus(15))
+    # every restriction of 3 (x^2 + y^2 + z^2), or of 3 x^2 (rank 1 mod 5),
+    # has det4 divisible by 3: the form is refused before any search
+    for form in (TernaryForm(3, 3, 3, 0, 0, 0), TernaryForm(3, 0, 0, 0, 0, 0)):
+        with pytest.raises(SingularForm, match=re.escape(f"{form.row()} is singular mod q = 15")):
+            ternary_to_binary(form, make_modulus(15))
+    # shell 1's one point gives u = v, so a budget below 1 + 2^6 refuses
+    # every form at shell 2
+    monkeypatch.setattr(errors, "POINT_BUDGET", 64)
+    with pytest.raises(RegionTooLarge, match=re.escape("restrictions of 1 1 1 0 0 0: coprime_point_search")) as exc:
+        ternary_to_binary(IDENTITY, make_modulus(15))
     assert "q = 15" in str(exc.value)
 
 
@@ -304,9 +312,11 @@ def test_region_too_large_names_huge_binary_form_mod_q(monkeypatch):
 
 
 def test_restriction_search_names_huge_ternary_form_mod_q(monkeypatch):
-    monkeypatch.setattr(solver, "coprime_point_search", partial(coprime_point_search, cap=2))
-    with pytest.raises(SearchExhausted, match=re.escape(f"restrictions of 3 3 3 0 0 0 {REDUCED}: no point")):
+    with pytest.raises(SingularForm, match=re.escape(f"3 3 3 0 0 0 {REDUCED} is singular mod q = 15")):
         ternary_to_binary(TernaryForm(3 - 15 * HUGE, 3, 3, 0, 0, 0), make_modulus(15))
+    monkeypatch.setattr(errors, "POINT_BUDGET", 64)
+    with pytest.raises(RegionTooLarge, match=re.escape(f"restrictions of 1 1 1 0 0 0 {REDUCED}: coprime_point_search")):
+        ternary_to_binary(TernaryForm(1 - 15 * HUGE, 1, 1, 0, 0, 0), make_modulus(15))
 
 
 def test_square_value_search_charges_listed_vectors(monkeypatch):
