@@ -10,6 +10,7 @@ exponent-fit  growth exponents of solver output norms (and the rank-2 family)
 cop-count     coprime counts of the restriction determinant vs prediction
 second-moment shift-parameter pair counts and their second moment
 
+Each command is one entry of COMMANDS: its defaults and its runner.
 Configuration comes from an optional key=value file plus command-line
 overrides.  Identical configuration produces byte-identical CSV, including
 under --jobs > 1: tasks are scheduled per modulus and merged in a canonical
@@ -29,19 +30,6 @@ from .errors import CertificateMismatch, FitError, InvalidModulus, NotOdd, NotSq
 from .modmath import Modulus, find_nonresidue, is_prime, make_modulus
 from .qforms import BinaryForm, sample_forms
 from .solver import solve_ternary
-
-DEFAULTS = {
-    "solve": {"qs": (15, 105, 1155), "samples": 3},
-    "oracle": {"qs": (15, 105, 385), "samples": 3},
-    "weil-scan": {"q_range": (3, 101), "samples": 10},
-    "grid-vanish": {"qs": (15, 21, 35), "samples": 5},
-    "exponent-fit": {"q_range": (1001, 100003), "samples": 25},
-    "cop-count": {"qs": (15, 105), "samples": 12},
-    "second-moment": {"qs": (15, 21, 35), "samples": 1},
-}
-
-COMMANDS = tuple(sorted(DEFAULTS))
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -157,23 +145,11 @@ def _task_solve(args):
         try:
             tr = solve_ternary(form, mod)
             row_ok = form.evaluate(tr.solution) % q == 0 and tr.chain_ok()
+            found = (tr.witness_norm_sq(), tr.solution_norm_sq(), *tr.solution)
         except QuadCongError:
-            row_ok = False
-            tr = None
+            row_ok, found = False, (-1, -1, 0, 0, 0)
         ok &= row_ok
-        sol = tr.solution if tr else (0, 0, 0)
-        rows.append(
-            (q,)
-            + form.coeffs()
-            + (
-                tr.witness_norm_sq() if tr else -1,
-                tr.solution_norm_sq() if tr else -1,
-                sol[0],
-                sol[1],
-                sol[2],
-                int(row_ok),
-            )
-        )
+        rows.append((q, *form.coeffs(), *found, int(row_ok)))
     return rows, ok
 
 
@@ -251,20 +227,13 @@ def _task_cop_count(args):
     from .oracle import restriction_coprime_count
 
     q, box, seed = args
+    if box < 1:
+        raise ValueError(f"cop-count box edge (--samples) must be at least 1, got {box}")
     mod = make_modulus(q)
     form = sample_forms(mod, 1, f"{seed}:cop")[0]
     res = restriction_coprime_count(form, mod, box)
-    gap = float(res.relative_gap())
-    rows = [
-        (
-            q,
-            box,
-            res.count,
-            f"{res.prediction.numerator}/{res.prediction.denominator}",
-            f"{gap:.6f}",
-        )
-    ]
-    return rows, True
+    pred = f"{res.prediction.numerator}/{res.prediction.denominator}"
+    return [(q, box, res.count, pred, f"{float(res.relative_gap()):.6f}")], True
 
 
 def _task_second_moment(args):
@@ -293,7 +262,7 @@ def _expand_moduli(cfg: ExperimentConfig):
     if cfg.qs:
         for q in cfg.qs:
             make_modulus(q)  # invalid explicit moduli are a configuration error
-        return list(cfg.qs)
+        return sorted(set(cfg.qs))
     if not cfg.q_range:
         return []
     lo, hi = cfg.q_range
@@ -336,57 +305,31 @@ def _run_tasks(task_fn, arglist, jobs):
     return rows, ok
 
 
-def _cmd_solve(cfg):
-    tasks = [(q, cfg.samples, cfg.seed) for q in sorted(set(_expand_moduli(cfg)))]
-    rows, ok = _run_tasks(_task_solve, tasks, cfg.jobs)
-    cols = ["q", "f11", "f22", "f33", "f12", "f13", "f23", "witness_norm_sq", "solution_norm_sq", "x1", "x2", "x3", "ok"]
-    head = ["norms are squared euclidean; ok = solution nonzero, divisible, chain bound holds"]
-    return head, cols, rows, ok
+def _per_modulus(task, cols: str, head, expand=_expand_moduli):
+    """A command that runs task on (q, samples, seed) for each modulus of
+    expand(cfg) and reports the rows under the comma-separated cols."""
 
+    def runner(cfg):
+        rows, ok = _run_tasks(task, [(q, cfg.samples, cfg.seed) for q in expand(cfg)], cfg.jobs)
+        return head, cols.split(","), rows, ok
 
-def _cmd_oracle(cfg):
-    tasks = [(q, cfg.samples, cfg.seed) for q in sorted(set(_expand_moduli(cfg)))]
-    rows, ok = _run_tasks(_task_oracle, tasks, cfg.jobs)
-    cols = ["q", "f11", "f22", "f33", "f12", "f13", "f23", "min_zero_norm_sq", "min_square_norm_sq", "w1", "w2", "w3", "ok"]
-    head = ["exhaustive scans; min_* are squared norms; witness columns give the minimal zero"]
-    return head, cols, rows, ok
-
-
-def _cmd_weil(cfg):
-    tasks = [(p, cfg.samples, cfg.seed) for p in _expand_primes(cfg)]
-    rows, ok = _run_tasks(_task_weil, tasks, cfg.jobs)
-    cols = ["q", "p", "r", "tuple-hash", "delta-gcd", "sum", "bound", "ok"]
-    head = [
-        "shifted complete product sums at prime moduli, dual-route checked",
-        "bound: 4r^2 p gcd(p,delta) unconditionally, 4r^2 p (split) / 2rp (inert) off the degenerate set",
-    ]
-    return head, cols, rows, ok
-
-
-def _cmd_grid_vanish(cfg):
-    tasks = [(q, cfg.samples, cfg.seed) for q in sorted(set(_expand_moduli(cfg)))]
-    rows, ok = _run_tasks(_task_grid_vanish, tasks, cfg.jobs)
-    cols = ["q", "a", "b", "c", "sum", "ok"]
-    head = ["complete q x q grid character sums of nonsingular binary forms; must vanish"]
-    return head, cols, rows, ok
+    return runner
 
 
 def _cmd_exponent_fit(cfg):
     from .oracle import rank_two_family_min
 
     if cfg.qs:
-        for q in cfg.qs:
-            make_modulus(q)
-        qs = cfg.qs
-        lo, hi = min(qs), max(qs)
+        qs = _expand_moduli(cfg)
+        lo, hi = qs[0], qs[-1]
     elif cfg.q_range:
         lo, hi = cfg.q_range
-        qs = tuple(nearest_odd_squarefree(t) for t in _log_spaced(lo, hi, cfg.samples))
+        qs = sorted({nearest_odd_squarefree(t) for t in _log_spaced(lo, hi, cfg.samples)})
     else:
-        qs, lo, hi = (), 3, 3
+        qs, lo, hi = [], 3, 3
     rows = []
     pipeline_pts = []
-    for q in sorted(set(qs)):
+    for q in qs:
         mod = make_modulus(q)
         form = sample_forms(mod, 1, f"{cfg.seed}:fit:{q}")[0]
         tr = solve_ternary(form, mod)
@@ -396,8 +339,7 @@ def _cmd_exponent_fit(cfg):
     family_pts = []
     fam_lo, fam_hi = max(lo, 101), min(hi, 1800)
     fam_targets = _log_spaced(fam_lo, fam_hi, min(cfg.samples, 12)) if qs and fam_lo <= fam_hi else []
-    for t in fam_targets:
-        p = _next_prime(t)
+    for p in sorted({_next_prime(t) for t in fam_targets}):
         a = find_nonresidue(p)
         b = max(1, round(p ** (1 / 3)))
         res = rank_two_family_min(a, b, make_modulus(p))
@@ -405,39 +347,69 @@ def _cmd_exponent_fit(cfg):
         family_pts.append((p, val))
         rows.append(("rank2-family", p, f"{val:.6f}"))
     head = ["series, modulus, norm of the found solution (euclidean)"]
-    for name, pts in (("pipeline", pipeline_pts), ("rank2-family", sorted(set(family_pts)))):
-        if len({q for q, _ in pts}) >= 3:
+    for name, pts in (("pipeline", pipeline_pts), ("rank2-family", family_pts)):
+        if len(pts) >= 3:
             fit = fit_exponent(pts)
             head.append(f"fit {name}: slope={fit.slope:.6f} intercept={fit.intercept:.6f} residual={fit.residual:.6f}")
-    cols = ["series", "q", "value"]
-    return head, cols, rows, True
+    return head, ["series", "q", "value"], rows, True
 
 
-def _cmd_cop_count(cfg):
-    box = cfg.samples  # interpreted as the box edge for this command
-    tasks = [(q, box, cfg.seed) for q in sorted(set(_expand_moduli(cfg)))]
-    rows, ok = _run_tasks(_task_cop_count, tasks, cfg.jobs)
-    cols = ["q", "box", "count", "prediction", "relative_gap"]
-    head = ["coprime counts of the 6-variable restriction determinant vs the per-prime product prediction"]
-    return head, cols, rows, ok
-
-
-def _cmd_second_moment(cfg):
-    tasks = [(q, cfg.samples, cfg.seed) for q in sorted(set(_expand_moduli(cfg)))]
-    rows, ok = _run_tasks(_task_second_moment, tasks, cfg.jobs)
-    cols = ["q", "a", "b", "c", "radius_sq", "shift_bound", "pairs", "second_moment", "ok"]
-    head = ["shift-parameter collision counts over a disc of squared radius radius_sq"]
-    return head, cols, rows, ok
-
-
-RUNNERS = {
-    "solve": _cmd_solve,
-    "oracle": _cmd_oracle,
-    "weil-scan": _cmd_weil,
-    "grid-vanish": _cmd_grid_vanish,
-    "exponent-fit": _cmd_exponent_fit,
-    "cop-count": _cmd_cop_count,
-    "second-moment": _cmd_second_moment,
+# command -> (defaults, runner); a runner takes the config and returns the
+# report's header lines, columns, rows and whether every row checked out
+COMMANDS = {
+    "solve": (
+        {"qs": (15, 105, 1155), "samples": 3},
+        _per_modulus(
+            _task_solve,
+            "q,f11,f22,f33,f12,f13,f23,witness_norm_sq,solution_norm_sq,x1,x2,x3,ok",
+            ["norms are squared euclidean; ok = solution nonzero, divisible, chain bound holds"],
+        ),
+    ),
+    "oracle": (
+        {"qs": (15, 105, 385), "samples": 3},
+        _per_modulus(
+            _task_oracle,
+            "q,f11,f22,f33,f12,f13,f23,min_zero_norm_sq,min_square_norm_sq,w1,w2,w3,ok",
+            ["exhaustive scans; min_* are squared norms; witness columns give the minimal zero"],
+        ),
+    ),
+    "weil-scan": (
+        {"q_range": (3, 101), "samples": 10},
+        _per_modulus(
+            _task_weil,
+            "q,p,r,tuple-hash,delta-gcd,sum,bound,ok",
+            [
+                "shifted complete product sums at prime moduli, dual-route checked",
+                "bound: 4r^2 p gcd(p,delta) unconditionally, 4r^2 p (split) / 2rp (inert) off the degenerate set",
+            ],
+            _expand_primes,
+        ),
+    ),
+    "grid-vanish": (
+        {"qs": (15, 21, 35), "samples": 5},
+        _per_modulus(
+            _task_grid_vanish,
+            "q,a,b,c,sum,ok",
+            ["complete q x q grid character sums of nonsingular binary forms; must vanish"],
+        ),
+    ),
+    "exponent-fit": ({"q_range": (1001, 100003), "samples": 25}, _cmd_exponent_fit),
+    "cop-count": (
+        {"qs": (15, 105), "samples": 12},  # samples is the box edge for this command
+        _per_modulus(
+            _task_cop_count,
+            "q,box,count,prediction,relative_gap",
+            ["coprime counts of the 6-variable restriction determinant vs the per-prime product prediction"],
+        ),
+    ),
+    "second-moment": (
+        {"qs": (15, 21, 35), "samples": 1},
+        _per_modulus(
+            _task_second_moment,
+            "q,a,b,c,radius_sq,shift_bound,pairs,second_moment,ok",
+            ["shift-parameter collision counts over a disc of squared radius radius_sq"],
+        ),
+    ),
 }
 
 
@@ -456,7 +428,7 @@ def parse_config_file(path: str) -> dict:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
-            if key not in {"command", "q", "q_range", "samples", "seed", "out", "jobs"}:
+            if key != "command" and key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = val
     return out
@@ -476,62 +448,54 @@ def _parse_range(text: str):
     return lo, hi
 
 
+# setting (flag and file key) -> (ExperimentConfig field, conversion of its text)
+_SETTINGS = {
+    "q": ("qs", _parse_int_list),
+    "q_range": ("q_range", _parse_range),
+    "samples": ("samples", int),
+    "seed": ("seed", str),
+    "out": ("out", str),
+    "jobs": ("jobs", int),
+}
+
+
 def build_config(argv) -> ExperimentConfig:
+    """One merge: a flag beats the config file, the file beats the command's
+    defaults, and each setting's text is converted once."""
     import argparse  # here, not at the top: a library import should not pay for it
 
     ap = argparse.ArgumentParser(prog="quadcong", description=__doc__.splitlines()[0])
-    ap.add_argument("command", nargs="?", choices=COMMANDS)
+    ap.add_argument("command", nargs="?", choices=sorted(COMMANDS))
     ap.add_argument("--config", help="key=value configuration file")
     ap.add_argument("--q", help="comma separated moduli (primes for weil-scan)")
     ap.add_argument("--q-range", dest="q_range", help="inclusive range lo:hi")
-    ap.add_argument("--samples", type=int)
+    ap.add_argument("--samples")
     ap.add_argument("--seed")
     ap.add_argument("--out", help="output path, - for stdout")
-    ap.add_argument("--jobs", type=int)
+    ap.add_argument("--jobs")
     ns = ap.parse_args(argv)
 
-    file_cfg = {}
-    if ns.config:
-        file_cfg = parse_config_file(ns.config)
-
-    command = ns.command or file_cfg.get("command")
-    if command not in RUNNERS:
+    given = parse_config_file(ns.config) if ns.config else {}
+    given.update((key, val) for key, val in vars(ns).items() if val is not None)
+    command = given.get("command")
+    if command not in COMMANDS:
         raise ValueError(f"no valid command (got {command!r})")
-    base = DEFAULTS[command]
-    qs = ()
-    if ns.q is not None:
-        qs = _parse_int_list(ns.q)
-    elif "q" in file_cfg:
-        qs = _parse_int_list(file_cfg["q"])
-    q_range = ()
-    if ns.q_range is not None:
-        q_range = _parse_range(ns.q_range)
-    elif "q_range" in file_cfg:
-        q_range = _parse_range(file_cfg["q_range"])
-    provided = ns.q is not None or ns.q_range is not None or "q" in file_cfg or "q_range" in file_cfg
-    if not provided:
+    values = dict(COMMANDS[command][0])
+    if "q" in given or "q_range" in given:
         # an explicitly empty --q stays empty (header-only report); only a
-        # wholly absent selection falls back to the command defaults
-        qs = base.get("qs", ())
-        q_range = base.get("q_range", ())
-
-    def pick(flag, key, default, conv):
-        if flag is not None:
-            return flag
-        if key in file_cfg:
-            return conv(file_cfg[key])
-        return default
-
-    samples = pick(ns.samples, "samples", base.get("samples", 5), int)
-    seed = pick(ns.seed, "seed", "0", str)
-    out = pick(ns.out, "out", "-", str)
-    jobs = pick(ns.jobs, "jobs", 1, int)
-    if samples < 0 or jobs < 1:
-        raise ValueError("samples and jobs must be positive")
-    return ExperimentConfig(
-        command=command, qs=qs, q_range=q_range, samples=samples,
-        seed=seed, out=out, jobs=jobs,
-    )
+        # wholly absent selection falls back to the command's moduli
+        values.pop("qs", None)
+        values.pop("q_range", None)
+    for key, (field, conv) in _SETTINGS.items():
+        if key in given:
+            try:
+                values[field] = conv(given[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    cfg = ExperimentConfig(command=command, **values)
+    if cfg.samples < 0 or cfg.jobs < 1:
+        raise ValueError("samples must be at least 0 and jobs at least 1")
+    return cfg
 
 
 def render_report(cfg: ExperimentConfig, head, cols, rows) -> str:
@@ -547,7 +511,7 @@ def render_report(cfg: ExperimentConfig, head, cols, rows) -> str:
 
 def run(cfg: ExperimentConfig) -> int:
     try:
-        head, cols, rows, ok = RUNNERS[cfg.command](cfg)
+        head, cols, rows, ok = COMMANDS[cfg.command][1](cfg)
     except (ValueError, InvalidModulus) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

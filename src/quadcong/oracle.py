@@ -1,9 +1,9 @@
 """Brute-force ground truth for the solver and the character-sum layer.
 
 Exhaustive ball scans (exact, canonical tie-breaks) for the minimal zero and
-minimal square-value vectors of a form mod q, the rank-2 family with
-anomalously large minima, and coprime-value counts with their per-prime
-main-term prediction.
+minimal square-value vectors of a form mod q, coprime-value counts with their
+per-prime main-term prediction, and the rank-2 family with anomalously large
+minima, whose exact minima come from a lattice reduction instead.
 
 Scans enumerate complete balls, so returned minima are proven minimal: a
 reported witness means no nonzero vector of smaller (norm, key) satisfies the
@@ -18,8 +18,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CertificateMismatch, InvalidInput, _guard_points
-from .intvec import vec_key
-from .modmath import Modulus, sqrt_mod_squarefree
+from .intvec import norm_sq, vec_key
+from .lattice import shortest_vector3
+from .modmath import Modulus, jacobi, sqrt_mod_squarefree
 from .qforms import TernaryForm, sample_forms
 from .charsum import _chi, _legendre_table
 
@@ -147,14 +148,18 @@ def rank_two_family_form(a: int, b: int) -> TernaryForm:
 
 
 def rank_two_family_min(a: int, b: int, mod: Modulus) -> BruteResult:
-    # (b^2, b, 1) kills both linear factors outright, so the minimum lives
-    # inside a ball of squared radius b^4 + b^2 + 1 and one capped scan is
-    # both certified and affordable
-    cap = b**4 + b * b + 1
-    res = brute_min_zero(rank_two_family_form(a, b), mod, bound_sq=cap)
-    if res is None:
-        raise CertificateMismatch(f"rank-2 form ({a}, {b}) has no zero mod {mod.q} within {cap}")
-    return res
+    """Exact minimal zero of rank_two_family_form(a, b) mod q, for a a
+    non-residue mod every prime p of q.
+
+    Then (x1 - b x2)^2 = a (x2 - b x3)^2 mod p forces x2 = b x3 and
+    x1 = b x2, so the zeros are the lattice spanned by (b^2, b, 1), (q, 0, 0)
+    and (0, q, 0), and its canonical shortest vector is the minimum.
+    """
+    q = mod.q
+    if any(jacobi(a, p) != -1 for p in mod.primes):
+        raise InvalidInput(f"rank-2 family needs a non-residue mod every prime of {q}, got a = {a}")
+    v = shortest_vector3([(b * b, b, 1), (q, 0, 0), (0, q, 0)])
+    return BruteResult(norm_sq=norm_sq(v), witness=v, t=0)
 
 
 # --------------------------------------------------------- coprime counting

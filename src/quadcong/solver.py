@@ -351,6 +351,11 @@ class SolveTrace:
 
 # fields() builds a new tuple on every call; the trace is written and read per solve
 _TRACE_FIELDS = fields(SolveTrace)
+# field -> (how many integers its line holds, its type)
+_TRACE_SHAPES = {
+    f.name: ({int: 1, TernaryForm: 6, BinaryForm: 3}.get(f.type, 2 if f.name in ("linear", "uv") else 3), f.type)
+    for f in _TRACE_FIELDS
+}
 
 
 def trace_lines(trace: SolveTrace):
@@ -378,18 +383,28 @@ def trace_lines(trace: SolveTrace):
 
 
 def parse_trace(lines) -> SolveTrace:
+    """Inverse of trace_lines.  A line that is no field's, repeats a field,
+    holds a token that is not an integer or the wrong number of them raises
+    TraceInvariantViolation naming the line, and so does a missing field."""
     vals = {}
     for line in lines:
         name, _, rest = line.partition(":")
-        vals[name.strip()] = rest.strip()
-    kwargs = {}
-    for f in _TRACE_FIELDS:
-        if f.type is int:
-            kwargs[f.name] = int(vals[f.name])
-        else:
-            ints = tuple(int(t) for t in vals[f.name].split())
-            kwargs[f.name] = ints if f.type is tuple else f.type(*ints)
-    return SolveTrace(**kwargs)
+        name = name.strip()
+        shape = _TRACE_SHAPES.get(name)
+        if shape is None or name in vals:
+            raise TraceInvariantViolation(f"trace line {line!r}: unknown or repeated field")
+        try:
+            ints = tuple(map(int, rest.split()))
+        except ValueError:
+            raise TraceInvariantViolation(f"trace line {line!r}: a token is not an integer") from None
+        count, kind = shape
+        if len(ints) != count:
+            raise TraceInvariantViolation(f"trace line {line!r}: expected {count} integers")
+        vals[name] = ints[0] if kind is int else ints if kind is tuple else kind(*ints)
+    if len(vals) != len(_TRACE_SHAPES):
+        missing = [name for name in _TRACE_SHAPES if name not in vals]
+        raise TraceInvariantViolation(f"trace has no line for {', '.join(missing)}")
+    return SolveTrace(**vals)
 
 
 def _box_pair(l1: int, l2: int, q1: int, n1: int, n2: int):

@@ -189,6 +189,26 @@ def test_weil_scan_csv_frozen(tmp_path):
     assert digest == "859d702db87939ae7326c703d186ef95c05ed325b41a8ce4ccbafdf8c9bad64e"
 
 
+DEFAULT_CSV_SHA256 = {
+    "solve": "3bd568ec1538d5ea084089c07aeebba7ef5df71c1a9bd6ec0d771e2a6d116ad2",
+    "oracle": "ffd54836f1bb876fb75b5280de7ef6b3940bc42f03d04a795cbd133efd8ac718",
+    "weil-scan": "12331a9a55b6e36e17b35f220938cdc5818f8d198775a0354e05e541aa79c72c",
+    "grid-vanish": "b73c5d47cd0b6ab266abe3b913882bc82d9a67faff3acd955b8de20f259d7579",
+    "exponent-fit": "cc13d076a40d23174fdb7c0fb5d8987b8d21146dc71950bb0938b3302c08da23",
+    "cop-count": "c135736bd679d39951bd5f674ac39dfa498d218f6d8cf3820e8c2abc88a50c7b",
+    "second-moment": "6fe13c41ce01a0d358a6c9bc5b2ec01017ca60ed69dba7538712eb0347f30fd3",
+}
+
+
+@pytest.mark.parametrize("command", DEFAULT_CSV_SHA256)
+def test_default_csv_frozen(command, tmp_path, capsys):
+    # every command at its defaults, byte for byte, with nothing on stderr
+    out = tmp_path / "d.csv"
+    assert main([command, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_CSV_SHA256[command]
+    assert capsys.readouterr().err == ""
+
+
 def test_weil_scan_sorts_and_dedupes_explicit_primes(tmp_path):
     # as every other command does with --q: each prime once, in increasing order
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -232,6 +252,27 @@ def test_exponent_fit_report(tmp_path):
     text = read(out)
     assert "fit pipeline: slope=" in text
     assert "series,q,value" in text
+
+
+def test_exponent_fit_family_primes_once(tmp_path):
+    # a one-point range maps every log-spaced target to the same q and the
+    # same family prime: each series gets one row, and neither is fitted
+    out = tmp_path / "f.csv"
+    assert main(["exponent-fit", "--q-range", "1001:1001", "--out", str(out)]) == 0
+    rows = [ln for ln in read(out).splitlines() if not ln.startswith("#")]
+    assert rows == ["series,q,value", "pipeline,1001,14.212670", "rank2-family,1009,100.503731"]
+
+
+def test_exponent_fit_validates_explicit_moduli(capsys):
+    assert main(["exponent-fit", "--q", "1001,9"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_cop_count_box_below_one_is_a_config_error(capsys):
+    assert main(["cop-count", "--q", "15", "--samples", "0"]) == 2
+    assert capsys.readouterr().err == "config error: cop-count box edge (--samples) must be at least 1, got 0\n"
+    with pytest.raises(ValueError, match="samples must be at least 0 and jobs at least 1"):
+        build_config(["cop-count", "--samples", "-1"])
 
 
 def test_second_moment_exact_totals(tmp_path):

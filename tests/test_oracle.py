@@ -12,7 +12,7 @@ from quadcong import errors
 from quadcong.cli import sample_binary_forms
 from quadcong.errors import InvalidInput, RegionTooLarge
 from quadcong.intvec import norm_sq, vec_key
-from quadcong.modmath import inv_mod, is_square_mod, make_modulus
+from quadcong.modmath import find_nonresidue, inv_mod, is_square_mod, make_modulus
 from quadcong.oracle import (
     BruteResult,
     _restriction_det4_grids,
@@ -123,13 +123,29 @@ def test_rank_two_family_form_values():
         assert f.evaluate(x) == expect
 
 
+# the family primes of `quadcong exponent-fit` at its defaults
+FAMILY_PRIMES = (1009, 1061, 1117, 1181, 1249, 1307, 1381, 1459, 1543, 1619, 1709, 1801)
+
+
 def test_rank_two_family_min_reference_growth():
     # a non-residue: the only small zeros come from the global line, so the
-    # minimum sits near p^(2/3) in euclidean norm
-    mod = make_modulus(101)
-    res = rank_two_family_min(2, 5, mod)
-    assert res.norm_sq == 417
-    assert rank_two_family_form(2, 5).evaluate(res.witness) % 101 == 0
+    # minimum sits near p^(2/3) in euclidean norm.  (b^2, b, 1) is a zero, so
+    # the ball scan capped at its norm is exhaustive and gives the reference
+    assert rank_two_family_min(2, 5, make_modulus(101)) == BruteResult(417, (1, -20, -4), 0)
+    for p in (101,) + FAMILY_PRIMES:
+        a, b = (2, 5) if p == 101 else (find_nonresidue(p), round(p ** (1 / 3)))
+        mod = make_modulus(p)
+        res = rank_two_family_min(a, b, mod)
+        assert res == brute_min_zero(rank_two_family_form(a, b), mod, bound_sq=b**4 + b * b + 1), p
+
+
+def test_rank_two_family_min_composite_and_residue():
+    # 2 is a non-residue mod 3 and mod 5, so the lattice is the same mod 15;
+    # 2 is a residue mod 7, where the zeros are no longer one lattice
+    res = rank_two_family_min(2, 2, make_modulus(15))
+    assert res == brute_min_zero(rank_two_family_form(2, 2), make_modulus(15))
+    with pytest.raises(InvalidInput, match="non-residue mod every prime of 105, got a = 2"):
+        rank_two_family_min(2, 2, make_modulus(105))
 
 
 def test_coprime_count_linear_frozen():

@@ -498,6 +498,76 @@ def test_trace_tamper_detection(field, value):
         verify_trace(parse_trace(bad), mod)
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda lines: lines[:3] + lines[4:], "trace has no line for t"),
+        (lambda lines: lines[:3] + ["t: x927"] + lines[4:], "trace line 't: x927': a token is not an integer"),
+        (lambda lines: lines[:12] + ["uv: 1"] + lines[13:], "trace line 'uv: 1': expected 2 integers"),
+        (lambda lines: [lines[0], lines[1] + " 7"] + lines[2:], "trace line 'form: 1 1 1 0 0 0 7': expected 6 integers"),
+        (lambda lines: lines + [lines[0]], "trace line 'q: 105': unknown or repeated field"),
+        (lambda lines: lines + [""], "trace line '': unknown or repeated field"),
+    ],
+    ids=["dropped-line", "not-an-integer", "short-tuple", "long-form", "repeated-field", "blank-line"],
+)
+def test_parse_trace_names_the_bad_line(edit, message):
+    lines = trace_lines(solve_ternary(IDENTITY, make_modulus(105)))
+    with pytest.raises(TraceInvariantViolation, match=re.escape(message)):
+        parse_trace(edit(lines))
+
+
+_TAMPER_MOD = make_modulus(1155)
+_TAMPER_TRACES = [trace_lines(solve_ternary(f, _TAMPER_MOD)) for f in sample_forms(_TAMPER_MOD, 20, "tamper")]
+_TAMPER_TOKENS = ["x927", "1.5", "0x10", "-", "", "1" * 5000, str(10**40)]
+
+
+@st.composite
+def _tampered_trace(draw):
+    lines = list(draw(st.sampled_from(_TAMPER_TRACES)))
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        name, _, rest = lines[i].partition(": ")
+        toks = rest.split()
+        j = draw(st.integers(0, max(len(toks) - 1, 0)))
+        op = draw(st.sampled_from(["shift", "drop", "insert", "text", "double", "line", "copy", "rename"]))
+        if op == "line":
+            del lines[i]
+            continue
+        if op == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+            continue
+        if op == "rename":
+            lines[i] = draw(st.sampled_from(["", "q", "x3", "t t"])) + ": " + rest
+            continue
+        if op == "shift" and toks and toks[j].lstrip("-").isdigit():
+            toks[j] = str(int(toks[j]) + draw(st.sampled_from([1, -1, 1155, -1155])))
+        elif op == "drop" and toks:
+            del toks[j]
+        elif op == "insert":
+            toks.insert(j, str(draw(st.integers(-2000, 2000))))
+        elif op == "text" and toks:
+            toks[j] = draw(st.sampled_from(_TAMPER_TOKENS))
+        elif op == "double":
+            toks += toks
+        lines[i] = f"{name}: {' '.join(toks)}"
+    return lines
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_tampered_trace())
+def test_tampered_traces_fail_typed_or_prove_a_zero(lines):
+    # a trace is untrusted input: it either raises a QuadCongError, or it
+    # proves what it claims, a nonzero zero of its form mod q
+    try:
+        tr = parse_trace(lines)
+        verify_trace(tr, _TAMPER_MOD)
+    except errors.QuadCongError:
+        return
+    x, (a11, a22, a33, a12, a13, a23) = tr.solution, tr.form.coeffs()
+    value = a11 * x[0] ** 2 + a22 * x[1] ** 2 + a33 * x[2] ** 2 + a12 * x[0] * x[1] + a13 * x[0] * x[2] + a23 * x[1] * x[2]
+    assert x != (0, 0, 0) and tr.q == 1155 and value % 1155 == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30))
 def test_solver_random_moduli_and_forms(n):
