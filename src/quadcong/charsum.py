@@ -50,18 +50,24 @@ The norm table of F_{p^2}, the grid of c^2 - delta e^2, is even in e, and
 ``norm_shift_sum`` sums only the (p + 1)/2 columns 0..(p - 1)/2 and doubles
 every column but y = 0.  The direct grid of a companion form keeps all p.
 
-Caches (four): ``_legendre_table`` keeps every Legendre table, as bits above
-_PACKED (read through ``_chi``); ``_planes`` (keyed by the column count as
-well, for the half-width norm tables), ``_legendre_planes`` and
-``_log_tables`` keep the last _PLANE_SLOTS grids' planes, Legendre planes and
-(exp, log) tables.  The window sums read their grid rows one block at a time
-per call (``_window_rows``).
+Tables live in one store (``_stored``), keyed by (kind, modulus,
+arguments): Legendre tables (as bits above _PACKED, read through ``_chi``),
+(exp, log) tables, Legendre planes, and the planes of companion grids,
+half-width norm tables and composite grids.  It is bounded in bytes by
+TABLE_BYTES and evicts the least recently used table first, but never to
+make room for a table of the same modulus: one prime's tables never evict
+one another, so a scan builds each once per prime, and the store passes its
+cap only by the tables of the modulus it last built for.  ``table_stats``
+counts builds, hits, evictions and bytes held per kind.  The window sums
+read their grid rows one block at a time per call (``_window_rows``).
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import wraps
 from itertools import chain, combinations, repeat
 from math import gcd, isqrt, prod
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -89,8 +95,86 @@ from .modmath import (
 from .qforms import BinaryForm, TernaryForm, _check_arity, adjugate4, monic_companion, restrict
 
 _BLOCK = 1 << 16  # entries per block of a table build: its int64 temporaries stay in cache
-_PLANE_SLOTS = 12  # planes kept: a scan's three tables per prime, or the norm tables of 11 small primes
 _PACKED = 1 << 20  # primes above this keep their Legendre table as bits: p / 8 bytes
+TABLE_BYTES = 8 << 20  # the table store's cap: a prime near 3000 holds 5.2 MB of tables
+
+
+# --------------------------------------------------------------- table store
+
+_tables: OrderedDict = OrderedDict()  # (kind, d, args) -> (table, bytes), least recently used first
+_counts: dict = {}  # kind -> [builds, hits, evictions, bytes held]
+
+
+class TableStats(NamedTuple):
+    """One kind of table in the store: tables built, lookups served from
+    the store, tables evicted, and the bytes held now."""
+
+    builds: int
+    hits: int
+    evictions: int
+    bytes: int
+
+
+def _nbytes(table) -> int:
+    """Bytes of the arrays in a table: an array or a tuple of them."""
+    if isinstance(table, np.ndarray):
+        return table.nbytes
+    return sum(_nbytes(t) for t in table) if isinstance(table, tuple) else 0
+
+
+def _stored(build):
+    """build(d, *args), a table mod d, served from the store under the
+    key (kind, d, args), kind being build's name.  A build charges the
+    point budget itself, so a hit charges nothing."""
+    kind = build.__name__.lstrip("_")
+    _counts[kind] = count = [0, 0, 0, 0]
+
+    @wraps(build)
+    def table(d, *args):
+        key = (kind, d, args)
+        hit = _tables.get(key)
+        if hit is not None:
+            _tables.move_to_end(key)
+            count[1] += 1
+            return hit[0]
+        value = build(d, *args)
+        size = _nbytes(value)
+        _tables[key] = (value, size)
+        count[0] += 1
+        count[3] += size
+        _evict(d)
+        return value
+
+    return table
+
+
+def _evict(d: int):
+    """Evict the least recently used tables of moduli other than d until
+    the store holds at most TABLE_BYTES."""
+    held = sum(c[3] for c in _counts.values())
+    if held <= TABLE_BYTES:
+        return
+    for key in [k for k in _tables if k[1] != d]:
+        _, size = _tables.pop(key)
+        count = _counts[key[0]]
+        count[2] += 1
+        count[3] -= size
+        held -= size
+        if held <= TABLE_BYTES:
+            return
+
+
+def table_stats():
+    """A read-only snapshot of the store's counters: kind -> TableStats,
+    kinds in name order."""
+    return MappingProxyType({kind: TableStats(*count) for kind, count in sorted(_counts.items())})
+
+
+def clear_tables():
+    """Empty the store and zero its counters."""
+    _tables.clear()
+    for count in _counts.values():
+        count[:] = [0, 0, 0, 0]
 
 
 # ---------------------------------------------------------------- characters
@@ -117,7 +201,7 @@ def make_character(d: int) -> Character:
     return Character(d)
 
 
-@lru_cache(maxsize=None)
+@_stored
 def _legendre_table(p: int) -> np.ndarray:
     # table[i] = jacobi(i, p): the squares of 0..(p-1)/2 mark every residue
     # (each once up to sign), built in blocks so no int64 array of length p
@@ -635,7 +719,7 @@ def _plane_product_sum(planes: _Planes, ns) -> int:
     return size - 2 * negs - (len(ur) - 2 * odd)
 
 
-@lru_cache(maxsize=_PLANE_SLOTS)
+@_stored
 def _log_tables(p: int):
     """(exp, log) for the least primitive root g mod an odd prime p, read-only
     int64: exp[k] = g^k mod p for k < p - 1 and log[exp[k]] = k (log[0] = 0).
@@ -734,7 +818,7 @@ def _grid_source(primes, a: int, b: int, c: int):
     return rows
 
 
-@lru_cache(maxsize=_PLANE_SLOTS)
+@_stored
 def _planes(d: int, a: int, b: int, c: int, cols: int | None = None):
     """The bit planes of the first cols (default all d) columns of the d x d
     grid of jacobi(a x^2 + b x y + c y^2, d), for the shifted product sums:
@@ -753,7 +837,7 @@ def _planes(d: int, a: int, b: int, c: int, cols: int | None = None):
     return _pack((rows(np.arange(x0, min(x0 + block, d)))[:, :cols] for x0 in range(0, d, block)), d, cols)
 
 
-@lru_cache(maxsize=_PLANE_SLOTS)
+@_stored
 def _legendre_planes(p: int):
     """The planes of the Legendre table mod p as a one-column table: one
     word per row, holding the entry in bit 0.  The two planes hold 128 bits
@@ -799,7 +883,7 @@ def _check_companion(p: int, qt: BinaryForm):
 
 
 def _form_planes(qt: BinaryForm, d: int):
-    # reduced here so that congruent companions share one cache entry
+    # reduced here so that congruent companions share one store entry
     return _planes(d, qt.a % d, qt.b % d, qt.c % d)
 
 

@@ -22,7 +22,7 @@ from .intvec import norm_sq, vec_key
 from .lattice import shortest_vector3
 from .modmath import Modulus, jacobi, sqrt_mod_squarefree
 from .qforms import TernaryForm, sample_forms
-from .charsum import _chi, _legendre_table
+from .charsum import _BLOCK, _chi, _legendre_table
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -40,10 +40,14 @@ def _scan_ball(form, mod: Modulus, r_sq: int, square: bool):
     norm_sq(v) <= r_sq whose value is 0 mod q (square False) or a square,
     possibly 0, mod every prime of q (square True); None if there is none.
 
-    The last two coordinates (x, y) span the (2r+1)^2 box and a ternary
-    form's first coordinate v1 loops, nearest 0 first, until v1^2 exceeds
-    the best norm found.  Values are taken mod d, q itself for zeros and
-    each prime for squares, in Horner form
+    The last two coordinates (x, y) span the (2r+1)^2 box, scanned in
+    blocks of whole x-rows of about _BLOCK entries, rows nearest x = 0
+    first, so no array holds the box.  In each block a ternary form's first
+    coordinate v1 loops, nearest 0 first, until v1^2 + x^2 (x the block's
+    row nearest 0) exceeds the best norm found so far, and the scan stops at
+    the first block whose x^2 exceeds it.  Every vector of the best norm is
+    kept, and the least by vec_key is returned.  Values are taken mod d, q
+    itself for zeros and each prime for squares, in Horner form
         Q = v1 L(x, y) + R(x, y) + a11 v1^2,
         L = a12 x + a13 y,  R = (a22 x + a23 y) x + a33 y y,
     with every partial sum reduced mod d before it is multiplied by a
@@ -58,36 +62,44 @@ def _scan_ball(form, mod: Modulus, r_sq: int, square: bool):
         raise InvalidInput(f"{what}: values mod {max(moduli)} would overflow int64")
     ternary = form.arity == 3
     a11, a22, a33, a12, a13, a23 = form.coeffs() if ternary else (0, form.a, form.c, 0, 0, form.b)
-    xs = np.arange(-r, r + 1, dtype=np.int64)
-    x, y = xs[:, None], xs[None, :]
-    n23 = x * x + y * y
-    planes = []
-    for d in moduli:
-        rest = a22 % d * x + a23 % d * y
-        rest %= d
-        rest *= x
-        rest += a33 % d * y % d * y
-        rest %= d
-        lin = (a12 % d * x + a13 % d * y) % d if ternary else 0
-        planes.append((d, lin, rest, _legendre_table(d) if square else None))
+    tables = [_legendre_table(d) if square else None for d in moduli]
+    near = sorted(range(-r, r + 1), key=abs)
+    y = np.arange(-r, r + 1, dtype=np.int64)[None, :]
+    per = max(1, _BLOCK // (2 * r + 1))
     best, cands = r_sq, []
-    for v1 in sorted(range(-r, r + 1), key=abs) if ternary else (0,):
-        if v1 * v1 > best:
+    for i0 in range(0, 2 * r + 1, per):
+        x0 = near[i0]
+        if x0 * x0 > best:
             break
-        hit = n23 <= best - v1 * v1
-        if v1 == 0:
-            hit[r, r] = False
-        for d, lin, rest, table in planes:
-            vals = rest if v1 == 0 else (lin * v1 + rest + a11 * v1 * v1 % d) % d
-            hit &= _chi(table, vals) >= 0 if square else vals == 0
-        if not hit.any():
-            continue
-        m = v1 * v1 + int(n23[hit].min())
-        if m < best:
-            best, cands = m, []
-        head = (v1,) if ternary else ()
-        i, j = np.nonzero(hit & (n23 == m - v1 * v1))
-        cands += [head + (a - r, b - r) for a, b in zip(i.tolist(), j.tolist())]
+        xs = near[i0 : i0 + per]
+        x = np.array(xs, dtype=np.int64)[:, None]
+        n23 = x * x + y * y
+        planes = []
+        for d, table in zip(moduli, tables):
+            rest = a22 % d * x + a23 % d * y
+            rest %= d
+            rest *= x
+            rest += a33 % d * y % d * y
+            rest %= d
+            lin = (a12 % d * x + a13 % d * y) % d if ternary else 0
+            planes.append((d, lin, rest, table))
+        for v1 in near if ternary else (0,):
+            if v1 * v1 + x0 * x0 > best:
+                break
+            hit = n23 <= best - v1 * v1
+            if v1 == x0 == 0:
+                hit[0, r] = False
+            for d, lin, rest, table in planes:
+                vals = rest if v1 == 0 else (lin * v1 + rest + a11 * v1 * v1 % d) % d
+                hit &= _chi(table, vals) >= 0 if square else vals == 0
+            if not hit.any():
+                continue
+            m = v1 * v1 + int(n23[hit].min())
+            if m < best:
+                best, cands = m, []
+            head = (v1,) if ternary else ()
+            i, j = np.nonzero(hit & (n23 == m - v1 * v1))
+            cands += [head + (xs[a], b - r) for a, b in zip(i.tolist(), j.tolist())]
     return (best, min(cands, key=vec_key)) if cands else None
 
 

@@ -17,7 +17,7 @@ from quadcong.errors import (
     RegionTooLarge,
     SingularQTilde,
 )
-from quadcong.modmath import find_nonresidue, is_square_mod, jacobi, make_modulus
+from quadcong.modmath import find_nonresidue, is_prime, is_square_mod, jacobi, make_modulus
 from quadcong.oracle import brute_min_square
 from quadcong.qforms import BinaryForm, TernaryForm, adjugate4, det_gram2, monic_companion
 from quadcong import charsum, errors
@@ -26,12 +26,12 @@ from quadcong.charsum import (
     Character,
     Disc,
     _chi,
-    _legendre_planes,
     _legendre_table,
     _log_tables,
     _pack,
     _plane_product_sum,
     _planes,
+    clear_tables,
     diff_products,
     divisor_char_sum,
     divisor_sum_positive,
@@ -55,6 +55,7 @@ from quadcong.charsum import (
     shift_params,
     shifted_sum_bound,
     splits_mod,
+    table_stats,
     window_power_sum,
 )
 
@@ -113,7 +114,7 @@ TABLE_KERNELS = {
 @pytest.mark.parametrize("call, d", TABLE_KERNELS.values(), ids=TABLE_KERNELS)
 def test_table_kernels_peak_memory_near_table_size(call, d):
     # tables and O(p) sums run in blocks of 2^13 entries
-    _legendre_table.cache_clear()
+    clear_tables()
     tracemalloc.start()
     try:
         call()
@@ -138,17 +139,11 @@ def _legendre_readers():
     )
 
 
-def _clear_charsum_caches():
-    for v in vars(charsum).values():
-        if hasattr(v, "cache_clear") and v.__module__ == charsum.__name__:
-            v.cache_clear()
-
-
 def test_packed_legendre_tables_match_int8(monkeypatch):
     # above _PACKED a table keeps p / 8 bytes of bits; every reader gives the
     # same values from packed tables as from int8 ones
     p = 4_000_037
-    _clear_charsum_caches()
+    clear_tables()
     t = _legendre_table(p)
     assert t.nbytes == -(-p // 8)
     rng = random.Random(p)
@@ -156,12 +151,12 @@ def test_packed_legendre_tables_match_int8(monkeypatch):
     assert _chi(t, ms).tolist() == [jacobi(int(m), p) for m in ms]
     int8 = _legendre_readers()
     monkeypatch.setattr(charsum, "_PACKED", 2)
-    _clear_charsum_caches()
+    clear_tables()
     try:
         assert _legendre_table(3).dtype == np.uint8
         assert _legendre_readers() == int8
     finally:
-        _clear_charsum_caches()
+        clear_tables()
 
 
 def test_character_principal():
@@ -245,7 +240,7 @@ def test_incomplete_sum_row_chunks_pointwise(monkeypatch, d):
 def test_incomplete_sum_peak_memory_per_chunk():
     # a row of 10^6 points goes in chunks of _BLOCK points, not one array
     chi, f, region = make_character(105), BinaryForm(2, -3, 5), Box(0, 10**6 - 1, 7, 7)
-    _legendre_table.cache_clear()
+    clear_tables()
     tracemalloc.start()
     try:
         incomplete_sum(chi, f, region)
@@ -585,14 +580,65 @@ def test_norm_shift_sum_frozen():
 
 
 def test_window_sums_do_not_evict_norm_planes():
-    # the window sums build their rows uncached, so they cannot push a
-    # prime's norm planes out between two sums at that prime
-    _planes.cache_clear()
+    # the window sums read their rows outside the store, so they cannot push
+    # a prime's norm planes out between two sums at that prime
+    clear_tables()
     norm_shift_sum(37, (1, 2, 3, 4))
     for q in (15, 21, 33, 35, 39, 51):
         window_power_sum(BinaryForm(1, 1, 3), make_modulus(q), 2, 1)
     norm_shift_sum(37, (5, 6))
-    assert _planes.cache_info().misses == 1
+    assert table_stats()["planes"].builds == 1
+
+
+def test_store_passes_its_cap_only_by_the_current_primes_tables(monkeypatch):
+    # five Legendre tables of p / 8 bytes (250-375 KB) would hold 1.6 MB; the
+    # store keeps at most its cap besides the table of the prime in use, and
+    # incomplete_sum finds that table where full_grid_sum left it
+    monkeypatch.setattr(charsum, "TABLE_BYTES", 512 << 10)
+    clear_tables()
+    f = BinaryForm(1, 1, 3)
+    primes = [next(p for p in range(n, n + 1000) if is_prime(p)) for n in range(2_000_000, 3_000_001, 250_000)]
+    for p in primes:
+        full_grid_sum(f, make_modulus(p))
+        incomplete_sum(make_character(p), f, Box(0, 9, 0, 9))
+        stats = table_stats()["legendre_table"]
+        assert stats.bytes <= charsum.TABLE_BYTES + -(-p // 8)
+    assert stats.builds == stats.hits == 5 and stats.evictions >= 3
+    assert sum(s.bytes for s in table_stats().values()) == stats.bytes
+
+
+def test_scan_composite_mix_builds_each_table_once():
+    # the small moduli of scan-composite's rounds and the 4 MB character of
+    # d = 4,000,037 fit under the cap together: nothing is evicted, and every
+    # table, the character's among them, is built once
+    clear_tables()
+    rng = random.Random(22)
+    kernel, grid, chars = (105, 143, 385, 663), (1155, 7429, 33263), (1147, 4757, 12673, _BIG_PRIME)
+
+    def form(q):
+        # a monic companion with det4 a unit mod q
+        while gcd((qt := BinaryForm(1, rng.randrange(q), rng.randrange(q))).det4(), q) != 1:
+            pass
+        return qt
+
+    def one_round(pick):
+        for q in pick(kernel):
+            form_shift_sum_q(form(q), make_modulus(q), (1, 2, 3, 4))
+            window_power_sum(form(q), make_modulus(q), 2, 2)
+        for q in pick(grid):
+            full_grid_sum(form(q), make_modulus(q))
+        for d in pick(chars):
+            incomplete_sum(make_character(d), BinaryForm(d - 1, 3, d - 5), Box(d - 47, d - 39, 1, 9))
+        exp_char_sum(TernaryForm(1, 2, 3, 1, 0, 1), 101, (1, 2, 3))
+
+    one_round(lambda pool: pool)
+    for _ in range(20):
+        one_round(lambda pool: rng.choices(pool, k=2))
+    stats = table_stats()
+    assert sum(s.evictions for s in stats.values()) == 0
+    assert sum(s.builds for s in stats.values()) == len(charsum._tables)
+    primes = {p for q in kernel + grid + chars for p in make_modulus(q).primes} | {101}
+    assert stats["legendre_table"].builds == len(primes) and ("legendre_table", _BIG_PRIME, ()) in charsum._tables
 
 
 def test_linear_shift_sum_brute():
@@ -743,8 +789,7 @@ def test_window_sums_peak_bytes_per_charged_point(kernel):
     # points
     q = 1155
     mod = make_modulus(q)
-    _legendre_table.cache_clear()
-    _log_tables.cache_clear()
+    clear_tables()
     tracemalloc.start()
     try:
         kernel(BinaryForm(1, 1, 3), mod, 1, 1)
@@ -947,17 +992,13 @@ GUARDED = {
 
 @pytest.mark.parametrize("call, charge, what", GUARDED.values(), ids=GUARDED)
 def test_point_guard_charges_each_kernel(monkeypatch, call, charge, what):
-    # a cache hit skips the charge, so every case starts from empty caches
-    caches = [
-        v for v in vars(charsum).values() if hasattr(v, "cache_clear") and v.__module__ == charsum.__name__
-    ]
-    assert set(caches) == {_legendre_table, _planes, _legendre_planes, _log_tables}
-    for cache in caches:
-        cache.cache_clear()
+    # a store hit skips the charge, so every case starts from an empty store
+    clear_tables()
+    assert set(table_stats()) == {"legendre_table", "planes", "legendre_planes", "log_tables"}
     monkeypatch.setattr(errors, "POINT_BUDGET", charge - 1)
     with pytest.raises(RegionTooLarge, match=re.escape(what)):
         call()
-    assert [c.cache_info().currsize for c in caches] == [0] * len(caches)  # refused before any table was built
+    assert set(table_stats().values()) == {(0, 0, 0, 0)}  # refused before any table was built
     monkeypatch.setattr(errors, "POINT_BUDGET", charge)
     call()
 
@@ -987,17 +1028,18 @@ def test_oversize_moduli_refused_before_allocating(call):
 def test_split_route_charges_legendre_planes():
     # the Legendre planes hold two 64-bit words per residue: at p = 10,000,019
     # about 320 MB, refused before the Legendre table or the planes are built
-    _clear_charsum_caches()
+    clear_tables()
     with pytest.raises(RegionTooLarge, match="_legendre_planes mod 10000019"):
         form_shift_sum_q(BinaryForm(1, 1, 0), make_modulus(10_000_019), (1, 2))
-    assert _legendre_table.cache_info().currsize == _legendre_planes.cache_info().currsize == 0
+    stats = table_stats()
+    assert stats["legendre_table"].builds == stats["legendre_planes"].builds == 0
 
 
 def test_exp_char_sum_peak_memory_per_point():
     # the chart is a closed form, so the p-entry phase vector, one pointer per
     # entry, is the largest thing held: at most 10 bytes per charged point
     p = _BIG_PRIME
-    _legendre_table.cache_clear()
+    clear_tables()
     tracemalloc.start()
     try:
         res = exp_char_sum(TernaryForm(1, 2, 3, 1, 0, 1), p, (1, 2, 3))
@@ -1244,13 +1286,13 @@ def test_entry_points_read_coefficients_by_class():
 
 
 def test_congruent_companions_share_one_planes_entry():
-    # the companion grids are cached by coefficients reduced mod q, so a
+    # the companion grids are stored by coefficients reduced mod q, so a
     # class builds its planes once
-    _planes.cache_clear()
+    clear_tables()
     for qt in (BinaryForm(1, 1, 3), BinaryForm(1 + 13 * 105, 1 - 13 * 105, 3 + 2 * 13 * 105)):
         form_shift_sum_direct(13, (2, 5), qt)
         form_shift_sum_q_direct(qt, make_modulus(105), (1, 2))
-    assert _planes.cache_info().misses == 2
+    assert table_stats()["planes"].builds == 2
 
 
 def test_full_grid_sum_vanishes_at_large_prime():

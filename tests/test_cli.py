@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from quadcong import cli, errors
-from quadcong.charsum import _planes
+from quadcong import charsum, cli, errors
+from quadcong.charsum import clear_tables, table_stats
 from quadcong.cli import (
     ExperimentConfig,
     FitResult,
@@ -164,21 +164,42 @@ def test_weil_scan_columns(tmp_path):
         assert parts[7] == "1"
 
 
+def _weil_scan_primes(q_range, out):
+    clear_tables()
+    assert main(["weil-scan", "--q-range", q_range, "--samples", "1", "--out", str(out)]) == 0
+    return sorted({int(ln.split(",")[0]) for ln in read(out).splitlines()[4:]})
+
+
+def _held(d=None):
+    """Bytes the table store holds, of every modulus or of d's tables only."""
+    return sum(size for (_, m, _), (_, size) in charsum._tables.items() if d in (None, m))
+
+
 def test_weil_scan_table_cache_stays_bounded(tmp_path):
     # each prime needs three tables' planes (split companion; inert
     # companion, which is the norm form, for the direct grid; the half-width
-    # norm table for the norm route), so a bounded cache builds each once per
-    # prime and holds no more bytes than four int8 tables of the largest prime
-    _planes.cache_clear()
-    out = tmp_path / "w.csv"
-    assert main(["weil-scan", "--q-range", "3:101", "--samples", "1", "--out", str(out)]) == 0
-    primes = {ln.split(",")[0] for ln in read(out).splitlines()[4:]}
+    # norm table for the norm route), so the store builds each once per
+    # prime and holds no more bytes than its cap
+    primes = _weil_scan_primes("3:101", tmp_path / "w.csv")
     assert len(primes) == 25
-    info = _planes.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-    assert info.misses == 3 * len(primes)
-    planes = _planes(101, 1, 1, 0)  # the largest planes the scan built
-    assert info.currsize * (planes.nz.nbytes + planes.neg.nbytes) <= 4 * 101**2
+    stats = table_stats()
+    assert stats["planes"].builds == 3 * len(primes)
+    assert sum(s.bytes for s in stats.values()) == _held() <= charsum.TABLE_BYTES
+
+
+def test_weil_scan_builds_each_table_once_per_prime_past_the_cap(tmp_path, monkeypatch):
+    # each prime's tables together pass the cap, yet they never evict one
+    # another: each is built once per prime, and at the end the store holds
+    # the last prime's tables and nothing else
+    monkeypatch.setattr(charsum, "TABLE_BYTES", 64 << 10)
+    primes = _weil_scan_primes("600:700", tmp_path / "w.csv")
+    assert len(primes) == 16
+    stats = table_stats()
+    assert {kind: s.builds for kind, s in stats.items()} == {
+        "legendre_planes": 16, "legendre_table": 16, "log_tables": 16, "planes": 48
+    }
+    assert stats["planes"].evictions > 0
+    assert _held() == _held(primes[-1]) > charsum.TABLE_BYTES
 
 
 def test_weil_scan_csv_frozen(tmp_path):

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import islice, product
 from math import gcd, prod
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcong import errors
+from quadcong.charsum import _BLOCK
 from quadcong.cli import sample_binary_forms
 from quadcong.errors import InvalidInput, RegionTooLarge
 from quadcong.intvec import norm_sq, vec_key
@@ -101,6 +103,21 @@ def test_zero_scan_past_its_int64_bound_raises():
     with pytest.raises(InvalidInput, match="_scan_ball mod 16294579238595022365"):
         brute_min_zero(IDENTITY, mod)
     assert brute_min_square(IDENTITY, mod).norm_sq == 1
+
+
+def test_binary_scan_peak_memory_is_one_block(monkeypatch):
+    # the form has no zero within reach of this budget, so the doubling scan
+    # ends at r = 1024: a (2r + 1)^2 box of 4.2M points, 34 MB in each int64
+    # plane, scanned in row blocks of about _BLOCK entries instead
+    monkeypatch.setattr(errors, "POINT_BUDGET", 10**7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RegionTooLarge, match=re.escape("r^2 = 4194304")):
+            brute_min_zero(BinaryForm(2098, 1584, 1534), make_modulus(4515))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * _BLOCK
 
 
 def test_brute_min_zero_bound_proves_absence():

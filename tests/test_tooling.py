@@ -37,6 +37,19 @@ def test_lattice_is_integer_only():
     assert "Fraction" not in names and "Fraction" not in imports
 
 
+def test_tables_have_one_byte_bounded_store():
+    # charsum's store bounds its tables in bytes; a functools cache in the
+    # modules that build or read tables would hold them past its cap
+    for name in ("charsum", "oracle"):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not names & {"lru_cache", "cache", "cached_property"}, name
+        module = importlib.import_module(f"quadcong.{name}")
+        assert [k for k, v in vars(module).items() if hasattr(v, "cache_clear")] == [], name
+
+
 def test_exp_sums_use_no_float_roots_of_unity():
     # the exponential sums are exact integers: no complex roots of unity
     tree = ast.parse((SRC / "charsum.py").read_text())
