@@ -29,9 +29,10 @@ is popcount(nonzero) - 2 popcount(nonzero & negative).  ``_seal`` records
 the zeros of a table that has no more of them than rows (an inert companion
 grid and the F_{p^2} norm table vanish only at (0, 0), a Legendre table
 only at 0); on such a table, unless it is small enough to roll in a doubled
-copy, the kernel skips the nonzero plane and corrects the XOR's popcount at
-the few points where a rolled factor is zero.  Split companion grids
-(about 2p zeros) and composite grids keep the AND.
+copy, ``_seal`` drops the nonzero plane (nz is None) and the kernel
+corrects the XOR's popcount at the few points where a rolled factor is
+zero.  Split companion grids (about 2p zeros) and composite grids keep
+both planes and the AND.
 
 The one character table is the Legendre table of a prime: d is
 square-free, so jacobi(., d) is the product of the Legendre symbols mod its
@@ -55,14 +56,17 @@ arguments): Legendre tables (as bits above _PACKED, read through ``_chi``),
 (exp, log) tables, Legendre planes, and the planes of companion grids,
 half-width norm tables and composite grids.  It is bounded in bytes by
 TABLE_BYTES and evicts the least recently used table first, but never to
-make room for a table of the same modulus: one prime's tables never evict
-one another, so a scan builds each once per prime, and the store passes its
-cap only by the tables of the modulus it last built for.  ``table_stats``
+make room for a table of the same modulus, nor a table of a prime of q
+while a call over q's primes runs (``_holding``: form_shift_sum_q,
+full_grid_sum, incomplete_sum).  So the tables one call reads never evict
+one another, a scan builds each once per prime, and the store passes its
+cap only by the tables of the call in progress.  ``table_stats``
 counts builds, hits, evictions and bytes held per kind.  The window sums
 read their grid rows one block at a time per call (``_window_rows``).
 """
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain, combinations, repeat
@@ -96,13 +100,17 @@ from .qforms import BinaryForm, TernaryForm, _check_arity, adjugate4, monic_comp
 
 _BLOCK = 1 << 16  # entries per block of a table build: its int64 temporaries stay in cache
 _PACKED = 1 << 20  # primes above this keep their Legendre table as bits: p / 8 bytes
-TABLE_BYTES = 8 << 20  # the table store's cap: a prime near 3000 holds 5.2 MB of tables
+# the table store's cap on tables kept for later calls: the most any workload
+# or CLI command reads again is scan-composite's 0.51 MB.  The tables of the
+# call in progress may pass it (a prime near 3000 holds 4.1 MB)
+TABLE_BYTES = 3 << 20
 
 
 # --------------------------------------------------------------- table store
 
 _tables: OrderedDict = OrderedDict()  # (kind, d, args) -> (table, bytes), least recently used first
 _counts: dict = {}  # kind -> [builds, hits, evictions, bytes held]
+_call_moduli: frozenset = frozenset()  # moduli of the call in progress (_holding): never evicted
 
 
 class TableStats(NamedTuple):
@@ -149,12 +157,13 @@ def _stored(build):
 
 
 def _evict(d: int):
-    """Evict the least recently used tables of moduli other than d until
-    the store holds at most TABLE_BYTES."""
+    """Evict the least recently used tables of moduli other than d and the
+    moduli a _holding block holds, until the store holds at most
+    TABLE_BYTES."""
     held = sum(c[3] for c in _counts.values())
     if held <= TABLE_BYTES:
         return
-    for key in [k for k in _tables if k[1] != d]:
+    for key in [k for k in _tables if k[1] != d and k[1] not in _call_moduli]:
         _, size = _tables.pop(key)
         count = _counts[key[0]]
         count[2] += 1
@@ -162,6 +171,20 @@ def _evict(d: int):
         held -= size
         if held <= TABLE_BYTES:
             return
+
+
+@contextmanager
+def _holding(moduli):
+    """Hold the tables of these moduli in the store for the block: a call
+    over the primes of q reads each prime's tables, and they must not evict
+    one another, or every repeat of the call rebuilds them all."""
+    global _call_moduli
+    outer = _call_moduli
+    _call_moduli = outer | frozenset(moduli)
+    try:
+        yield
+    finally:
+        _call_moduli = outer
 
 
 def table_stats():
@@ -298,7 +321,8 @@ def incomplete_sum(chi: Character, form: BinaryForm, region) -> int:
     the budget; with p < POINT_BUDGET and k < _BLOCK, int64 stays below 2^59.
     """
     _guard_points(region.point_count(), f"incomplete_sum region mod {chi.d}")
-    tables = [(p, _legendre_table(p)) for p in chi.primes]
+    with _holding(chi.primes):
+        tables = [(p, _legendre_table(p)) for p in chi.primes]
     total = 0
     for chunk in _row_chunks(region):
         widths = [w for _, _, w in chunk]
@@ -341,7 +365,8 @@ def full_grid_sum(form: BinaryForm, mod: Modulus) -> int:
     jacobi(. , q) splits likewise, so the q^2-point sum factors exactly;
     each prime's sum takes O(p) steps (_prime_grid_sum).
     """
-    return prod(_prime_grid_sum(p, form.a, form.b, form.c) for p in mod.primes)
+    with _holding(mod.primes):
+        return prod(_prime_grid_sum(p, form.a, form.b, form.c) for p in mod.primes)
 
 
 # ------------------------------------------------------- divisor square test
@@ -599,9 +624,11 @@ class _Planes(NamedTuple):
     neg are contiguous read-only (m, ceil(cols / 64)) uint64 arrays with bit
     y of row x set where entry (x, y) is nonzero, resp. negative; size is
     m * cols; zeros holds the read-only (rows, cols) int64 arrays of the zero
-    entries when there are at most m of them, else None."""
+    entries when there are at most m of them, else None.  nz is None where
+    _plane_product_sum takes its sparse path and never reads it: zeros
+    recorded and the table not _doubled."""
 
-    nz: np.ndarray
+    nz: np.ndarray | None
     neg: np.ndarray
     size: int
     zeros: tuple | None
@@ -624,11 +651,20 @@ def _pack(blocks, m: int, cols: int) -> _Planes:
     return _seal(nz.view(np.uint64), neg.view(np.uint64), cols)
 
 
+def _doubled(m: int, w: int) -> bool:
+    """Does _plane_product_sum roll a table of m rows of w words per plane
+    within a doubled copy?  At most _BLOCK / 16 words, it costs numpy calls
+    rather than bytes."""
+    return m * w <= _BLOCK // 16
+
+
 def _seal(nz: np.ndarray, neg: np.ndarray, cols: int) -> _Planes:
     """The _Planes of a table with cols columns from its (m, w) uint64
     nonzero and negative planes, padding bits clear, made read-only.  The
     zeros are read from the nonzero plane: a per-row popcount finds the rows
-    that hold any, and the clear bits of their words give the columns."""
+    that hold any, and the clear bits of their words give the columns.  The
+    nonzero plane is then dropped if the zeros were recorded and the table
+    is not _doubled: _plane_product_sum's sparse path never reads it."""
     m, w = nz.shape
     nz.flags.writeable = neg.flags.writeable = False
     per_row = cols - np.bitwise_count(nz).sum(axis=1, dtype=np.int64)
@@ -642,6 +678,8 @@ def _seal(nz: np.ndarray, neg: np.ndarray, cols: int) -> _Planes:
         k, b = np.nonzero(bits)
         zeros = (rows[zr[k]], 64 * zw[k] + b)
         zeros[0].flags.writeable = zeros[1].flags.writeable = False
+        if not _doubled(m, w):
+            nz = None
     return _Planes(nz, neg, m * cols, zeros)
 
 
@@ -658,24 +696,24 @@ def _plane_product_sum(planes: _Planes, ns) -> int:
 
     The rows go in blocks of about _BLOCK / 2 words, whose accumulators
     stay in cache; a block of a roll is one row slice, or two where it
-    wraps.  A table of at most _BLOCK / 16 words costs numpy calls rather
-    than bytes, so it is rolled within a doubled copy, where no roll wraps.
+    wraps.  A _doubled table is rolled within a doubled copy, where no roll
+    wraps.
 
-    A larger table with at most m zeros (planes.zeros) skips the nonzero
-    plane: the product is (-1)^X off the set U of points where some factor
-    is zero, row (z_row - d) mod m in each zero's column, so the sum is
-    size - 2 popcount(X) - sum over U of (-1)^X(P), with X(P) read from the
-    negative planes at U's points.  That correction is a fixed dozen numpy
-    calls, more than the AND saves on a doubled table."""
+    A table that is not _doubled and has at most m zeros (planes.zeros)
+    has no nonzero plane: _seal drops it, and planes.nz being None picks
+    this sparse path.  The product is (-1)^X off the set U of points where
+    some factor is zero, row (z_row - d) mod m in each zero's column, so the
+    sum is size - 2 popcount(X) - sum over U of (-1)^X(P), with X(P) read
+    from the negative planes at U's points.  That correction is a fixed
+    dozen numpy calls, more than the AND saves on a doubled table."""
     nz, neg, size, zeros = planes
     ns = tuple(ns)
     if not ns:
         return size
-    m, w = nz.shape
-    small = m * w <= _BLOCK // 16
-    sparse = zeros is not None and not small
+    m, w = neg.shape
+    sparse = nz is None
     rows = min(m, max(1, _BLOCK // (2 * w)))
-    if small:
+    if not sparse and _doubled(m, w):
         nz, neg = np.concatenate((nz, nz)), np.concatenate((neg, neg))
     acc = np.empty((2 - sparse, rows, w), dtype=np.uint64)  # [nonzero,] negative accumulators
     ones = negs = 0
@@ -841,7 +879,9 @@ def _planes(d: int, a: int, b: int, c: int, cols: int | None = None):
 def _legendre_planes(p: int):
     """The planes of the Legendre table mod p as a one-column table: one
     word per row, holding the entry in bit 0.  The two planes hold 128 bits
-    per residue, charged before the Legendre table or the planes are built."""
+    per residue, charged before the Legendre table or the planes are built;
+    past _BLOCK / 16 rows _seal keeps only the negative plane, but _pack
+    builds both first, so the charge still covers the build."""
     _guard_points(128 * p, f"_legendre_planes mod {p}")
     t = _legendre_table(p)
     return _pack((_chi(t, i)[:, None] for i in _aranges(p)), p, 1)
@@ -932,7 +972,8 @@ def form_shift_sum_q(qt: BinaryForm, mod: Modulus, ns) -> int:
     Exact by the residue-grid factorization; the per-prime dual-route check
     is left to form_shift_sum, because it doubles the work.
     """
-    return prod(form_shift_sum(p, ns, qt, check=False) for p in mod.primes)
+    with _holding(mod.primes):
+        return prod(form_shift_sum(p, ns, qt, check=False) for p in mod.primes)
 
 
 def form_shift_sum_q_direct(qt: BinaryForm, mod: Modulus, ns) -> int:

@@ -2,7 +2,7 @@ import random
 import re
 import tracemalloc
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -317,10 +317,18 @@ def test_norm_table_balanced_and_multiplicative(p):
 
 def _unpack(planes, cols):
     """The int8 table whose bit planes these are; its zeros must be the
-    recorded ones when there are at most as many as rows."""
-    bits = [np.unpackbits(pl.view(np.uint8), axis=1, bitorder="little") for pl in (planes.nz, planes.neg)]
-    assert not bits[0][:, cols:].any() and not bits[1][:, cols:].any()  # padding stays clear
-    t = bits[0][:, :cols].astype(np.int8) * (1 - 2 * bits[1][:, :cols].astype(np.int8))
+    recorded ones when there are at most as many as rows.  A table whose
+    nonzero plane was dropped gets it back from its recorded zeros."""
+    neg = np.unpackbits(planes.neg.view(np.uint8), axis=1, bitorder="little")
+    if planes.nz is None:
+        nz = np.zeros_like(neg)
+        nz[:, :cols] = 1
+        nz[planes.zeros] = 0
+    else:
+        nz = np.unpackbits(planes.nz.view(np.uint8), axis=1, bitorder="little")
+    assert not nz[:, cols:].any() and not neg[:, cols:].any()  # padding stays clear
+    assert not (neg & ~nz).any()  # no zero entry is marked negative
+    t = nz[:, :cols].astype(np.int8) * (1 - 2 * neg[:, :cols].astype(np.int8))
     zr, zc = np.nonzero(t == 0)
     if len(zr) > len(t):
         assert planes.zeros is None
@@ -608,7 +616,7 @@ def test_store_passes_its_cap_only_by_the_current_primes_tables(monkeypatch):
 
 
 def test_scan_composite_mix_builds_each_table_once():
-    # the small moduli of scan-composite's rounds and the 4 MB character of
+    # the small moduli of scan-composite's rounds and the 0.5 MB character of
     # d = 4,000,037 fit under the cap together: nothing is evicted, and every
     # table, the character's among them, is built once
     clear_tables()
@@ -639,6 +647,59 @@ def test_scan_composite_mix_builds_each_table_once():
     assert sum(s.builds for s in stats.values()) == len(charsum._tables)
     primes = {p for q in kernel + grid + chars for p in make_modulus(q).primes} | {101}
     assert stats["legendre_table"].builds == len(primes) and ("legendre_table", _BIG_PRIME, ()) in charsum._tables
+
+
+def test_inert_table_keeps_one_plane_and_its_zero():
+    # an inert companion's grid vanishes only at (0, 0): past the doubled-copy
+    # limit the kernel reads the negative plane and that zero, so the nonzero
+    # plane is not kept; a split grid (about 2p zeros) keeps both planes.
+    # A prime near 3000 then holds 4.06 MB of tables, not 5.76 MB
+    p = 2999
+    split, inert = (next(BinaryForm(1, b, 1) for b in range(p) if jacobi(b * b - 4, p) == k) for k in (1, -1))
+    clear_tables()
+    for qt in (split, inert):
+        form_shift_sum(p, (1, 2, 3, 4), qt)
+    for table in (_planes(p, 1, inert.b, 1), _planes(p, 1, 0, -find_nonresidue(p), (p + 1) // 2)):
+        assert table.nz is None and table.neg.size > charsum._BLOCK // 16
+        assert [list(z) for z in table.zeros] == [[0], [0]]
+        assert charsum._nbytes(table) == table.neg.nbytes + 16
+    table = _planes(p, 1, split.b, 1)
+    assert table.nz.shape == (p, -(-p // 64)) and table.zeros is None
+    assert sum(s.bytes for s in table_stats().values()) < 4_100_000
+
+
+def test_one_call_holds_the_tables_of_all_its_primes():
+    # one modulus of three primes near 4000 with a companion inert mod each:
+    # every prime's norm planes, log tables and Legendre table (about 1.1 MB)
+    # pass the cap together.  A call over q's primes holds them all, so they
+    # never evict one another and a repeat call builds nothing; once the call
+    # is over, another modulus evicts them as usual
+    clear_tables()
+    primes = [4001, 4003, 4007]
+    qt = next(BinaryForm(1, b, 1) for b in range(3, 10**6) if all(jacobi(b * b - 4, p) == -1 for p in primes))
+    mod = make_modulus(prod(primes))
+    for _ in range(3):
+        form_shift_sum_q(qt, mod, (1, 2, 3, 4))
+    stats = table_stats()
+    assert sum(s.evictions for s in stats.values()) == 0
+    assert [stats[kind].builds for kind in ("planes", "log_tables", "legendre_table")] == [3, 3, 3]
+    assert stats["planes"].hits == 6 and sum(s.bytes for s in stats.values()) > charsum.TABLE_BYTES
+    form_shift_sum_q(qt, make_modulus(4013), (1, 2, 3, 4))
+    assert table_stats()["planes"].evictions > 0 and ("planes", 4013, (1, 0, -find_nonresidue(4013), 2007)) in charsum._tables
+
+
+def test_grid_and_incomplete_sums_hold_the_tables_of_all_their_primes(monkeypatch):
+    # three Legendre tables of about 30 KB pass a 64 KB cap together; the
+    # calls over q's primes hold them, so repeat calls build nothing
+    monkeypatch.setattr(charsum, "TABLE_BYTES", 64 << 10)
+    clear_tables()
+    primes = [next(p for p in range(n, n + 100) if is_prime(p)) for n in (30_000, 31_000, 32_000)]
+    q, f = prod(primes), BinaryForm(1, 1, 3)
+    for _ in range(3):
+        full_grid_sum(f, make_modulus(q))
+        incomplete_sum(make_character(q), f, Box(0, 9, 0, 9))
+    stats = table_stats()["legendre_table"]
+    assert (stats.builds, stats.hits, stats.evictions) == (3, 15, 0) and stats.bytes > charsum.TABLE_BYTES
 
 
 def test_linear_shift_sum_brute():
@@ -746,8 +807,12 @@ def test_plane_product_sum_matches_int8_reference(m, cols, seed, ns, block, zero
     assert got == _rolled_product_reference(t, ns)
     assert planes.size == m * cols
     assert (planes.zeros is None) == (int((t == 0).sum()) > m)
+    # the nonzero plane is dropped exactly where the sparse path reads the zeros
+    assert (planes.nz is None) == (planes.zeros is not None and m * -(-cols // 64) > block // 16)
     assert (_unpack(planes, cols) == t).all()
     for plane in (planes.nz, planes.neg):
+        if plane is None:
+            continue
         assert plane.dtype == np.uint64 and plane.shape == (m, -(-cols // 64))
         assert plane.flags.c_contiguous and not plane.flags.writeable
     for where in planes.zeros or ():

@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,15 @@ def test_tables_have_one_byte_bounded_store():
         assert not names & {"lru_cache", "cache", "cached_property"}, name
         module = importlib.import_module(f"quadcong.{name}")
         assert [k for k, v in vars(module).items() if hasattr(v, "cache_clear")] == [], name
+
+
+def test_readme_states_the_table_store_cap():
+    # the README's cap is charsum's constant, so the two cannot drift apart
+    from quadcong import charsum
+
+    readme = (SRC.parent.parent / "README.md").read_text()
+    stated = re.findall(r"at most (\d+) MiB \(`charsum\.TABLE_BYTES`\)", " ".join(readme.split()))
+    assert stated == [str(charsum.TABLE_BYTES >> 20)] and charsum.TABLE_BYTES % (1 << 20) == 0
 
 
 def test_exp_sums_use_no_float_roots_of_unity():
