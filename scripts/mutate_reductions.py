@@ -11,7 +11,7 @@ wraps a negative index silently, so an unreduced row in -m < i < 0 reads
 the right entry).
 
     python scripts/mutate_reductions.py src/quadcong/charsum.py \\
-        tests/test_charsum.py tests/test_cli.py --functions _pack,_plane_product_sum
+        tests/test_charsum.py tests/test_cli.py --functions _seal,_plane_product_sum
 
 The tests run with a small pytest plugin, written into the copy, that loads
 a Hypothesis profile with no shrink phase and no example database: a

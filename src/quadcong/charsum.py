@@ -19,20 +19,20 @@ Complete sums use homogeneity, chi(lam^2 m) = chi(m): a binary grid sum
 mod p takes O(p) steps, and so does a ternary exponential sum, whose chart
 x1 = 1 is summed in closed form (_chart_sum).
 
-Every shifted product sum (one-variable, norm, companion grid, composite
-grid) runs through one kernel, ``_plane_product_sum``, over bit planes: a
-{-1, 0, 1} table with m rows is held as two contiguous (m, ceil(cols/64))
-uint64 arrays, "nonzero" and "negative", packed along the columns.  Rolling
-the table by n rows is a row-offset slice, the product of rolled tables is
-an AND of the nonzero planes and an XOR of the negative ones, and the sum
-is popcount(nonzero) - 2 popcount(nonzero & negative).  ``_seal`` records
-the zeros of a table that has no more of them than rows (an inert companion
-grid and the F_{p^2} norm table vanish only at (0, 0), a Legendre table
-only at 0); on such a table, unless it is small enough to roll in a doubled
-copy, ``_seal`` drops the nonzero plane (nz is None) and the kernel
-corrects the XOR's popcount at the few points where a rolled factor is
-zero.  Split companion grids (about 2p zeros) and composite grids keep
-both planes and the AND.
+Every shifted product sum (one-variable, norm, companion grid) runs through
+one kernel, ``_plane_product_sum``, over bit planes: a {-1, 0, 1} table
+with m rows is held as two contiguous (m, ceil(cols/64)) uint64 arrays,
+"nonzero" and "negative", packed along the columns.  Rolling the table by n
+rows is a row-offset slice, the product of rolled tables is an AND of the
+nonzero planes and an XOR of the negative ones, and the sum is
+popcount(nonzero) - 2 popcount(nonzero & negative).  A table with no more
+zeros than rows (an inert companion grid and the F_{p^2} norm table vanish
+only at (0, 0), a Legendre table only at 0), unless it is small enough to
+roll in a doubled copy, keeps its zeros in place of its nonzero plane
+(``_seal``), and the kernel corrects the XOR's popcount at the few points
+where a rolled factor is zero.  Split companion grids (about 2p zeros)
+keep both planes and the AND.  Two builders make every table's planes:
+``_planes`` a prime's grid, ``_legendre_planes`` a Legendre table.
 
 The one character table is the Legendre table of a prime: d is
 square-free, so jacobi(., d) is the product of the Legendre symbols mod its
@@ -41,10 +41,10 @@ primitive root, chi(Q(x, y)) = N[log x - log y] for x, y != 0, where
 N[k] = chi(Q(g^k, 1)), so row x is a window of one line holding the doubled
 N (``_prime_line``), its columns in log order.  A prime's planes are
 gathered from that line, packed once at each of the 64 bit offsets, with no
-grid built (``_prime_planes``).  A composite grid is the Kronecker product
-of its prime grids, columns in CRT x log order (``_grid_source``), packed
-row block by row block (``_pack``); no sum over all columns sees that
-order.  No kernel evaluates Q point by point over a grid.
+grid built (``_planes``).  A composite grid is read only as rows, by the
+window sums: the Kronecker product of its prime rows, columns in CRT x log
+order (``_grid_source``); no sum over all columns sees that order.  No
+kernel evaluates Q point by point over a grid.
 
 The norm table of F_{p^2}, the grid of c^2 - delta e^2, is even in e, and
 -y = g^((p-1)/2) y, so its log-order columns j and j + (p - 1)/2 are equal:
@@ -52,17 +52,17 @@ The norm table of F_{p^2}, the grid of c^2 - delta e^2, is even in e, and
 every column but y = 0.  The direct grid of a companion form keeps all p.
 
 Tables live in one store (``_stored``), keyed by (kind, modulus,
-arguments): Legendre tables (as bits above _PACKED, read through ``_chi``),
-(exp, log) tables, Legendre planes, and the planes of companion grids,
-half-width norm tables and composite grids.  It is bounded in bytes by
-TABLE_BYTES and evicts the least recently used table first, but never to
-make room for a table of the same modulus, nor a table of a prime of q
-while a call over q's primes runs (``_holding``: form_shift_sum_q,
-full_grid_sum, incomplete_sum).  So the tables one call reads never evict
-one another, a scan builds each once per prime, and the store passes its
-cap only by the tables of the call in progress.  ``table_stats``
-counts builds, hits, evictions and bytes held per kind.  The window sums
-read their grid rows one block at a time per call (``_window_rows``).
+arguments): Legendre tables (as bits above _PACKED, read through
+``_chi``), (exp, log) tables, Legendre planes, and the planes of companion
+grids and half-width norm tables.  It is bounded in bytes by TABLE_BYTES
+and evicts the least recently used table first, but never to make room for
+a table of the same modulus, nor a table of a prime of q while a call over
+q's primes runs (``_holding``: form_shift_sum_q, full_grid_sum,
+incomplete_sum).  So the tables one call reads never evict one another, a
+scan builds each once per prime, and the store passes its cap only by the
+tables of the call in progress.  ``table_stats`` counts builds, hits,
+evictions and bytes held per kind.  The window sums read their grid rows
+one block at a time per call (``_window_rows``).
 """
 
 from collections import OrderedDict
@@ -623,32 +623,15 @@ class _Planes(NamedTuple):
     """Bit planes of a {-1, 0, 1} table with m rows and cols columns: nz and
     neg are contiguous read-only (m, ceil(cols / 64)) uint64 arrays with bit
     y of row x set where entry (x, y) is nonzero, resp. negative; size is
-    m * cols; zeros holds the read-only (rows, cols) int64 arrays of the zero
-    entries when there are at most m of them, else None.  nz is None where
-    _plane_product_sum takes its sparse path and never reads it: zeros
-    recorded and the table not _doubled."""
+    m * cols.  A table holds either nz or zeros, the other None: zeros, the
+    read-only (rows, cols) int64 arrays of the zero entries, where
+    _plane_product_sum takes its sparse path, that is where there are at
+    most m of them and the table is not _doubled."""
 
     nz: np.ndarray | None
     neg: np.ndarray
     size: int
     zeros: tuple | None
-
-
-def _pack(blocks, m: int, cols: int) -> _Planes:
-    """The planes of a {-1, 0, 1} table with m rows and cols columns, given
-    as int8 row blocks: packbits over every entry.  _planes packs composite
-    grids here, _legendre_planes the Legendre tables."""
-    w = -(-cols // 64)
-    nz = np.zeros((m, 8 * w), dtype=np.uint8)
-    neg = np.zeros((m, 8 * w), dtype=np.uint8)
-    used = -(-cols // 8)
-    x0 = 0
-    for blk in blocks:
-        x1 = x0 + len(blk)
-        nz[x0:x1, :used] = np.packbits(blk != 0, axis=1, bitorder="little")
-        neg[x0:x1, :used] = np.packbits(blk < 0, axis=1, bitorder="little")
-        x0 = x1
-    return _seal(nz.view(np.uint64), neg.view(np.uint64), cols)
 
 
 def _doubled(m: int, w: int) -> bool:
@@ -660,27 +643,26 @@ def _doubled(m: int, w: int) -> bool:
 
 def _seal(nz: np.ndarray, neg: np.ndarray, cols: int) -> _Planes:
     """The _Planes of a table with cols columns from its (m, w) uint64
-    nonzero and negative planes, padding bits clear, made read-only.  The
-    zeros are read from the nonzero plane: a per-row popcount finds the rows
-    that hold any, and the clear bits of their words give the columns.  The
-    nonzero plane is then dropped if the zeros were recorded and the table
-    is not _doubled: _plane_product_sum's sparse path never reads it."""
+    nonzero and negative planes, padding bits clear, made read-only.  A
+    table that is not _doubled and has at most m zeros keeps them in place
+    of its nonzero plane, which _plane_product_sum's sparse path never
+    reads.  They are read from the nonzero plane: a per-row popcount finds
+    the rows that hold any, and the clear bits of their words give the
+    columns."""
     m, w = nz.shape
     nz.flags.writeable = neg.flags.writeable = False
     per_row = cols - np.bitwise_count(nz).sum(axis=1, dtype=np.int64)
-    zeros = None
-    if per_row.sum() <= m:
-        rows = np.flatnonzero(per_row)
-        clear = ~nz[rows]
-        clear[:, -1] &= np.uint64((1 << (cols - 64 * (w - 1))) - 1)  # padding bits are not entries
-        zr, zw = np.nonzero(clear)
-        bits = np.unpackbits(clear[zr, zw].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-        k, b = np.nonzero(bits)
-        zeros = (rows[zr[k]], 64 * zw[k] + b)
-        zeros[0].flags.writeable = zeros[1].flags.writeable = False
-        if not _doubled(m, w):
-            nz = None
-    return _Planes(nz, neg, m * cols, zeros)
+    if _doubled(m, w) or per_row.sum() > m:
+        return _Planes(nz, neg, m * cols, None)
+    rows = np.flatnonzero(per_row)
+    clear = ~nz[rows]
+    clear[:, -1] &= np.uint64((1 << (cols - 64 * (w - 1))) - 1)  # padding bits are not entries
+    zr, zw = np.nonzero(clear)
+    bits = np.unpackbits(clear[zr, zw].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    k, b = np.nonzero(bits)
+    zeros = (rows[zr[k]], 64 * zw[k] + b)
+    zeros[0].flags.writeable = zeros[1].flags.writeable = False
+    return _Planes(None, neg, m * cols, zeros)
 
 
 def _plane_product_sum(planes: _Planes, ns) -> int:
@@ -803,14 +785,46 @@ def _prime_line(p: int, a: int, b: int, c: int):
     return line, starts, col0
 
 
-def _prime_planes(p: int, a: int, b: int, c: int, cols: int) -> _Planes:
-    """The planes of the first cols columns of _prime_line's p x p grid,
-    built without the grid.  Each plane of the line is packed once at each
-    of the 64 bit offsets, as (64, n) uint64 words with word k at offset o
-    holding bits o + 64 k, ..., o + 64 k + 63.  Row x's w words are then the
-    w words from word s >> 6 at offset s & 63, s = starts[x]: one gather
-    through a strided view of every run of w words.  Bit 0 is then set from
-    col0 and the padding bits cleared."""
+def _grid_source(primes, a: int, b: int, c: int):
+    """rows(xs): the int8 rows x in xs (int64 residues) of the d x d grid of
+    jacobi(a x^2 + b x y + c y^2, d), d = prod(primes).  By CRT, row x is
+    the Kronecker product of the prime rows G_p[x mod p], each a window of
+    _prime_line's line.  Only the window sums read a composite grid, and
+    only as these rows (_window_rows)."""
+    parts = []
+    for p in primes:
+        line, starts, col0 = _prime_line(p, a, b, c)
+        # the 2p - 1 windows as one view; sliding_window_view costs more per call
+        parts.append((p, np.ndarray((2 * p - 1, p), np.int8, line, strides=(1, 1)), starts, col0))
+
+    def rows(xs):
+        blk = None
+        for p, windows, starts, col0 in parts:
+            r = xs % p
+            gp = windows[starts[r]]
+            gp[:, 0] = col0[r]
+            blk = gp if blk is None else (blk[:, :, None] * gp[:, None, :]).reshape(len(xs), -1)
+        return blk
+
+    return rows
+
+
+@_stored
+def _planes(p: int, a: int, b: int, c: int, cols: int | None = None) -> _Planes:
+    """The bit planes of the first cols (default all p) columns of
+    _prime_line's p x p grid of jacobi(a x^2 + b x y + c y^2, p), p an odd
+    prime, for the shifted product sums: the companion grids
+    (form_shift_sum_direct) and the half-width norm table (norm_shift_sum).
+    Charges p^2 before it allocates, whatever cols is.
+
+    The planes are built without the grid.  Each plane of the line is packed
+    once at each of the 64 bit offsets, as (64, n) uint64 words with word k
+    at offset o holding bits o + 64 k, ..., o + 64 k + 63.  Row x's w words
+    are then the w words from word s >> 6 at offset s & 63, s = starts[x]:
+    one gather through a strided view of every run of w words.  Bit 0 is
+    then set from col0 and the padding bits cleared."""
+    _guard_points(p * p, f"_planes mod {p}")
+    cols = p if cols is None else cols
     line, starts, col0 = _prime_line(p, a, b, c)
     w = -(-cols // 64)
     n = ((2 * p - 2) >> 6) + w  # words per offset: the last window starts at bit 2p - 2
@@ -831,60 +845,20 @@ def _prime_planes(p: int, a: int, b: int, c: int, cols: int) -> _Planes:
     return _seal(*planes, cols)
 
 
-def _grid_source(primes, a: int, b: int, c: int):
-    """rows(xs): the int8 rows x in xs (int64 residues) of the d x d grid of
-    jacobi(a x^2 + b x y + c y^2, d), d = prod(primes).  By CRT, row x is
-    the Kronecker product of the prime rows G_p[x mod p], each a window of
-    _prime_line's line.  The window sums read their rows here
-    (_window_rows), and _planes the rows of a composite grid; a prime's
-    planes come from the packed line (_prime_planes)."""
-    parts = []
-    for p in primes:
-        line, starts, col0 = _prime_line(p, a, b, c)
-        # the 2p - 1 windows as one view; sliding_window_view costs more per call
-        parts.append((p, np.ndarray((2 * p - 1, p), np.int8, line, strides=(1, 1)), starts, col0))
-
-    def rows(xs):
-        blk = None
-        for p, windows, starts, col0 in parts:
-            r = xs % p
-            gp = windows[starts[r]]
-            gp[:, 0] = col0[r]
-            blk = gp if blk is None else (blk[:, :, None] * gp[:, None, :]).reshape(len(xs), -1)
-        return blk
-
-    return rows
-
-
-@_stored
-def _planes(d: int, a: int, b: int, c: int, cols: int | None = None):
-    """The bit planes of the first cols (default all d) columns of the d x d
-    grid of jacobi(a x^2 + b x y + c y^2, d), for the shifted product sums:
-    the companion grids (_form_planes) and the half-width norm table
-    (norm_shift_sum).  _form_planes reduces the coefficients mod d, so
-    congruent companions share one entry.  A prime's planes come from its packed line
-    (_prime_planes), a composite grid's from its rows (_grid_source, _pack)
-    in row blocks.  Charges d^2 before it allocates, whatever cols is."""
-    _guard_points(d * d, f"_planes mod {d}")
-    cols = d if cols is None else cols
-    primes = _factor(d)
-    if len(primes) == 1:
-        return _prime_planes(d, a, b, c, cols)
-    rows = _grid_source(primes, a, b, c)
-    block = max(1, _BLOCK // d)
-    return _pack((rows(np.arange(x0, min(x0 + block, d)))[:, :cols] for x0 in range(0, d, block)), d, cols)
-
-
 @_stored
 def _legendre_planes(p: int):
     """The planes of the Legendre table mod p as a one-column table: one
     word per row, holding the entry in bit 0.  The two planes hold 128 bits
-    per residue, charged before the Legendre table or the planes are built;
-    past _BLOCK / 16 rows _seal keeps only the negative plane, but _pack
-    builds both first, so the charge still covers the build."""
+    per residue, charged before the Legendre table or the planes are built.
+    They are filled block by block and allocated apart, so the nonzero plane
+    that _seal drops past _BLOCK / 16 rows is freed."""
     _guard_points(128 * p, f"_legendre_planes mod {p}")
     t = _legendre_table(p)
-    return _pack((_chi(t, i)[:, None] for i in _aranges(p)), p, 1)
+    nz, neg = np.zeros((p, 1), dtype=np.uint64), np.zeros((p, 1), dtype=np.uint64)
+    for i in _aranges(p):
+        v = _chi(t, i)
+        nz[i, 0], neg[i, 0] = v != 0, v < 0
+    return _seal(nz, neg, 1)
 
 
 def linear_shift_sum(p: int, ns) -> int:
@@ -922,17 +896,13 @@ def _check_companion(p: int, qt: BinaryForm):
         raise InvalidInput("companion leading coefficient must be a unit")
 
 
-def _form_planes(qt: BinaryForm, d: int):
-    # reduced here so that congruent companions share one store entry
-    return _planes(d, qt.a % d, qt.b % d, qt.c % d)
-
-
 def form_shift_sum_direct(p: int, ns, qt: BinaryForm) -> int:
     """Direct O(p^2) evaluation of the shifted companion-form product sum:
     sum over (a, b) mod p of jacobi(prod_i qt(n_i + a, b), p)."""
     _require_scan_prime(p)
     _check_companion(p, qt)
-    return _plane_product_sum(_form_planes(qt, p), ns)
+    # reduced here so that congruent companions share one store entry
+    return _plane_product_sum(_planes(p, qt.a % p, qt.b % p, qt.c % p), ns)
 
 
 def splits_mod(qt: BinaryForm, p: int) -> bool:
@@ -974,11 +944,6 @@ def form_shift_sum_q(qt: BinaryForm, mod: Modulus, ns) -> int:
     """
     with _holding(mod.primes):
         return prod(form_shift_sum(p, ns, qt, check=False) for p in mod.primes)
-
-
-def form_shift_sum_q_direct(qt: BinaryForm, mod: Modulus, ns) -> int:
-    """O(q^2) direct evaluation over the composite grid, for cross-checking."""
-    return _plane_product_sum(_form_planes(qt, mod.q), ns)
 
 
 def shifted_sum_bound(p: int, r: int, overall_gcd: int) -> int:

@@ -21,6 +21,7 @@ named on stderr), 2 configuration errors.
 """
 
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -294,7 +295,9 @@ def _run_tasks(task_fn, arglist, jobs):
         # here, not at the top: the pool loads multiprocessing, socket and logging
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # fork starts every worker the pool is given at once: no more than
+        # there are tasks or CPUs
+        with ProcessPoolExecutor(max_workers=min(jobs, len(arglist), os.cpu_count() or 1)) as pool:
             results = list(pool.map(task_fn, arglist))
     else:
         results = [task_fn(a) for a in arglist]

@@ -26,11 +26,12 @@ from quadcong.charsum import (
     Character,
     Disc,
     _chi,
+    _grid_source,
     _legendre_table,
     _log_tables,
-    _pack,
     _plane_product_sum,
     _planes,
+    _seal,
     clear_tables,
     diff_products,
     divisor_char_sum,
@@ -39,7 +40,6 @@ from quadcong.charsum import (
     form_shift_sum,
     form_shift_sum_direct,
     form_shift_sum_q,
-    form_shift_sum_q_direct,
     full_grid_sum,
     good_shift_vectors,
     in_lift_lattice,
@@ -132,7 +132,6 @@ def _legendre_readers():
         full_grid_sum(BinaryForm(1, 2, 1), make_modulus(1009)),
         linear_shift_sum(1009, (1, 2, 5, 9)),
         norm_shift_sum(101, (1, 2, 3, 4)),
-        form_shift_sum_q_direct(BinaryForm(1, 1, 3), make_modulus(105), (1, 4)),
         window_power_sum(BinaryForm(1, 1, 3), make_modulus(105), 3, 2),
         exp_char_sum(TernaryForm(1, 2, 3, 1, 0, 1), 53, (1, 2, 3)).value,
         brute_min_square(BinaryForm(3, 1, 7), make_modulus(105 * 101)),
@@ -316,9 +315,10 @@ def test_norm_table_balanced_and_multiplicative(p):
 
 
 def _unpack(planes, cols):
-    """The int8 table whose bit planes these are; its zeros must be the
-    recorded ones when there are at most as many as rows.  A table whose
-    nonzero plane was dropped gets it back from its recorded zeros."""
+    """The int8 table whose bit planes these are.  A table holds either its
+    nonzero plane or its zeros, at most as many as rows and in row-major
+    order; from the zeros the nonzero plane is rebuilt."""
+    assert (planes.nz is None) != (planes.zeros is None)
     neg = np.unpackbits(planes.neg.view(np.uint8), axis=1, bitorder="little")
     if planes.nz is None:
         nz = np.zeros_like(neg)
@@ -329,11 +329,9 @@ def _unpack(planes, cols):
     assert not nz[:, cols:].any() and not neg[:, cols:].any()  # padding stays clear
     assert not (neg & ~nz).any()  # no zero entry is marked negative
     t = nz[:, :cols].astype(np.int8) * (1 - 2 * neg[:, :cols].astype(np.int8))
-    zr, zc = np.nonzero(t == 0)
-    if len(zr) > len(t):
-        assert planes.zeros is None
-    else:
-        assert (planes.zeros[0] == zr).all() and (planes.zeros[1] == zc).all()
+    if planes.zeros is not None:
+        zr, zc = np.nonzero(t == 0)
+        assert len(zr) <= len(t) and (planes.zeros[0] == zr).all() and (planes.zeros[1] == zc).all()
     return t
 
 
@@ -359,8 +357,9 @@ def test_prime_planes_are_grid_rows_in_log_order(p):
 
 
 def test_composite_planes_match_grid_table():
-    # rows stay in x order; column (j_1, ..., j_k), the last prime's index
-    # running fastest, is the y that is the log-order column j_i mod each p_i
+    # the window sums read a composite grid as _grid_source's rows: rows stay
+    # in x order; column (j_1, ..., j_k), the last prime's index running
+    # fastest, is the y that is the log-order column j_i mod each p_i
     for d, (a, b, c) in [(15, (1, 1, 3)), (105, (2, 3, 5)), (1155, (1, 0, 1154))]:
         perm, m = [0], 1
         for p in make_modulus(d).primes:
@@ -369,7 +368,8 @@ def test_composite_planes_match_grid_table():
             perm = [y0 + m * ((y - y0) * pow(m, -1, p) % p) for y0 in perm for y in ys]
             m *= p
         want = _whole_grid(d, a, b, c)[:, perm]
-        assert (_unpack(_planes(d, a, b, c), d) == want).all()
+        rows = _grid_source(make_modulus(d).primes, a, b, c)
+        assert (rows(np.arange(d, dtype=np.int64)) == want).all()
 
 
 def test_grid_vanishing_exhaustive_small():
@@ -761,6 +761,18 @@ def test_shift_sums_take_unreduced_shifts(p):
     assert linear_shift_sum(p, ns) == linear_shift_sum(p, reduced)
 
 
+def _sealed(t):
+    """The _Planes of the int8 table t, packed here by np.packbits."""
+    m, cols = t.shape
+    w = -(-cols // 64)
+    planes = []
+    for bits in (t != 0, t < 0):
+        words = np.zeros((m, 8 * w), dtype=np.uint8)
+        words[:, : -(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
+        planes.append(words.view(np.uint64))
+    return _seal(*planes, cols)
+
+
 def _rolled_product_reference(t, ns):
     """Sum of the entrywise product of t rolled by each n (row i <- row
     (i + n) mod m), in int64 arithmetic."""
@@ -802,13 +814,13 @@ def test_plane_product_sum_matches_int8_reference(m, cols, seed, ns, block, zero
         t.flat[cells] = 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(charsum, "_BLOCK", block)
-        planes = _pack([t[: m // 2], t[m // 2 :]], m, cols)
+        planes = _sealed(t)
         got = _plane_product_sum(planes, tuple(ns))
     assert got == _rolled_product_reference(t, ns)
     assert planes.size == m * cols
-    assert (planes.zeros is None) == (int((t == 0).sum()) > m)
-    # the nonzero plane is dropped exactly where the sparse path reads the zeros
-    assert (planes.nz is None) == (planes.zeros is not None and m * -(-cols // 64) > block // 16)
+    # the zeros replace the nonzero plane exactly where the sparse path reads them
+    sparse = int((t == 0).sum()) <= m and m * -(-cols // 64) > block // 16
+    assert (planes.nz is None) == (planes.zeros is not None) == sparse
     assert (_unpack(planes, cols) == t).all()
     for plane in (planes.nz, planes.neg):
         if plane is None:
@@ -935,8 +947,7 @@ def test_form_shift_sum_q_multiplicative():
         per_prime = 1
         for p in mod.primes:
             per_prime *= form_shift_sum(p, ns, qt)
-        assert v == per_prime
-        assert v == form_shift_sum_q_direct(qt, mod, ns)
+        assert v == per_prime == _rolled_product_reference(_whole_grid(105, qt.a, qt.b, qt.c), ns)
 
 
 def test_diff_products():
@@ -1025,14 +1036,10 @@ GUARDED = {
     "legendre_table": (lambda: _legendre_table(53), 53, "_legendre_table mod 53"),
     "linear_shift_sum": (lambda: linear_shift_sum(53, (1, 2)), 128 * 53, "_legendre_planes mod 53"),
     "planes": (lambda: _planes(53, 1, 1, 3), 53**2, "_planes mod 53"),
-    "composite_planes": (lambda: _planes(55, 1, 1, 3), 55**2, "_planes mod 55"),
     "log_tables": (lambda: _log_tables(53), 53, "_log_tables mod 53"),
     "norm_shift_sum": (lambda: norm_shift_sum(53, (1, 2)), 53**2, "_planes mod 53"),
     "form_shift_sum_direct": (
         lambda: form_shift_sum_direct(53, (1, 2), BinaryForm(1, 1, 0)), 53**2, "_planes mod 53"
-    ),
-    "form_shift_sum_q_direct": (
-        lambda: form_shift_sum_q_direct(_F, _M15, (1, 2)), 15**2, "_planes mod 15"
     ),
     "window_power_sum": (
         lambda: window_power_sum(_F, _M15, 3, 2), 15**2 * 3, "window_power_sum mod 15"
@@ -1336,7 +1343,6 @@ def test_entry_points_read_coefficients_by_class():
         "form_shift_sum": lambda f: form_shift_sum(13, (0, 1, 3, 7), f),
         "form_shift_sum_direct": lambda f: form_shift_sum_direct(13, (2, 5), f),
         "form_shift_sum_q": lambda f: form_shift_sum_q(f, mod105, (1, 2, 4, 9)),
-        "form_shift_sum_q_direct": lambda f: form_shift_sum_q_direct(f, mod105, (1, 2, 4, 9)),
         "window_power_sum": lambda f: window_power_sum(f, mod105, 3, 2),
         "max_window_power_sum": lambda f: max_window_power_sum(f, mod105, 3, 1),
         "incomplete_sum": lambda f: incomplete_sum(make_character(105), f, Disc(3, -2, 30)),
@@ -1351,12 +1357,12 @@ def test_entry_points_read_coefficients_by_class():
 
 
 def test_congruent_companions_share_one_planes_entry():
-    # the companion grids are stored by coefficients reduced mod q, so a
-    # class builds its planes once
+    # the companion grids are stored by coefficients reduced mod p, so a
+    # class builds its planes once at each prime
     clear_tables()
-    for qt in (BinaryForm(1, 1, 3), BinaryForm(1 + 13 * 105, 1 - 13 * 105, 3 + 2 * 13 * 105)):
+    for qt in (BinaryForm(1, 1, 3), BinaryForm(1 + 13 * 17, 1 - 13 * 17, 3 + 2 * 13 * 17)):
         form_shift_sum_direct(13, (2, 5), qt)
-        form_shift_sum_q_direct(qt, make_modulus(105), (1, 2))
+        form_shift_sum_direct(17, (1, 2), qt)
     assert table_stats()["planes"].builds == 2
 
 

@@ -150,6 +150,37 @@ def test_jobs_do_not_change_bytes(tmp_path):
     assert read(a) == read(b)
 
 
+def test_jobs_start_no_more_workers_than_tasks_or_cpus(tmp_path, monkeypatch):
+    # a pool starts every worker it is given at once, so --jobs 5000 over 4
+    # moduli must ask for no more than 4 (and no more than the CPUs); the pool
+    # here records what it is asked for and runs the tasks in this process
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["grid-vanish", "--q", "15,21,33,35", "--samples", "3", "--seed", "4"]
+    assert main(argv + ["--out", str(a)]) == 0
+    for cpus, want in ((64, 4), (2, 2), (None, 1)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert main(argv + ["--jobs", "5000", "--out", str(b)]) == 0
+        assert asked[-1] == want and read(a) == read(b)
+
+
 def test_weil_scan_columns(tmp_path):
     out = tmp_path / "w.csv"
     assert main(["weil-scan", "--q-range", "3:7", "--samples", "2", "--out", str(out)]) == 0
