@@ -21,9 +21,11 @@ minutes.
 
 Run it from the root of the source tree.  It needs only the standard library
 and the test suite's own dependencies.  The tests are run once on the
-unmutated copy first; the script exits 2 if that run does not pass or if
-TMPDIR is inside the tree, 1 when a mutant survives or its run times out,
-else 0.
+unmutated copy first; the script exits 2, before it copies the tree, if a
+name in --functions is no function of the module or the functions hold no
+`%` reduction (so a misspelt name is not a clean pass), and exits 2 if the
+unmutated run does not pass or if TMPDIR is inside the tree; it exits 1
+when a mutant survives or its run times out, else 0.
 """
 
 import argparse
@@ -104,6 +106,14 @@ def main():
     functions = set(args.functions.split(",")) if args.functions else None
     source = (root / args.module).read_text()
     sites = reduction_sites(source, functions)
+    defined = {n.name for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    missing = sorted((functions or set()) - defined)
+    if missing:
+        print(f"no function {', '.join(missing)} in {args.module}")
+        return 2
+    if not sites:
+        print(f"no % reduction in {args.module}" + (f" ({args.functions})" if functions else ""))
+        return 2
     work = Path(tempfile.mkdtemp(prefix="mutants-")).resolve()
     if root.resolve() in work.parents:
         shutil.rmtree(work)

@@ -55,9 +55,9 @@ Tables live in one store (``_stored``), keyed by (kind, modulus,
 arguments): Legendre tables (as bits above _PACKED, read through
 ``_chi``), (exp, log) tables, Legendre planes, and the planes of companion
 grids and half-width norm tables.  It is bounded in bytes by TABLE_BYTES
-and evicts the least recently used table first, but never to make room for
-a table of the same modulus, nor a table of a prime of q while a call over
-q's primes runs (``_holding``: form_shift_sum_q, full_grid_sum,
+and evicts the least recently used table first, but never a table of a
+modulus held (``_holding``): a build holds its own modulus, and a call over
+q's primes holds them all (form_shift_sum_q, full_grid_sum,
 incomplete_sum).  So the tables one call reads never evict one another, a
 scan builds each once per prime, and the store passes its cap only by the
 tables of the call in progress.  ``table_stats`` counts builds, hits,
@@ -133,7 +133,9 @@ def _nbytes(table) -> int:
 def _stored(build):
     """build(d, *args), a table mod d, served from the store under the
     key (kind, d, args), kind being build's name.  A build charges the
-    point budget itself, so a hit charges nothing."""
+    point budget itself, so a hit charges nothing.  The build and the
+    evictions after it hold modulus d (_holding), so a table never evicts
+    one of its own modulus."""
     kind = build.__name__.lstrip("_")
     _counts[kind] = count = [0, 0, 0, 0]
 
@@ -145,25 +147,25 @@ def _stored(build):
             _tables.move_to_end(key)
             count[1] += 1
             return hit[0]
-        value = build(d, *args)
-        size = _nbytes(value)
-        _tables[key] = (value, size)
-        count[0] += 1
-        count[3] += size
-        _evict(d)
+        with _holding((d,)):
+            value = build(d, *args)
+            size = _nbytes(value)
+            _tables[key] = (value, size)
+            count[0] += 1
+            count[3] += size
+            _evict()
         return value
 
     return table
 
 
-def _evict(d: int):
-    """Evict the least recently used tables of moduli other than d and the
-    moduli a _holding block holds, until the store holds at most
-    TABLE_BYTES."""
+def _evict():
+    """Evict the least recently used tables of moduli no _holding block
+    holds, until the store holds at most TABLE_BYTES."""
     held = sum(c[3] for c in _counts.values())
     if held <= TABLE_BYTES:
         return
-    for key in [k for k in _tables if k[1] != d and k[1] not in _call_moduli]:
+    for key in [k for k in _tables if k[1] not in _call_moduli]:
         _, size = _tables.pop(key)
         count = _counts[key[0]]
         count[2] += 1
@@ -177,7 +179,8 @@ def _evict(d: int):
 def _holding(moduli):
     """Hold the tables of these moduli in the store for the block: a call
     over the primes of q reads each prime's tables, and they must not evict
-    one another, or every repeat of the call rebuilds them all."""
+    one another, or every repeat of the call rebuilds them all; a build
+    holds its own modulus (_stored)."""
     global _call_moduli
     outer = _call_moduli
     _call_moduli = outer | frozenset(moduli)
@@ -419,9 +422,8 @@ def minimal_lift(a: int, b: int, c: int, mod: Modulus) -> MinimalLift:
     mod q this forces q not to divide det4(lift).
     """
     q = mod.q
-    lat = lift_lattice(a, b, c, mod)
-    va, vb, vc = lat.shortest
-    if not any(v % q for v in lat.shortest):
+    va, vb, vc = lift_lattice(a, b, c, mod)
+    if not (va % q or vb % q or vc % q):
         raise CertificateMismatch("minimal lattice vector vanishes mod q")
     cls = (a, b, c)
     pairs = []
@@ -586,32 +588,10 @@ def second_moment(counts: np.ndarray) -> int:
 # ------------------------------------------------- shifted complete sums
 
 
-@dataclass(frozen=True)
-class DiffProducts:
-    """Pairwise difference products of a tuple of shifts.
-
-    products[i] = prod over j != i of (n_j - n_i); overall_gcd is the gcd of
-    all of them, 0 when every product vanishes.
-    """
-
-    ns: tuple
-    products: tuple
-    overall_gcd: int
-
-
-def diff_products(ns) -> DiffProducts:
-    ns = tuple(ns)
-    prods = []
-    for i, ni in enumerate(ns):
-        v = 1
-        for j, nj in enumerate(ns):
-            if j != i:
-                v *= nj - ni
-        prods.append(v)
-    g = 0
-    for v in prods:
-        g = gcd(g, v)
-    return DiffProducts(ns=ns, products=tuple(prods), overall_gcd=g)
+def delta_gcd(ns) -> int:
+    """The gcd over i of prod over j != i of (n_j - n_i), 0 when every
+    product vanishes."""
+    return gcd(*(prod(nj - ni for j, nj in enumerate(ns) if j != i) for i, ni in enumerate(ns)))
 
 
 def _require_scan_prime(p: int):

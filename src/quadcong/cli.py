@@ -112,7 +112,7 @@ def _next_prime(n: int) -> int:
 
 def _log_spaced(lo: int, hi: int, count: int):
     if count <= 1:
-        return [lo]
+        return [lo] * count
     out = []
     for i in range(count):
         out.append(round(math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * i / (count - 1))))
@@ -183,7 +183,7 @@ def _task_oracle(args):
 
 
 def _task_weil(args):
-    from .charsum import diff_products, form_shift_sum, shifted_sum_bound, splits_mod
+    from .charsum import delta_gcd, form_shift_sum, shifted_sum_bound, splits_mod
 
     p, samples, seed = args
     rows, ok = [], True
@@ -196,16 +196,16 @@ def _task_weil(args):
             rng = random.Random(f"{seed}:weil:{p}:{r}:{qt.row()}")
             for _ in range(samples):
                 ns = tuple(rng.randrange(1, 2 * p + 1) for _ in range(2 * r))
-                dp = diff_products(ns)
+                delta = delta_gcd(ns)
                 val = form_shift_sum(p, ns, qt, check=True)
-                bound = shifted_sum_bound(p, r, dp.overall_gcd)
-                if dp.overall_gcd != 0 and dp.overall_gcd % p != 0:
+                bound = shifted_sum_bound(p, r, delta)
+                if delta != 0 and delta % p != 0:
                     # sharper conditional bounds apply off the degenerate set
                     bound = min(bound, 4 * r * r * p if splits_mod(qt, p) else 2 * r * p)
                 row_ok = abs(val) <= bound
                 ok &= row_ok
                 rows.append(
-                    (p, p, r, _hash_ints(ns), dp.overall_gcd, val, bound, int(row_ok))
+                    (p, p, r, _hash_ints(ns), delta, val, bound, int(row_ok))
                 )
     return rows, ok
 
@@ -250,7 +250,7 @@ def _task_second_moment(args):
         counts = shift_pair_counts(form, lift, mod, (0, 0), radius_sq, shift_bound)
         total = int(counts.sum())
         moment = second_moment(counts)
-        row_ok = moment >= 0 and total >= 0
+        row_ok = moment >= total  # each cell count c >= 1 has c^2 >= c
         ok &= row_ok
         rows.append((q, form.a, form.b, form.c, radius_sq, shift_bound, total, moment, int(row_ok)))
     return rows, ok

@@ -41,10 +41,6 @@ class FactoringExhausted(InvalidModulus):
     pass
 
 
-class NotPrime(QuadCongError):
-    pass
-
-
 class InvalidInput(QuadCongError):
     pass
 

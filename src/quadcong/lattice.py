@@ -30,15 +30,8 @@ class Basis2:
     b1: tuple
     b2: tuple
 
-    def gram(self):
-        return (
-            (dot(self.b1, self.b1), dot(self.b1, self.b2)),
-            (dot(self.b1, self.b2), dot(self.b2, self.b2)),
-        )
-
     def det_gram(self) -> int:
-        g = self.gram()
-        return g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        return dot(self.b1, self.b1) * dot(self.b2, self.b2) - dot(self.b1, self.b2) ** 2
 
 
 def _weighted_dot(wu: int, wv: int):
@@ -232,23 +225,18 @@ def shortest_vector3(rows) -> tuple:
     return best
 
 
-@dataclass(frozen=True)
-class LiftLattice:
-    shortest: tuple
-    det: int
+def lift_lattice(a: int, b: int, c: int, mod: Modulus) -> tuple:
+    """Canonical shortest vector of the lattice of integer vectors congruent
+    to a multiple of (a, b, c) mod q (shortest_vector3's tie-break).
 
-
-def lift_lattice(a: int, b: int, c: int, mod: Modulus) -> LiftLattice:
-    """Lattice of integer vectors congruent to a multiple of (a, b, c) mod q.
-
-    det = q^2 whenever gcd(a, b, c, q) = 1; raises ZeroClass when the class
-    is trivial mod q (the lattice would be all of qZ^3 shifted data).
+    The lattice has det q^2 whenever gcd(a, b, c, q) = 1; raises ZeroClass
+    when the class is trivial mod q (the lattice would be all of qZ^3).
     """
     q = mod.q
     if a % q == 0 and b % q == 0 and c % q == 0:
         raise ZeroClass(f"({a}, {b}, {c}) = 0 mod {q}")
     rows = hnf_rows3([(a % q, b % q, c % q), (q, 0, 0), (0, q, 0), (0, 0, q)])
-    return LiftLattice(shortest=shortest_vector3(rows), det=abs(dot(rows[0], cross3(rows[1], rows[2]))))
+    return shortest_vector3(rows)
 
 
 def congruence_basis2(l1: int, l2: int, m: int) -> Basis2:

@@ -15,7 +15,6 @@ from .errors import (
     InvalidInput,
     InvalidModulus,
     NotOdd,
-    NotPrime,
     NotSquareFree,
     TooSmall,
 )
@@ -81,19 +80,12 @@ def inv_mod(a: int, n: int) -> int:
     return pow(a, -1, n)
 
 
-def sqrt_mod_prime(a: int, p: int):
-    """Canonical square root of a mod prime p, or None when a is a non-residue.
-
-    Canonical means the representative in [0, (p-1)/2]; sqrt(0) = 0.
-    """
-    if not is_prime(p) or p == 2:
-        raise NotPrime(f"sqrt_mod_prime needs an odd prime, got {p}")
-    return _sqrt_mod_known_prime(a, p)
-
-
 def _sqrt_mod_known_prime(a: int, p: int):
-    """sqrt_mod_prime without the primality test, for an odd prime p that is
-    already verified, such as one of Modulus.primes."""
+    """Canonical square root of a mod p, or None when a is a non-residue.
+
+    Canonical means the representative in [0, (p-1)/2]; sqrt(0) = 0.  p must
+    be an odd prime already verified, such as one of Modulus.primes: it is
+    not tested again."""
     a %= p
     if a == 0:
         return 0

@@ -233,14 +233,6 @@ class RestrictionChoice:
 
     vecs: tuple  # (a1, a2, a3, a4, a5, a6)
     form: BinaryForm  # R(u, v) = Q(a1 u + a2 v, a3 u + a4 v, a5 u + a6 v)
-    delta4: int  # det4 of the restriction, coprime to q
-    max_abs: int
-
-
-def _restriction_form(form: TernaryForm, a) -> BinaryForm:
-    col1 = (a[0], a[2], a[4])
-    col2 = (a[1], a[3], a[5])
-    return restrict(form, col1, col2)
 
 
 def ternary_to_binary(form: TernaryForm, mod: Modulus) -> RestrictionChoice:
@@ -248,42 +240,11 @@ def ternary_to_binary(form: TernaryForm, mod: Modulus) -> RestrictionChoice:
     a singular one raises SingularForm (at rank <= 1 mod p no plane would do)."""
     if not nonsingular_mod(form, mod):
         raise SingularForm(f"{_form_name(form, mod.q)} is singular mod q = {mod.q}")
-
-    def delta4(a):
-        return _restriction_form(form, a).det4()
-
     try:
-        a = coprime_point_search(delta4, 6, mod)
+        a = coprime_point_search(lambda v: restrict(form, v[0::2], v[1::2]).det4(), 6, mod)
     except RegionTooLarge as exc:
         raise RegionTooLarge(f"restrictions of {_form_name(form, mod.q)}: {exc}") from None
-    r = _restriction_form(form, a)
-    return RestrictionChoice(vecs=a, form=r, delta4=r.det4(), max_abs=max(a))
-
-
-@dataclass(frozen=True)
-class SquareValueWitness:
-    x: tuple  # 3-vector with form(x) ≡ t^2 (mod q)
-    t: int
-    choice: RestrictionChoice
-    uv: tuple
-
-
-def square_value_ternary(form: TernaryForm, mod: Modulus) -> SquareValueWitness:
-    """Small x != 0 with form(x) ≡ t^2 (mod q), via a plane restriction.
-
-    ||x|| <= sqrt(6) * max_abs * ||(u, v)|| always holds for the
-    reconstruction (checked exactly as an invariant).
-    """
-    choice = ternary_to_binary(form, mod)
-    u, v = square_value_binary(choice.form, mod)
-    a1, a2, a3, a4, a5, a6 = choice.vecs
-    x = (a1 * u + a2 * v, a3 * u + a4 * v, a5 * u + a6 * v)
-    t = sqrt_mod_squarefree(form.evaluate(x), mod)
-    if t is None:
-        raise CertificateMismatch("restriction produced a non-square value")
-    if x == (0, 0, 0) or norm_sq(x) > 6 * choice.max_abs**2 * (u * u + v * v):
-        raise CertificateMismatch(f"witness {x} from (u, v) = {(u, v)} breaks its size bound")
-    return SquareValueWitness(x=x, t=t, choice=choice, uv=(u, v))
+    return RestrictionChoice(vecs=a, form=restrict(form, a[0::2], a[1::2]))
 
 
 def linear_split(r_form: BinaryForm, primes) -> tuple:
@@ -450,10 +411,7 @@ def solve_from_witness(form: TernaryForm, mod: Modulus, witness, t: int) -> Solv
     basis = orthogonal_basis(a0)
     x1, x2 = basis.b1, basis.b2
     r_form = restrict(form, x1, x2)
-    if q1 > 1:
-        linear = linear_split(r_form, q1_primes)
-    else:
-        linear = (0, 0)
+    linear = linear_split(r_form, q1_primes)
     n1, n2 = norm_sq(x1), norm_sq(x2)
     uv = _box_pair(linear[0], linear[1], q1, n1, n2)
     x = scale(add(scale(x1, uv[0]), scale(x2, uv[1])), q0)
@@ -479,12 +437,26 @@ def solve_from_witness(form: TernaryForm, mod: Modulus, witness, t: int) -> Solv
 
 
 def solve_ternary(form: TernaryForm, mod: Modulus) -> SolveTrace:
-    """Small nonzero x with form(x) ≡ 0 (mod q), with a verified audit trace."""
+    """Small nonzero x with form(x) ≡ 0 (mod q), with a verified audit trace.
+
+    The stages: a witness x for -Q^adj from a plane restriction
+    (ternary_to_binary) and its smallest square value (square_value_binary),
+    the root t of -Q^adj(x) mod q, then solve_from_witness.
+    """
     if not nonsingular_mod(form, mod):
         raise SingularForm(f"det shares a factor with {mod.q}")
     neg_adj = negate_mod(adjoint_mod(form, mod), mod)
-    w = square_value_ternary(neg_adj, mod)
-    return solve_from_witness(form, mod, w.x, w.t)
+    choice = ternary_to_binary(neg_adj, mod)
+    u, v = square_value_binary(choice.form, mod)
+    a1, a2, a3, a4, a5, a6 = choice.vecs
+    x = (a1 * u + a2 * v, a3 * u + a4 * v, a5 * u + a6 * v)
+    t = sqrt_mod_squarefree(neg_adj.evaluate(x), mod)
+    if t is None:
+        raise CertificateMismatch("restriction produced a non-square value")
+    # ||x|| <= sqrt(6) max(a_i) ||(u, v)||, checked exactly
+    if x == (0, 0, 0) or norm_sq(x) > 6 * max(choice.vecs) ** 2 * (u * u + v * v):
+        raise CertificateMismatch(f"witness {x} from (u, v) = {(u, v)} breaks its size bound")
+    return solve_from_witness(form, mod, x, t)
 
 
 def _check_trace(trace: SolveTrace, mod: Modulus):
@@ -511,9 +483,8 @@ def _check_trace(trace: SolveTrace, mod: Modulus):
     q1sq = trace.q1 * trace.q1
     need(u**4 * n1 <= q1sq * n2, "u outside the pigeonhole box")
     need(v**4 * n2 <= q1sq * n1, "v outside the pigeonhole box")
-    if trace.q1 > 1:
-        l1, l2 = trace.linear
-        need((l1 * u + l2 * v) % trace.q1 == 0, "congruence violated")
+    l1, l2 = trace.linear
+    need((l1 * u + l2 * v) % trace.q1 == 0, "congruence violated")
     need(trace.plane_form.evaluate((u, v)) % trace.q1 == 0, "q1 does not divide R(u, v)")
     core = add(scale(trace.x1, u), scale(trace.x2, v))
     need(tuple(scale(core, trace.q0)) == x, "solution is not q0 (u x1 + v x2)")

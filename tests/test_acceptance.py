@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from quadcong.charsum import (
-    diff_products,
+    delta_gcd,
     form_shift_sum,
     form_shift_sum_direct,
     form_shift_sum_q,
@@ -161,7 +161,7 @@ def test_c05_weil_scan():
         for r in (2, 3):
             for _ in range(200):
                 ns = tuple(rng.randrange(1, 2 * p + 1) for _ in range(2 * r))
-                delta = diff_products(ns).overall_gcd
+                delta = delta_gcd(ns)
                 nondeg = delta != 0 and delta % p != 0
 
                 s1 = linear_shift_sum(p, ns)

@@ -3,7 +3,6 @@ import re
 import tracemalloc
 from itertools import product
 from math import gcd, prod
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from quadcong.charsum import (
     _planes,
     _seal,
     clear_tables,
-    diff_products,
+    delta_gcd,
     divisor_char_sum,
     divisor_sum_positive,
     exp_char_sum,
@@ -951,13 +950,9 @@ def test_form_shift_sum_q_multiplicative():
 
 
 def test_diff_products():
-    dp = diff_products((1, 4))
-    assert dp.products == (3, -3)
-    assert dp.overall_gcd == 3
-    dp0 = diff_products((2, 2, 2, 2))
-    assert dp0.overall_gcd == 0
-    dp1 = diff_products((0, 1, 2, 3))
-    assert dp1.overall_gcd == gcd(gcd(6, 2), gcd(2, 6))
+    assert delta_gcd((1, 4)) == 3
+    assert delta_gcd((2, 2, 2, 2)) == 0
+    assert delta_gcd((0, 1, 2, 3)) == gcd(gcd(6, 2), gcd(2, 6))
 
 
 @pytest.mark.parametrize("p", [5, 11, 23])
@@ -967,10 +962,10 @@ def test_weil_bound_small_exhaustive(p):
         is_split = splits_mod(qt, p)
         for r, tuples in ((1, [(a, b) for a in range(p) for b in range(p)]),):
             for ns in tuples:
-                dp = diff_products(ns)
+                delta = delta_gcd(ns)
                 val = form_shift_sum(p, ns, qt)
-                assert abs(val) <= shifted_sum_bound(p, r, dp.overall_gcd)
-                if dp.overall_gcd != 0 and dp.overall_gcd % p != 0:
+                assert abs(val) <= shifted_sum_bound(p, r, delta)
+                if delta != 0 and delta % p != 0:
                     sharp = 4 * r * r * p if is_split else 2 * r * p
                     assert abs(val) <= sharp
 
@@ -1390,6 +1385,6 @@ def test_in_lift_lattice_reads_classes_mod_p():
 def test_minimal_lift_refuses_vector_vanishing_mod_q(monkeypatch):
     # a lattice reduction that returned a nonzero multiple of q would be a bug
     mod = make_modulus(15)
-    monkeypatch.setattr(charsum, "lift_lattice", lambda *args: SimpleNamespace(shortest=(15, -30, 45)))
+    monkeypatch.setattr(charsum, "lift_lattice", lambda *args: (15, -30, 45))
     with pytest.raises(CertificateMismatch, match="vanishes mod q"):
         minimal_lift(1, 1, 3, mod)

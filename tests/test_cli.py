@@ -315,6 +315,17 @@ def test_exponent_fit_family_primes_once(tmp_path):
     assert rows == ["series,q,value", "pipeline,1001,14.212670", "rank2-family,1009,100.503731"]
 
 
+def test_exponent_fit_samples_zero_prints_no_rows(capsys):
+    # --samples 0 asks for no log-spaced targets: a header-only report, and
+    # explicit moduli get their pipeline rows but no family rows
+    assert main(["exponent-fit", "--samples", "0", "--out", "-"]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    assert rows == ["series,q,value"]
+    assert main(["exponent-fit", "--q", "1009,1013,1019", "--samples", "0", "--out", "-"]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    assert [row.split(",")[0] for row in rows[1:]] == ["pipeline"] * 3
+
+
 def test_exponent_fit_validates_explicit_moduli(capsys):
     assert main(["exponent-fit", "--q", "1001,9"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
@@ -336,6 +347,15 @@ def test_second_moment_exact_totals(tmp_path):
         pairs, moment = int(parts[-3]), int(parts[-2])
         assert moment >= pairs  # sum of squares dominates the sum when counts are 0/1+
         assert parts[-1] == "1"
+
+
+def test_second_moment_flags_a_moment_below_the_total(monkeypatch, capsys):
+    # a moment below the pair total breaks c^2 >= c for some cell count c
+    monkeypatch.setattr(charsum, "second_moment", lambda counts: int(counts.sum()) - 1)
+    assert main(["second-moment", "--q", "15", "--out", "-"]) == 1
+    out, err = capsys.readouterr()
+    bad = [ln for ln in out.splitlines() if ln.startswith("15,")][0]
+    assert err == f"FAILED: 1 row(s), first: ({bad.replace(',', ', ')})\n"
 
 
 def test_run_accepts_config_object(tmp_path):

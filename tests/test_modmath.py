@@ -13,7 +13,6 @@ from quadcong.errors import (
     FactoringExhausted,
     InvalidModulus,
     NotOdd,
-    NotPrime,
     NotSquareFree,
     TooSmall,
 )
@@ -26,7 +25,6 @@ from quadcong.modmath import (
     is_square_mod,
     jacobi,
     make_modulus,
-    sqrt_mod_prime,
     sqrt_mod_squarefree,
 )
 
@@ -73,16 +71,16 @@ def test_jacobi_multiplicative(a, b):
 def test_sqrt_mod_prime_roundtrip(p):
     for a in range(p if p < 60 else 60):
         if jacobi(a, p) >= 0:
-            t = sqrt_mod_prime(a % p, p)
+            t = sqrt_mod_squarefree(a % p, make_modulus(p))
             assert t * t % p == a % p
             assert 0 <= t <= p // 2  # canonical branch
 
 
 def test_sqrt_mod_prime_frozen():
-    assert sqrt_mod_prime(2, 7) == 3
-    assert sqrt_mod_prime(4, 13) == 2
-    assert sqrt_mod_prime(0, 11) == 0
-    assert sqrt_mod_prime(3, 7) is None  # non-residue
+    assert sqrt_mod_squarefree(2, make_modulus(7)) == 3
+    assert sqrt_mod_squarefree(4, make_modulus(13)) == 2
+    assert sqrt_mod_squarefree(0, make_modulus(11)) == 0
+    assert sqrt_mod_squarefree(3, make_modulus(7)) is None  # non-residue
 
 
 def test_make_modulus_validation():
@@ -216,8 +214,3 @@ def test_find_nonresidue(p):
     assert jacobi(d, p) == -1
     for smaller in range(1, d):
         assert jacobi(smaller, p) != -1
-
-
-def test_not_prime_guard():
-    with pytest.raises(NotPrime):
-        sqrt_mod_prime(1, 15)

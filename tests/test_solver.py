@@ -29,7 +29,6 @@ from quadcong.solver import (
     solve_from_witness,
     solve_ternary,
     square_value_binary,
-    square_value_ternary,
     ternary_to_binary,
     trace_lines,
     verify_trace,
@@ -257,10 +256,10 @@ def test_square_value_sieve_peak_memory():
 def test_square_value_ternary_certificate():
     mod = make_modulus(105)
     neg_adj = negate_mod(adjoint_mod(IDENTITY, mod), mod)
-    w = square_value_ternary(neg_adj, mod)
-    assert w.x != (0, 0, 0)
-    assert is_square_mod(neg_adj.evaluate(w.x), mod)
-    assert w.t * w.t % 105 == neg_adj.evaluate(w.x) % 105
+    trace = solve_ternary(IDENTITY, mod)
+    assert trace.witness != (0, 0, 0)
+    assert is_square_mod(neg_adj.evaluate(trace.witness), mod)
+    assert trace.t * trace.t % 105 == neg_adj.evaluate(trace.witness) % 105
 
 
 def test_coprime_point_search_lex_order(monkeypatch):
@@ -331,8 +330,7 @@ def test_square_value_search_charges_listed_vectors(monkeypatch):
 def test_ternary_to_binary_restriction_nonsingular():
     mod = make_modulus(15)
     choice = ternary_to_binary(IDENTITY, mod)
-    assert gcd(choice.delta4 % 15, 15) == 1
-    assert choice.form.det4() == choice.delta4
+    assert gcd(choice.form.det4() % 15, 15) == 1
 
 
 def test_linear_split_roots():

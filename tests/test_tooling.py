@@ -256,6 +256,24 @@ def test_mutate_reductions_drops_one_reduction_at_a_time():
     assert second == source.replace("    x %= m\n", "    pass\n")
 
 
+def test_mutate_reductions_refuses_names_with_no_reduction(tmp_path, monkeypatch, capsys):
+    # a misspelt --functions name, or functions holding no reduction, would
+    # otherwise report "0 of 0 killed" and exit 0: both exit 2 at once
+    mut = _mutation_script()
+    (tmp_path / "m.py").write_text("def f(a, m):\n    return a % m\n\n\ndef g(a):\n    return a + 1\n")
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the script went on to copy the tree or run the tests")
+
+    monkeypatch.setattr(mut.subprocess, "run", refuse)
+    monkeypatch.setattr(mut.shutil, "copytree", refuse)
+    for functions, message in (("f,h", "no function h in m.py"), ("g", "no % reduction in m.py (g)")):
+        monkeypatch.setattr(sys, "argv", ["mutate_reductions.py", "m.py", "tests/t.py", "--functions", functions])
+        assert mut.main() == 2
+        assert capsys.readouterr().out == message + "\n"
+
+
 def test_mutate_reductions_runs_every_test_file_without_shrinking():
     # each mutant's run takes several test files and loads the plugin that
     # drops Hypothesis's shrink phase and example database
