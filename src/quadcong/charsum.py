@@ -25,13 +25,13 @@ with m rows is held as two contiguous (m, ceil(cols/64)) uint64 arrays,
 "nonzero" and "negative", packed along the columns.  Rolling the table by n
 rows is a row-offset slice, the product of rolled tables is an AND of the
 nonzero planes and an XOR of the negative ones, and the sum is
-popcount(nonzero) - 2 popcount(nonzero & negative).  A table with no more
-zeros than rows (an inert companion grid and the F_{p^2} norm table vanish
-only at (0, 0), a Legendre table only at 0), unless it is small enough to
-roll in a doubled copy, keeps its zeros in place of its nonzero plane
-(``_seal``), and the kernel corrects the XOR's popcount at the few points
-where a rolled factor is zero.  Split companion grids (about 2p zeros)
-keep both planes and the AND.  Two builders make every table's planes:
+popcount(nonzero) - 2 popcount(nonzero & negative).  A sparse table, one
+that vanishes only at (0, 0) and is too large to roll in a doubled copy,
+keeps only its negative plane (``_seal``): an inert companion grid and the
+F_{p^2} norm table are anisotropic, and a Legendre table vanishes only at 0.
+The kernel then corrects the XOR's popcount at the few points where a
+rolled factor is zero.  Split companion grids (2p - 1 zeros) keep both
+planes and the AND.  Two builders make every table's planes:
 ``_planes`` a prime's grid, ``_legendre_planes`` a Legendre table.
 
 The one character table is the Legendre table of a prime: d is
@@ -67,9 +67,9 @@ one block at a time per call (``_window_rows``).
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import wraps
-from itertools import chain, combinations, repeat
+from itertools import combinations
 from math import gcd, isqrt, prod
 from types import MappingProxyType
 from typing import NamedTuple
@@ -603,15 +603,13 @@ class _Planes(NamedTuple):
     """Bit planes of a {-1, 0, 1} table with m rows and cols columns: nz and
     neg are contiguous read-only (m, ceil(cols / 64)) uint64 arrays with bit
     y of row x set where entry (x, y) is nonzero, resp. negative; size is
-    m * cols.  A table holds either nz or zeros, the other None: zeros, the
-    read-only (rows, cols) int64 arrays of the zero entries, where
-    _plane_product_sum takes its sparse path, that is where there are at
-    most m of them and the table is not _doubled."""
+    m * cols.  nz is None for a sparse table, one that vanishes only at
+    (0, 0) and is not _doubled: it keeps only its negative plane, and
+    _plane_product_sum takes its sparse path."""
 
     nz: np.ndarray | None
     neg: np.ndarray
     size: int
-    zeros: tuple | None
 
 
 def _doubled(m: int, w: int) -> bool:
@@ -624,25 +622,13 @@ def _doubled(m: int, w: int) -> bool:
 def _seal(nz: np.ndarray, neg: np.ndarray, cols: int) -> _Planes:
     """The _Planes of a table with cols columns from its (m, w) uint64
     nonzero and negative planes, padding bits clear, made read-only.  A
-    table that is not _doubled and has at most m zeros keeps them in place
-    of its nonzero plane, which _plane_product_sum's sparse path never
-    reads.  They are read from the nonzero plane: a per-row popcount finds
-    the rows that hold any, and the clear bits of their words give the
-    columns."""
+    sparse table keeps only its negative plane: it is not _doubled, bit
+    (0, 0) of its nonzero plane is clear and every other one of its m cols
+    bits is set."""
     m, w = nz.shape
     nz.flags.writeable = neg.flags.writeable = False
-    per_row = cols - np.bitwise_count(nz).sum(axis=1, dtype=np.int64)
-    if _doubled(m, w) or per_row.sum() > m:
-        return _Planes(nz, neg, m * cols, None)
-    rows = np.flatnonzero(per_row)
-    clear = ~nz[rows]
-    clear[:, -1] &= np.uint64((1 << (cols - 64 * (w - 1))) - 1)  # padding bits are not entries
-    zr, zw = np.nonzero(clear)
-    bits = np.unpackbits(clear[zr, zw].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    k, b = np.nonzero(bits)
-    zeros = (rows[zr[k]], 64 * zw[k] + b)
-    zeros[0].flags.writeable = zeros[1].flags.writeable = False
-    return _Planes(None, neg, m * cols, zeros)
+    sparse = not (_doubled(m, w) or nz[0, 0] & 1) and np.bitwise_count(nz).sum(dtype=np.int64) == m * cols - 1
+    return _Planes(None if sparse else nz, neg, m * cols)
 
 
 def _plane_product_sum(planes: _Planes, ns) -> int:
@@ -661,14 +647,14 @@ def _plane_product_sum(planes: _Planes, ns) -> int:
     wraps.  A _doubled table is rolled within a doubled copy, where no roll
     wraps.
 
-    A table that is not _doubled and has at most m zeros (planes.zeros)
-    has no nonzero plane: _seal drops it, and planes.nz being None picks
-    this sparse path.  The product is (-1)^X off the set U of points where
-    some factor is zero, row (z_row - d) mod m in each zero's column, so the
-    sum is size - 2 popcount(X) - sum over U of (-1)^X(P), with X(P) read
-    from the negative planes at U's points.  That correction is a fixed
-    dozen numpy calls, more than the AND saves on a doubled table."""
-    nz, neg, size, zeros = planes
+    A sparse table (planes.nz is None, see _seal) vanishes only at (0, 0)
+    and keeps only its negative plane.  The product is (-1)^X off the set U
+    of points where some factor is zero, column 0 at row (-d) mod m for
+    each distinct roll d, so the sum is size - 2 popcount(X) - sum over U of
+    (-1)^X(P), with X(P) read from column 0 of the negative plane.  That
+    correction costs a few numpy calls whatever the table, more than the AND
+    saves on a doubled table."""
+    nz, neg, size = planes
     ns = tuple(ns)
     if not ns:
         return size
@@ -705,18 +691,11 @@ def _plane_product_sum(planes: _Planes, ns) -> int:
         negs += int(counts[-1])
     if not sparse:
         return ones - 2 * negs
-    zr, zc = zeros
-    d = np.array([(n - ns[0]) % m for n in ns], dtype=np.int64)
-    # sorted and deduplicated by hand: np.unique imports numpy.ma, about 1.7 MB
-    # resident, and np.diff's prepend costs more than the rest of this path
-    keys = np.sort((zr - d[:, None]) % m * (64 * w) + zc, axis=None)
-    keep = np.empty(len(keys), dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    ur, uc = np.divmod(keys[keep], 64 * w)
-    bits = neg[(ur[:, None] + d) % m, uc[:, None] >> 6] >> (uc[:, None] & 63).astype(np.uint64)
+    d = [(n - ns[0]) % m for n in ns]
+    u = np.array([m - k for k in set(d)], dtype=np.int64)  # U's rows, reduced in the gather
+    bits = neg[(u[:, None] + d) % m, 0]
     odd = int((np.bitwise_xor.reduce(bits, axis=1) & np.uint64(1)).sum(dtype=np.int64))
-    return size - 2 * negs - (len(ur) - 2 * odd)
+    return size - 2 * negs - (len(u) - 2 * odd)
 
 
 @_stored
@@ -998,18 +977,33 @@ def max_window_power_sum(qt: BinaryForm, mod: Modulus, n: int, r: int) -> int:
 class ExpCharSum:
     """Record for S = sum_x e_p(y.x) jacobi(Q(x), p) over x mod p.
 
-    phase_coefficients[k] is the exact integer sum of jacobi(Q(x), p) over
-    the phase class y.x = k.  Homogeneity makes the classes k != 0 equal, so
-    S = c_0 - c_1 is the exact integer value.
+    c0 is the exact integer sum of jacobi(Q(x), p) over the phase class
+    y.x = 0 and c1 that over each class y.x = k != 0: homogeneity makes
+    those classes equal, so S = c0 - c1 is the exact integer value.
+    phase_coefficients is the p-entry vector (c0, c1, ..., c1), built on
+    each access; dataclasses.replace(record, phase_coefficients=v) reads c0
+    and c1 from v.
     """
 
     p: int
     y: tuple
-    phase_coefficients: tuple
-    value: int  # S = c_0 - c_1
+    c0: int
+    c1: int
+    value: int  # S = c0 - c1
     magnitude: float  # |S|
     adj_zero: bool  # p divides the adjugate form at y
     large: bool  # S^2 > p^3: |S| exceeds p^{3/2}, the dichotomy threshold
+    phase_coefficients: InitVar[tuple | None] = None
+
+    def __post_init__(self, phase_coefficients):
+        if phase_coefficients is not None:
+            object.__setattr__(self, "c0", phase_coefficients[0])
+            object.__setattr__(self, "c1", phase_coefficients[1])
+
+
+# a record reads phase_coefficients here; dataclass had set the class
+# attribute to the init-only field's default, None
+ExpCharSum.phase_coefficients = property(lambda r: (r.c0,) + (r.c1,) * (r.p - 1))
 
 
 def _chart_sum(p: int, a11: int, a22: int, a33: int, a12: int, a13: int, a23: int) -> int:
@@ -1048,9 +1042,10 @@ def exp_char_sum(form: TernaryForm, p: int, y) -> ExpCharSum:
     chart x1 = 1 (_chart_sum, in closed form) and the line x1 = 0 (an O(p)
     grid sum).  For y != 0, c_0 is the O(p) grid sum of Q restricted to a
     basis of the plane y.x = 0, and c_1 = (total - c_0) / (p - 1); for y = 0
-    every x has phase 0.  Nothing of size p^2 is held: the p-entry phase
-    vector, one pointer per entry, is charged to the point budget before
-    anything is built.  The coefficients are reduced mod p for _chart_sum.
+    every x has phase 0.  Nothing of size p^2 is held, and the record keeps
+    c_0 and c_1, not the p-entry phase vector; p is charged to the point
+    budget before anything is built.  The coefficients are reduced mod p for
+    _chart_sum.
     """
     _require_scan_prime(p)
     _check_arity(y, 3)
@@ -1075,8 +1070,8 @@ def exp_char_sum(form: TernaryForm, p: int, y) -> ExpCharSum:
     return ExpCharSum(
         p=p,
         y=yv,
-        # built once: a tuple sum would hold two p-entry tuples at its peak
-        phase_coefficients=tuple(chain((c0,), repeat(c1, p - 1))),
+        c0=c0,
+        c1=c1,
         value=s,
         magnitude=float(abs(s)),
         adj_zero=adjugate4(form).evaluate(yv) % p == 0,

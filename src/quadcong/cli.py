@@ -132,7 +132,7 @@ def sample_binary_forms(mod: Modulus, count: int, seed) -> list:
 
 # ------------------------------------------------------------------- workers
 # one task per modulus (or prime); module level so the process pool can
-# pickle them.  Each returns (rows, ok) with rows already in canonical order.
+# pickle them.  Each returns its rows, already in canonical order.
 # The charsum and oracle names are imported in the tasks that use them, not at
 # the top: they load numpy, which the solve command never needs.
 
@@ -141,7 +141,7 @@ def _task_solve(args):
     q, samples, seed = args
     mod = make_modulus(q)
     forms = sorted(sample_forms(mod, samples, seed), key=lambda f: _hash_ints(f.coeffs()))
-    rows, ok = [], True
+    rows = []
     for form in forms:
         try:
             tr = solve_ternary(form, mod)
@@ -149,9 +149,8 @@ def _task_solve(args):
             found = (tr.witness_norm_sq(), tr.solution_norm_sq(), *tr.solution)
         except QuadCongError:
             row_ok, found = False, (-1, -1, 0, 0, 0)
-        ok &= row_ok
         rows.append((q, *form.coeffs(), *found, int(row_ok)))
-    return rows, ok
+    return rows
 
 
 def _task_oracle(args):
@@ -159,14 +158,13 @@ def _task_oracle(args):
 
     q, samples, seed = args
     mod = make_modulus(q)
-    rows, ok = [], True
+    rows = []
     scanned = oracle_scan(mod, samples, seed)
     for rec in sorted(scanned, key=lambda r: _hash_ints(r.form.coeffs())):
         row_ok = (
             rec.form.evaluate(rec.min_zero.witness) % q == 0
             and rec.min_square.norm_sq <= rec.min_zero.norm_sq
         )
-        ok &= row_ok
         rows.append(
             (q,)
             + rec.form.coeffs()
@@ -179,14 +177,14 @@ def _task_oracle(args):
                 int(row_ok),
             )
         )
-    return rows, ok
+    return rows
 
 
 def _task_weil(args):
     from .charsum import delta_gcd, form_shift_sum, shifted_sum_bound, splits_mod
 
     p, samples, seed = args
-    rows, ok = [], True
+    rows = []
     split_qt = BinaryForm(1, 1, 0)  # disc 1: factors over every F_p
     inert_qt = BinaryForm(1, 0, -find_nonresidue(p))
     if not splits_mod(split_qt, p) or splits_mod(inert_qt, p):
@@ -202,12 +200,8 @@ def _task_weil(args):
                 if delta != 0 and delta % p != 0:
                     # sharper conditional bounds apply off the degenerate set
                     bound = min(bound, 4 * r * r * p if splits_mod(qt, p) else 2 * r * p)
-                row_ok = abs(val) <= bound
-                ok &= row_ok
-                rows.append(
-                    (p, p, r, _hash_ints(ns), delta, val, bound, int(row_ok))
-                )
-    return rows, ok
+                rows.append((p, p, r, _hash_ints(ns), delta, val, bound, int(abs(val) <= bound)))
+    return rows
 
 
 def _task_grid_vanish(args):
@@ -215,13 +209,11 @@ def _task_grid_vanish(args):
 
     q, samples, seed = args
     mod = make_modulus(q)
-    rows, ok = [], True
+    rows = []
     for f in sorted(sample_binary_forms(mod, samples, seed), key=lambda f: _hash_ints((f.a, f.b, f.c))):
         val = full_grid_sum(f, mod)
-        row_ok = val == 0
-        ok &= row_ok
-        rows.append((q, f.a, f.b, f.c, val, int(row_ok)))
-    return rows, ok
+        rows.append((q, f.a, f.b, f.c, val, int(val == 0)))
+    return rows
 
 
 def _task_cop_count(args):
@@ -234,7 +226,7 @@ def _task_cop_count(args):
     form = sample_forms(mod, 1, f"{seed}:cop")[0]
     res = restriction_coprime_count(form, mod, box)
     pred = f"{res.prediction.numerator}/{res.prediction.denominator}"
-    return [(q, box, res.count, pred, f"{float(res.relative_gap()):.6f}")], True
+    return [(q, box, res.count, pred, f"{float(res.relative_gap()):.6f}")]
 
 
 def _task_second_moment(args):
@@ -242,7 +234,7 @@ def _task_second_moment(args):
 
     q, samples, seed = args
     mod = make_modulus(q)
-    rows, ok = [], True
+    rows = []
     for form in sample_binary_forms(mod, samples, seed):
         lift = minimal_lift(form.a, form.b, form.c, mod).form
         radius_sq = 4 * isqrt(q) ** 2
@@ -250,10 +242,9 @@ def _task_second_moment(args):
         counts = shift_pair_counts(form, lift, mod, (0, 0), radius_sq, shift_bound)
         total = int(counts.sum())
         moment = second_moment(counts)
-        row_ok = moment >= total  # each cell count c >= 1 has c^2 >= c
-        ok &= row_ok
-        rows.append((q, form.a, form.b, form.c, radius_sq, shift_bound, total, moment, int(row_ok)))
-    return rows, ok
+        # each cell count c >= 1 has c^2 >= c
+        rows.append((q, form.a, form.b, form.c, radius_sq, shift_bound, total, moment, int(moment >= total)))
+    return rows
 
 
 # ----------------------------------------------------------------- commands
@@ -301,11 +292,7 @@ def _run_tasks(task_fn, arglist, jobs):
             results = list(pool.map(task_fn, arglist))
     else:
         results = [task_fn(a) for a in arglist]
-    rows, ok = [], True
-    for r, o in results:
-        rows.extend(r)
-        ok &= o
-    return rows, ok
+    return [row for rows in results for row in rows]
 
 
 def _per_modulus(task, cols: str, head, expand=_expand_moduli):
@@ -313,8 +300,7 @@ def _per_modulus(task, cols: str, head, expand=_expand_moduli):
     expand(cfg) and reports the rows under the comma-separated cols."""
 
     def runner(cfg):
-        rows, ok = _run_tasks(task, [(q, cfg.samples, cfg.seed) for q in expand(cfg)], cfg.jobs)
-        return head, cols.split(","), rows, ok
+        return head, cols.split(","), _run_tasks(task, [(q, cfg.samples, cfg.seed) for q in expand(cfg)], cfg.jobs)
 
     return runner
 
@@ -354,11 +340,12 @@ def _cmd_exponent_fit(cfg):
         if len(pts) >= 3:
             fit = fit_exponent(pts)
             head.append(f"fit {name}: slope={fit.slope:.6f} intercept={fit.intercept:.6f} residual={fit.residual:.6f}")
-    return head, ["series", "q", "value"], rows, True
+    return head, ["series", "q", "value"], rows
 
 
 # command -> (defaults, runner); a runner takes the config and returns the
-# report's header lines, columns, rows and whether every row checked out
+# report's header lines, columns and rows.  A report whose last column is ok
+# fails on a row that holds 0 there
 COMMANDS = {
     "solve": (
         {"qs": (15, 105, 1155), "samples": 3},
@@ -514,7 +501,7 @@ def render_report(cfg: ExperimentConfig, head, cols, rows) -> str:
 
 def run(cfg: ExperimentConfig) -> int:
     try:
-        head, cols, rows, ok = COMMANDS[cfg.command][1](cfg)
+        head, cols, rows = COMMANDS[cfg.command][1](cfg)
     except (ValueError, InvalidModulus) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
@@ -525,11 +512,15 @@ def run(cfg: ExperimentConfig) -> int:
     if cfg.out == "-":
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(text)
-    if not ok:
-        bad = [r for r in rows if str(r[-1]) == "0"]
-        sys.stderr.write(f"FAILED: {len(bad)} row(s), first: {bad[0] if bad else '?'}\n")
+        try:
+            with open(cfg.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"config error: cannot write --out {cfg.out}: {exc.strerror or exc}\n")
+            return 2
+    bad = [r for r in rows if r[-1] == 0] if cols[-1] == "ok" else []
+    if bad:
+        sys.stderr.write(f"FAILED: {len(bad)} row(s), first: {bad[0]}\n")
         return 1
     return 0
 

@@ -135,10 +135,10 @@ def crt_combine(pairs) -> int:
         if m > 1 and gcd(m, p) != 1:
             raise InvalidInput(f"moduli not coprime: {m}, {p}")
         # x' ≡ x (mod m), x' ≡ r (mod p)
-        k = (r - x) * inv_mod(m, p) % p
+        k = (r - x) * inv_mod(m, p) % p  # so x stays in [0, m)
         x += m * k
         m *= p
-    return x % m
+    return x
 
 
 @dataclass(frozen=True)

@@ -314,24 +314,18 @@ def test_norm_table_balanced_and_multiplicative(p):
 
 
 def _unpack(planes, cols):
-    """The int8 table whose bit planes these are.  A table holds either its
-    nonzero plane or its zeros, at most as many as rows and in row-major
-    order; from the zeros the nonzero plane is rebuilt."""
-    assert (planes.nz is None) != (planes.zeros is None)
+    """The int8 table whose bit planes these are.  A sparse table holds no
+    nonzero plane: it is rebuilt as every entry but (0, 0)."""
     neg = np.unpackbits(planes.neg.view(np.uint8), axis=1, bitorder="little")
     if planes.nz is None:
         nz = np.zeros_like(neg)
         nz[:, :cols] = 1
-        nz[planes.zeros] = 0
+        nz[0, 0] = 0
     else:
         nz = np.unpackbits(planes.nz.view(np.uint8), axis=1, bitorder="little")
     assert not nz[:, cols:].any() and not neg[:, cols:].any()  # padding stays clear
     assert not (neg & ~nz).any()  # no zero entry is marked negative
-    t = nz[:, :cols].astype(np.int8) * (1 - 2 * neg[:, :cols].astype(np.int8))
-    if planes.zeros is not None:
-        zr, zc = np.nonzero(t == 0)
-        assert len(zr) <= len(t) and (planes.zeros[0] == zr).all() and (planes.zeros[1] == zc).all()
-    return t
+    return nz[:, :cols].astype(np.int8) * (1 - 2 * neg[:, :cols].astype(np.int8))
 
 
 @pytest.mark.parametrize(
@@ -650,9 +644,9 @@ def test_scan_composite_mix_builds_each_table_once():
 
 def test_inert_table_keeps_one_plane_and_its_zero():
     # an inert companion's grid vanishes only at (0, 0): past the doubled-copy
-    # limit the kernel reads the negative plane and that zero, so the nonzero
-    # plane is not kept; a split grid (about 2p zeros) keeps both planes.
-    # A prime near 3000 then holds 4.06 MB of tables, not 5.76 MB
+    # limit the kernel reads only the negative plane, so the nonzero plane is
+    # not kept; a split grid (2p - 1 zeros) keeps both planes.  A prime near
+    # 3000 then holds 4.06 MB of tables, not 5.76 MB
     p = 2999
     split, inert = (next(BinaryForm(1, b, 1) for b in range(p) if jacobi(b * b - 4, p) == k) for k in (1, -1))
     clear_tables()
@@ -660,10 +654,9 @@ def test_inert_table_keeps_one_plane_and_its_zero():
         form_shift_sum(p, (1, 2, 3, 4), qt)
     for table in (_planes(p, 1, inert.b, 1), _planes(p, 1, 0, -find_nonresidue(p), (p + 1) // 2)):
         assert table.nz is None and table.neg.size > charsum._BLOCK // 16
-        assert [list(z) for z in table.zeros] == [[0], [0]]
-        assert charsum._nbytes(table) == table.neg.nbytes + 16
+        assert charsum._nbytes(table) == table.neg.nbytes
     table = _planes(p, 1, split.b, 1)
-    assert table.nz.shape == (p, -(-p // 64)) and table.zeros is None
+    assert table.nz.shape == (p, -(-p // 64))
     assert sum(s.bytes for s in table_stats().values()) < 4_100_000
 
 
@@ -788,24 +781,24 @@ def _rolled_product_reference(t, ns):
     seed=st.integers(0, 2**32 - 1),
     ns=st.lists(st.integers(-100, 100), max_size=7),
     block=st.sampled_from([4, 64, 1 << 16]),
-    zeros=st.sampled_from(["uniform", 0, 1, "some", "m", "m+1"]),
+    zeros=st.sampled_from(["uniform", "origin", 0, 1, "some", "m", "m+1"]),
 )
 def test_plane_product_sum_matches_int8_reference(m, cols, seed, ns, block, zeros):
     # shifts may be repeated, negative or >= m; small blocks cut the rows
     # into many accumulator blocks, so rolls that wrap inside a block occur;
     # at 2^16 every table here is rolled in a doubled copy, at 4 none is.
     # A uniform draw has about m cols / 3 zeros; the other tables are +-1
-    # with 0, 1, up to m, m or m + 1 zeros, on rows 0 and m - 1 among
-    # others, so the points that correct the sparse path wrap around.
+    # with their one zero at (0, 0), the sparse tables, or with 0, 1, up to
+    # m, m or m + 1 zeros, on rows 0 and m - 1 among others.
     rng = np.random.default_rng(seed)
     if zeros == "uniform":
         t = rng.integers(-1, 2, size=(m, cols)).astype(np.int8)
     else:
         t = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, cols))
-        k = {"some": int(rng.integers(0, m + 1)), "m": m, "m+1": m + 1}.get(zeros, zeros)
+        k = {"origin": 1, "some": int(rng.integers(0, m + 1)), "m": m, "m+1": m + 1}.get(zeros, zeros)
         k = min(k, m * cols)
         if k < 2:
-            cells = rng.choice(m * cols, size=k, replace=False)
+            cells = [0] if zeros == "origin" else rng.choice(m * cols, size=k, replace=False)
         else:
             ends = {int(rng.integers(cols)), (m - 1) * cols + int(rng.integers(cols))}
             rest = np.setdiff1d(np.arange(m * cols), list(ends))
@@ -817,17 +810,15 @@ def test_plane_product_sum_matches_int8_reference(m, cols, seed, ns, block, zero
         got = _plane_product_sum(planes, tuple(ns))
     assert got == _rolled_product_reference(t, ns)
     assert planes.size == m * cols
-    # the zeros replace the nonzero plane exactly where the sparse path reads them
-    sparse = int((t == 0).sum()) <= m and m * -(-cols // 64) > block // 16
-    assert (planes.nz is None) == (planes.zeros is not None) == sparse
+    # the nonzero plane is dropped exactly where the sparse path reads without it
+    sparse = int((t == 0).sum()) == 1 and t[0, 0] == 0 and m * -(-cols // 64) > block // 16
+    assert (planes.nz is None) == sparse
     assert (_unpack(planes, cols) == t).all()
     for plane in (planes.nz, planes.neg):
         if plane is None:
             continue
         assert plane.dtype == np.uint64 and plane.shape == (m, -(-cols // 64))
         assert plane.flags.c_contiguous and not plane.flags.writeable
-    for where in planes.zeros or ():
-        assert where.dtype == np.int64 and not where.flags.writeable
 
 
 def test_window_sums_pointwise(monkeypatch):
@@ -1103,8 +1094,9 @@ def test_split_route_charges_legendre_planes():
 
 
 def test_exp_char_sum_peak_memory_per_point():
-    # the chart is a closed form, so the p-entry phase vector, one pointer per
-    # entry, is the largest thing held: at most 10 bytes per charged point
+    # the chart is a closed form and the record keeps c0 and c1, not the
+    # p-entry phase vector, so the Legendre table's build is the largest
+    # thing held: at most 2 bytes per charged point
     p = _BIG_PRIME
     clear_tables()
     tracemalloc.start()
@@ -1114,7 +1106,7 @@ def test_exp_char_sum_peak_memory_per_point():
     finally:
         tracemalloc.stop()
     assert len(res.phase_coefficients) == p
-    assert peak <= 10 * p
+    assert peak <= 2 * p
 
 
 # ----------------------------------------------------------- counting grids

@@ -126,6 +126,16 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    # the report is written after the whole run; a path that cannot be
+    # written is a configuration error (exit 2), named on one line
+    for command, out in (("grid-vanish", tmp_path), ("solve", tmp_path / "missing" / "x.csv")):
+        assert main([command, "--q", "15", "--samples", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_empty_q_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     assert main(["solve", "--q", "", "--out", str(out)]) == 0
