@@ -483,8 +483,10 @@ def build_config(argv) -> ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
     cfg = ExperimentConfig(command=command, **values)
-    if cfg.samples < 0 or cfg.jobs < 1:
-        raise ValueError("samples must be at least 0 and jobs at least 1")
+    for key, least in (("samples", 0), ("jobs", 1)):
+        value = getattr(cfg, key)
+        if value < least:
+            raise ValueError(f"{key}: must be at least {least}, got {value}")
     return cfg
 
 

@@ -5,11 +5,12 @@ The pipeline, for a ternary form Q nonsingular mod an odd square-free q:
 1. form the negated adjugate form mod q (small symmetric lift),
 2. find a small witness a with (-Q^adj)(a) ≡ t^2 (mod q)
    (restriction to a coprime plane + square-value search on a binary form:
-   a sieve over norm annuli that widen with the radius; each row keeps only
-   the vectors whose value passes the squares table of the first group of
-   small primes, the survivors pass the other groups' tables, and only
-   those left are sorted into the canonical order and meet jacobi for the
-   primes above 2^10),
+   a sieve over norm annuli that widen with the radius, listing one vector
+   of each pair +-v since R(-v) = R(v); each row keeps only the vectors
+   whose value passes the squares table of the first group of small
+   primes, the survivors pass the other groups' tables, and only those
+   left are sorted into the canonical order and meet jacobi for the primes
+   above 2^10),
 3. split a = content * primitive, q = q0 * q1 with q0 = gcd(q, content),
 4. reduce the plane lattice orthogonal to the primitive part,
 5. restrict Q to that plane; the restriction factors into linear forms mod q1
@@ -88,10 +89,10 @@ def coprime_point_search(f, n: int, mod: Modulus):
 _TABLE_LIMIT = 2**10
 _GROUP_LIMIT = 2**14
 # Norm widths of the annuli [s0, s1): the first _FIRST_WIDTH, then doubling,
-# but at most 32 isqrt(s0), so that the 2 isqrt(s1) + 1 rows an annulus walks
-# stay a small share of the about pi * width vectors it lists, and at most
-# _MAX_WIDTH, so that one annulus lists at most about pi * _MAX_WIDTH (51k)
-# vectors.
+# but at most 32 isqrt(s0), so that the isqrt(s1) + 1 rows an annulus walks
+# stay a small share of the about pi * width / 2 vectors it lists, and at
+# most _MAX_WIDTH, so that one annulus lists at most about pi * _MAX_WIDTH / 2
+# (26k) vectors.
 _FIRST_WIDTH = 4
 _MAX_WIDTH = 2**14
 
@@ -144,15 +145,17 @@ def _annuli(limit: int):
 
 
 def _annulus_rows(s0: int, s1: int):
-    """(x, ys) for the vectors (x, y), y in the range ys, that make up the
-    annulus s0 <= x^2 + y^2 < s1: each row x gives its y <= 0 and its y > 0
-    part, either of which may be empty."""
+    """(x, ys) for the vectors (x, y), y in the range ys, of the annulus
+    s0 <= x^2 + y^2 < s1 that lie in the half-plane x > 0 or x = 0 < y: one
+    vector of each pair +-v.  Each row x > 0 gives its y <= 0 and its y > 0
+    part, row 0 only its y > 0 part; any part may be empty."""
     r = isqrt(s1 - 1)
-    for x in range(-r, r + 1):
+    for x in range(r + 1):
         x2 = x * x
         lo = 0 if x2 >= s0 else isqrt(s0 - x2 - 1) + 1
         hi = isqrt(s1 - 1 - x2)
-        yield x, range(-hi, 1 - lo)
+        if x:
+            yield x, range(-hi, 1 - lo)
         yield x, range(lo or 1, hi + 1)
 
 
@@ -183,16 +186,20 @@ def square_value_binary(form: BinaryForm, mod: Modulus):
 
     Smallest in (norm, vec_key) order: the first vector of the norm-shell
     walk whose value is a square or 0 mod every prime of q.  The search
-    sieves norm annuli (_annuli) in turn.  The primes below _TABLE_LIMIT
-    form groups (_groups), each with one table of the residues that are
-    squares mod all its primes.  Each row of an annulus keeps only the
-    vectors that pass the first group's table, evaluating R(x, y) with the
-    coefficients reduced mod that group's modulus; the survivors pass the
-    other groups' tables in turn, and are then sorted and tested with jacobi
-    for the larger primes.  Gives up past norm max(q^0.5, 4 q^0.3 + 16)^2.
-    Before an annulus [s0, s1) is listed, every vector below s1 is charged
-    to the point budget, so a form that degenerates mod primes of a large q
-    raises RegionTooLarge instead of running on.
+    sieves norm annuli (_annuli) in turn, listing only the half-plane
+    x > 0 or x = 0 < y (_annulus_rows).  That leaves the witness unchanged:
+    v and -v take the same value, so they pass or fail together, and the
+    listed one sorts first in (norm, vec_key) order.  The primes below
+    _TABLE_LIMIT form groups (_groups), each with one table of the residues
+    that are squares mod all its primes.  Each row of an annulus keeps only
+    the vectors that pass the first group's table, evaluating R(x, y) with
+    the coefficients reduced mod that group's modulus; the survivors pass
+    the other groups' tables in turn, and are then sorted and tested with
+    jacobi for the larger primes.  Gives up past norm
+    max(q^0.5, 4 q^0.3 + 16)^2.  Before an annulus [s0, s1) is listed,
+    every vector below s1, in the whole plane, is charged to the point
+    budget, so a form that degenerates mod primes of a large q raises
+    RegionTooLarge instead of running on.
     """
     q = mod.q
     cap_max = max(float(q) ** 0.5, 4.0 * q**0.3 + 16.0)

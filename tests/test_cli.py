@@ -344,8 +344,12 @@ def test_exponent_fit_validates_explicit_moduli(capsys):
 def test_cop_count_box_below_one_is_a_config_error(capsys):
     assert main(["cop-count", "--q", "15", "--samples", "0"]) == 2
     assert capsys.readouterr().err == "config error: cop-count box edge (--samples) must be at least 1, got 0\n"
-    with pytest.raises(ValueError, match="samples must be at least 0 and jobs at least 1"):
+    with pytest.raises(ValueError, match="^samples: must be at least 0, got -1$"):
         build_config(["cop-count", "--samples", "-1"])
+    with pytest.raises(ValueError, match="^jobs: must be at least 1, got 0$"):
+        build_config(["cop-count", "--jobs", "0"])
+    assert main(["cop-count", "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "config error: jobs: must be at least 1, got 0\n"
 
 
 def test_second_moment_exact_totals(tmp_path):

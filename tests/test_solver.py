@@ -236,10 +236,44 @@ def test_square_value_sieve_hits_on_annulus_seams():
     assert {5, 13, 29, 61, 125} <= found
 
 
+def test_annulus_rows_list_one_vector_of_each_pair():
+    # R(-v) = R(v), so an annulus lists only the half-plane x > 0 or
+    # x = 0 < y; with their negations the listed vectors make up the
+    # annulus.  The annuli of small limits (s0 = 1, the seams, limits that
+    # cut the last annulus short) and the first full 2^14-wide one
+    annuli = [a for limit in (1, 4, 200, 4096) for a in solver._annuli(limit)]
+    annuli.append(next((s0, s1) for s0, s1 in solver._annuli(10**6) if s1 - s0 == 2**14))
+    assert {1, 5, 13, 29, 61, 125} <= {s0 for s0, _ in annuli}
+    for s0, s1 in annuli:
+        listed = [(x, y) for x, ys in solver._annulus_rows(s0, s1) for y in ys]
+        assert len(set(listed)) == len(listed), (s0, s1)
+        assert all(x > 0 or x == 0 < y for x, y in listed), (s0, s1)
+        r = isqrt(s1 - 1)
+        annulus = {(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1) if s0 <= x * x + y * y < s1}
+        assert set(listed) | {(-x, -y) for x, y in listed} == annulus, (s0, s1)
+
+
+def test_square_value_sieve_hits_on_the_axes():
+    # witnesses (0, y) and (x, 0): row 0 lists only its y > 0 half, and a
+    # row x > 0 lists (x, 0) in its y <= 0 part, so these are the hits a
+    # half-plane off by a sign or a bound would get wrong first
+    rng = random.Random("axes")
+    kinds = set()
+    for _ in range(2000):
+        mod = make_modulus(prod(rng.sample(PRIMES_TO_59, rng.randint(4, 10))))
+        form = _random_binary(rng, mod.q, mod.q)
+        x, y = square_value_binary(form, mod)
+        if x == 0 or y == 0:
+            assert (x, y) == square_value_walk(form, mod), form
+            kinds.add(("x = 0" if x == 0 else "y = 0", x * x + y * y > 1))
+    assert kinds == {("x = 0", False), ("x = 0", True), ("y = 0", False), ("y = 0", True)}
+
+
 def test_square_value_sieve_peak_memory():
     # 13 primes and a first hit at norm 21106, in an annulus of about
     # 13,000 vectors: the sieve holds only one annulus's survivors at a
-    # time, so its peak does not grow with the hit
+    # time, of one vector of each pair +-v, so its peak does not grow with
+    # the hit
     mod = make_modulus(prod(PRIMES_TO_59[2:15]))
     form = BinaryForm(914981361628100521, 605004518063820444, 878369110404396046)
     square_value_binary(form, mod)  # the squares tables are cached from here on
@@ -250,7 +284,7 @@ def test_square_value_sieve_peak_memory():
     finally:
         tracemalloc.stop()
     assert v == (145, -9)
-    assert peak < 2**18, peak
+    assert peak < 2**15, peak
 
 
 def test_square_value_ternary_certificate():
