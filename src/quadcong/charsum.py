@@ -55,18 +55,17 @@ Tables live in one store (``_stored``), keyed by (kind, modulus,
 arguments): Legendre tables (as bits above _PACKED, read through
 ``_chi``), (exp, log) tables, Legendre planes, and the planes of companion
 grids and half-width norm tables.  It is bounded in bytes by TABLE_BYTES
-and evicts the least recently used table first, but never a table of a
-modulus held (``_holding``): a build holds its own modulus, and a call over
-q's primes holds them all (form_shift_sum_q, full_grid_sum,
-incomplete_sum).  So the tables one call reads never evict one another, a
-scan builds each once per prime, and the store passes its cap only by the
-tables of the call in progress.  ``table_stats`` counts builds, hits,
-evictions and bytes held per kind.  The window sums read their grid rows
-one block at a time per call (``_window_rows``).
+and evicts the least recently used table first, but never a table of the
+modulus it is building for.  So one prime's tables never evict one another,
+a scan builds each once per prime, and the store passes its cap only by the
+tables of the prime in progress.  A composite call that reads more than
+TABLE_BYTES of tables over its primes rebuilds the evicted ones when it is
+repeated.  ``table_stats`` counts builds, hits, evictions and bytes held
+per kind.  The window sums read their grid rows one block at a time per
+call (``_window_rows``).
 """
 
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from functools import wraps
 from itertools import combinations
@@ -102,7 +101,7 @@ _BLOCK = 1 << 16  # entries per block of a table build: its int64 temporaries st
 _PACKED = 1 << 20  # primes above this keep their Legendre table as bits: p / 8 bytes
 # the table store's cap on tables kept for later calls: the most any workload
 # or CLI command reads again is scan-composite's 0.51 MB.  The tables of the
-# call in progress may pass it (a prime near 3000 holds 4.1 MB)
+# prime in progress may pass it (a prime near 3000 holds 4.1 MB)
 TABLE_BYTES = 3 << 20
 
 
@@ -110,7 +109,6 @@ TABLE_BYTES = 3 << 20
 
 _tables: OrderedDict = OrderedDict()  # (kind, d, args) -> (table, bytes), least recently used first
 _counts: dict = {}  # kind -> [builds, hits, evictions, bytes held]
-_call_moduli: frozenset = frozenset()  # moduli of the call in progress (_holding): never evicted
 
 
 class TableStats(NamedTuple):
@@ -133,9 +131,9 @@ def _nbytes(table) -> int:
 def _stored(build):
     """build(d, *args), a table mod d, served from the store under the
     key (kind, d, args), kind being build's name.  A build charges the
-    point budget itself, so a hit charges nothing.  The build and the
-    evictions after it hold modulus d (_holding), so a table never evicts
-    one of its own modulus."""
+    point budget itself, so a hit charges nothing.  The evictions after a
+    build spare modulus d (_evict), so a table never evicts one of its own
+    modulus."""
     kind = build.__name__.lstrip("_")
     _counts[kind] = count = [0, 0, 0, 0]
 
@@ -147,25 +145,24 @@ def _stored(build):
             _tables.move_to_end(key)
             count[1] += 1
             return hit[0]
-        with _holding((d,)):
-            value = build(d, *args)
-            size = _nbytes(value)
-            _tables[key] = (value, size)
-            count[0] += 1
-            count[3] += size
-            _evict()
+        value = build(d, *args)
+        size = _nbytes(value)
+        _tables[key] = (value, size)
+        count[0] += 1
+        count[3] += size
+        _evict(d)
         return value
 
     return table
 
 
-def _evict():
-    """Evict the least recently used tables of moduli no _holding block
-    holds, until the store holds at most TABLE_BYTES."""
+def _evict(d: int):
+    """Evict the least recently used tables of moduli other than d, the
+    modulus just built for, until the store holds at most TABLE_BYTES."""
     held = sum(c[3] for c in _counts.values())
     if held <= TABLE_BYTES:
         return
-    for key in [k for k in _tables if k[1] not in _call_moduli]:
+    for key in [k for k in _tables if k[1] != d]:
         _, size = _tables.pop(key)
         count = _counts[key[0]]
         count[2] += 1
@@ -173,21 +170,6 @@ def _evict():
         held -= size
         if held <= TABLE_BYTES:
             return
-
-
-@contextmanager
-def _holding(moduli):
-    """Hold the tables of these moduli in the store for the block: a call
-    over the primes of q reads each prime's tables, and they must not evict
-    one another, or every repeat of the call rebuilds them all; a build
-    holds its own modulus (_stored)."""
-    global _call_moduli
-    outer = _call_moduli
-    _call_moduli = outer | frozenset(moduli)
-    try:
-        yield
-    finally:
-        _call_moduli = outer
 
 
 def table_stats():
@@ -324,8 +306,7 @@ def incomplete_sum(chi: Character, form: BinaryForm, region) -> int:
     the budget; with p < POINT_BUDGET and k < _BLOCK, int64 stays below 2^59.
     """
     _guard_points(region.point_count(), f"incomplete_sum region mod {chi.d}")
-    with _holding(chi.primes):
-        tables = [(p, _legendre_table(p)) for p in chi.primes]
+    tables = [(p, _legendre_table(p)) for p in chi.primes]
     total = 0
     for chunk in _row_chunks(region):
         widths = [w for _, _, w in chunk]
@@ -368,8 +349,7 @@ def full_grid_sum(form: BinaryForm, mod: Modulus) -> int:
     jacobi(. , q) splits likewise, so the q^2-point sum factors exactly;
     each prime's sum takes O(p) steps (_prime_grid_sum).
     """
-    with _holding(mod.primes):
-        return prod(_prime_grid_sum(p, form.a, form.b, form.c) for p in mod.primes)
+    return prod(_prime_grid_sum(p, form.a, form.b, form.c) for p in mod.primes)
 
 
 # ------------------------------------------------------- divisor square test
@@ -901,8 +881,7 @@ def form_shift_sum_q(qt: BinaryForm, mod: Modulus, ns) -> int:
     Exact by the residue-grid factorization; the per-prime dual-route check
     is left to form_shift_sum, because it doubles the work.
     """
-    with _holding(mod.primes):
-        return prod(form_shift_sum(p, ns, qt, check=False) for p in mod.primes)
+    return prod(form_shift_sum(p, ns, qt, check=False) for p in mod.primes)
 
 
 def shifted_sum_bound(p: int, r: int, overall_gcd: int) -> int:

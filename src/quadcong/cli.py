@@ -81,23 +81,24 @@ def _hash_ints(vals) -> str:
     return hashlib.sha1(" ".join(str(v) for v in vals).encode()).hexdigest()[:12]
 
 
-def nearest_odd_squarefree(n: int) -> int:
-    """The valid modulus closest to n (ties toward smaller).
+def _valid_q(q: int) -> bool:
+    """Whether make_modulus accepts q.  Only an even, not square-free or too
+    small q is invalid; any other refusal, such as FactoringExhausted on a q
+    Pollard rho cannot split, reaches the caller."""
+    try:
+        make_modulus(q)
+        return True
+    except (NotOdd, NotSquareFree, TooSmall):
+        return False
 
-    Skips only the candidates make_modulus rejects as even, not square-free
-    or too small; any other refusal, such as FactoringExhausted on a
-    candidate Pollard rho cannot split, reaches the caller.
-    """
+
+def nearest_odd_squarefree(n: int) -> int:
+    """The valid modulus closest to n (ties toward smaller, _valid_q)."""
     n = max(n, 3)
     for d in range(0, 2 * n):
         for cand in (n - d, n + d):
-            if cand < 3:
-                continue
-            try:
-                make_modulus(cand)
+            if _valid_q(cand):
                 return cand
-            except (NotOdd, NotSquareFree, TooSmall):
-                continue
     raise ValueError("unreachable")
 
 
@@ -258,15 +259,7 @@ def _expand_moduli(cfg: ExperimentConfig):
     if not cfg.q_range:
         return []
     lo, hi = cfg.q_range
-    return [q for q in range(lo | 1, hi + 1, 2) if not _invalid_q(q)]
-
-
-def _invalid_q(q: int) -> bool:
-    try:
-        make_modulus(q)
-        return False
-    except QuadCongError:
-        return True
+    return [q for q in range(lo | 1, hi + 1, 2) if _valid_q(q)]
 
 
 def _expand_primes(cfg: ExperimentConfig):

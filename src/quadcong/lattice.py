@@ -5,7 +5,6 @@ Everything is plain python ints; no fractions and no floating point anywhere.
 Canonical tie-breaks use intvec.vec_key so outputs are deterministic.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import DegenerateBasis, NotPrimitive, ZeroClass
@@ -25,13 +24,9 @@ from .modmath import Modulus
 from .qforms import _check_arity
 
 
-@dataclass(frozen=True)
-class Basis2:
-    b1: tuple
-    b2: tuple
-
-    def det_gram(self) -> int:
-        return dot(self.b1, self.b1) * dot(self.b2, self.b2) - dot(self.b1, self.b2) ** 2
+def _det_gram(b1, b2) -> int:
+    """The Gram determinant of the pair (b1, b2) under the dot product."""
+    return dot(b1, b1) * dot(b2, b2) - dot(b1, b2) ** 2
 
 
 def _weighted_dot(wu: int, wv: int):
@@ -140,16 +135,15 @@ def kernel_basis3(w):
     return cols[1], cols[2]
 
 
-def orthogonal_basis(a0) -> Basis2:
-    """Reduced basis of the plane lattice {x in Z^3 : a0 . x = 0}.
+def orthogonal_basis(a0):
+    """Reduced basis (b1, b2) of the plane lattice {x in Z^3 : a0 . x = 0}.
 
     Requires a0 primitive.  det(Gram) = ||a0||^2 and b1 x b2 = +-a0.
     """
-    basis = Basis2(*greedy_reduce(kernel_basis3(a0)))
-    cr = cross3(basis.b1, basis.b2)
-    if basis.det_gram() != norm_sq(a0) or cr not in (tuple(a0), tuple(scale(a0, -1))):
-        raise DegenerateBasis(f"plane basis {basis} does not span the lattice orthogonal to {a0}")
-    return basis
+    b1, b2 = greedy_reduce(kernel_basis3(a0))
+    if _det_gram(b1, b2) != norm_sq(a0) or cross3(b1, b2) not in (tuple(a0), tuple(scale(a0, -1))):
+        raise DegenerateBasis(f"plane basis ({b1}, {b2}) does not span the lattice orthogonal to {a0}")
+    return b1, b2
 
 
 def hnf_rows3(rows):
@@ -239,23 +233,23 @@ def lift_lattice(a: int, b: int, c: int, mod: Modulus) -> tuple:
     return shortest_vector3(rows)
 
 
-def congruence_basis2(l1: int, l2: int, m: int) -> Basis2:
-    """Basis of the rank-2 lattice {(u, v) : l1 u + l2 v ≡ 0 (mod m)}."""
+def congruence_basis2(l1: int, l2: int, m: int):
+    """Basis (b1, b2) of the rank-2 lattice {(u, v) : l1 u + l2 v ≡ 0 (mod m)}."""
     if m <= 0:
         raise ValueError("modulus must be positive")
     g = gcd(gcd(l1, l2), m)
     w = (l1 // g, l2 // g, m // g)
     k1, k2 = kernel_basis3(w)
     b1, b2 = (k1[0], k1[1]), (k2[0], k2[1])
-    basis = Basis2(b1, b2)
-    if basis.det_gram() == 0:
+    if _det_gram(b1, b2) == 0:
         raise DegenerateBasis("projected congruence basis degenerate")
-    return basis
+    return b1, b2
 
 
-def weighted_short_vectors(basis: Basis2, wu: int, wv: int, cap: int):
-    """All nonzero lattice vectors with weighted norm <= cap, as (f, vector)
-    pairs sorted by (f, vec_key).  Weights and cap are integers.
+def weighted_short_vectors(basis, wu: int, wv: int, cap: int):
+    """All nonzero vectors of the lattice with basis (b1, b2) with weighted
+    norm <= cap, as (f, vector) pairs sorted by (f, vec_key).  Weights and
+    cap are integers.
 
     With f1 = f(b1), g = <b1, b2> and D = f1 f(b2) - g^2 > 0, the vector
     c1 b1 + c2 b2 has f = (f1 c1 + g c2)^2 / f1 + (D / f1) c2^2, so every
@@ -263,7 +257,7 @@ def weighted_short_vectors(basis: Basis2, wu: int, wv: int, cap: int):
     any basis; a basis reduced under the weights keeps the c1, c2 ranges short.
     """
     wdot = _weighted_dot(wu, wv)
-    b1, b2 = basis.b1, basis.b2
+    b1, b2 = basis
     f1 = wdot(b1, b1)
     g = wdot(b1, b2)
     det = f1 * wdot(b2, b2) - g * g

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .intvec import add, content, dot, norm_sq, scale
 from .lattice import (
-    Basis2,
     congruence_basis2,
     greedy_reduce,
     orthogonal_basis,
@@ -181,6 +180,26 @@ def _canonical_order(v):
     return x * x + y * y, abs(x), x < 0, abs(y), y < 0
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _give_up_norm(q: int) -> int:
+    """floor(max(q^0.5, 4 q^0.3 + 16)^2) in integers, with q^0.3 to 32
+    fraction bits.  q^0.5 - 4 q^0.3 grows from q = 80 on and passes 16 near
+    q = 4,200, so from q = 2^13 on the norm is q and no root is taken."""
+    if q >> 13:
+        return q
+    u = _iroot(q**3 << 320, 10)
+    return max(q, (4 * u + (16 << 32)) ** 2 >> 64)
+
+
 def square_value_binary(form: BinaryForm, mod: Modulus):
     """Smallest nonzero (x, y) whose value is a square mod q (prime by prime).
 
@@ -196,14 +215,14 @@ def square_value_binary(form: BinaryForm, mod: Modulus):
     the coefficients reduced mod that group's modulus; the survivors pass
     the other groups' tables in turn, and are then sorted and tested with
     jacobi for the larger primes.  Gives up past norm
-    max(q^0.5, 4 q^0.3 + 16)^2.  Before an annulus [s0, s1) is listed,
+    max(q^0.5, 4 q^0.3 + 16)^2 + 1, computed in integers (_give_up_norm),
+    so q may pass the float range.  Before an annulus [s0, s1) is listed,
     every vector below s1, in the whole plane, is charged to the point
     budget, so a form that degenerates mod primes of a large q raises
     RegionTooLarge instead of running on.
     """
     q = mod.q
-    cap_max = max(float(q) ** 0.5, 4.0 * q**0.3 + 16.0)
-    limit = int(cap_max * cap_max) + 1
+    limit = _give_up_norm(q) + 1
     primes = sorted(mod.primes)
     sieves = []
     for group in _groups(primes):
@@ -231,7 +250,7 @@ def square_value_binary(form: BinaryForm, mod: Modulus):
             value = (a * x + b * y) * x + c * y * y
             if all(jacobi(value, p) != -1 for p in large):
                 return x, y
-    raise SearchExhausted(f"{_form_name(form, q)} takes no square value mod q = {q} below norm {cap_max}")
+    raise SearchExhausted(f"{_form_name(form, q)} takes no square value mod q = {q} below norm {limit + 1}")
 
 
 @dataclass(frozen=True)
@@ -392,9 +411,9 @@ def _box_pair(l1: int, l2: int, q1: int, n1: int, n2: int):
     point respects.
     """
     q1sq = q1 * q1
-    basis = congruence_basis2(l1, l2, q1)
-    red = Basis2(*greedy_reduce((basis.b1, basis.b2), (n1, n2)))
-    f1 = n1 * red.b1[0] ** 2 + n2 * red.b1[1] ** 2
+    red = greedy_reduce(congruence_basis2(l1, l2, q1), (n1, n2))
+    (u1, v1), _ = red
+    f1 = n1 * u1 * u1 + n2 * v1 * v1
     cap = f1 if f1 * f1 <= q1sq * n1 * n2 else isqrt(4 * q1sq * n1 * n2)
     for _, v in weighted_short_vectors(red, n1, n2, cap):
         u_, v_ = v
@@ -415,8 +434,7 @@ def solve_from_witness(form: TernaryForm, mod: Modulus, witness, t: int) -> Solv
     q1 = q // q0
     q1_primes = [p for p in mod.primes if q1 % p == 0]
 
-    basis = orthogonal_basis(a0)
-    x1, x2 = basis.b1, basis.b2
+    x1, x2 = orthogonal_basis(a0)
     r_form = restrict(form, x1, x2)
     linear = linear_split(r_form, q1_primes)
     n1, n2 = norm_sq(x1), norm_sq(x2)

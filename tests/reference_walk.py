@@ -33,15 +33,25 @@ def iter_vectors_by_norm():
         s += 1
 
 
+def give_up_norm(q):
+    """floor(max(q^0.5, 4 q^0.3 + 16)^2), with q^0.3 to 32 fraction bits
+    found by bisection: u = floor(q^0.3 2^32) is the largest u with
+    u^10 <= q^3 2^320, and q < 2^b puts u below 2^(3 b // 10 + 33)."""
+    lo, hi = 0, 1 << (3 * q.bit_length() // 10 + 33)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**10 <= q**3 << 320 else (lo, mid)
+    return max(q, (4 * lo + (16 << 32)) ** 2 >> 64)
+
+
 def square_value_walk(form, mod):
     """The first walk vector whose value is a square or 0 mod every prime of
     q, with the same norm cap and SearchExhausted as square_value_binary."""
     q = mod.q
-    cap_max = max(float(q) ** 0.5, 4.0 * q**0.3 + 16.0)
-    limit = int(cap_max * cap_max) + 1
+    limit = give_up_norm(q) + 1
     for s, v in iter_vectors_by_norm():
         if s > limit:
-            raise SearchExhausted(f"{form.row()} takes no square value mod q = {q} below norm {cap_max}")
+            raise SearchExhausted(f"{form.row()} takes no square value mod q = {q} below norm {limit + 1}")
         if is_square_mod(form.evaluate(v), mod):
             return v
 
@@ -58,13 +68,12 @@ def square_value_walk_charged(form, mod, annuli, budget):
     every vector below s1 is charged, and past budget the walk raises the
     RegionTooLarge the sieve raises."""
     q = mod.q
-    cap_max = max(float(q) ** 0.5, 4.0 * q**0.3 + 16.0)
-    limit = int(cap_max * cap_max) + 1
+    limit = give_up_norm(q) + 1
     annuli = annuli(limit)
     s1 = 1
     for s, v in iter_vectors_by_norm():
         if s > limit:
-            raise SearchExhausted(f"{form.row()} takes no square value mod q = {q} below norm {cap_max}")
+            raise SearchExhausted(f"{form.row()} takes no square value mod q = {q} below norm {limit + 1}")
         while s >= s1:
             _, s1 = next(annuli)
             n = points_below(s1)

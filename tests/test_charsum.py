@@ -660,38 +660,26 @@ def test_inert_table_keeps_one_plane_and_its_zero():
     assert sum(s.bytes for s in table_stats().values()) < 4_100_000
 
 
-def test_one_call_holds_the_tables_of_all_its_primes():
+def test_composite_call_past_the_cap_keeps_only_the_current_primes_tables():
     # one modulus of three primes near 4000 with a companion inert mod each:
     # every prime's norm planes, log tables and Legendre table (about 1.1 MB)
-    # pass the cap together.  A call over q's primes holds them all, so they
-    # never evict one another and a repeat call builds nothing; once the call
-    # is over, another modulus evicts them as usual
+    # pass the cap together.  A build never evicts a table of its own prime,
+    # so the store passes the cap only by 4007's tables; least recently used
+    # first, a repeat call over the three rebuilds each prime's tables, and
+    # returns the same value
     clear_tables()
     primes = [4001, 4003, 4007]
     qt = next(BinaryForm(1, b, 1) for b in range(3, 10**6) if all(jacobi(b * b - 4, p) == -1 for p in primes))
     mod = make_modulus(prod(primes))
+    values = []
     for _ in range(3):
-        form_shift_sum_q(qt, mod, (1, 2, 3, 4))
-    stats = table_stats()
-    assert sum(s.evictions for s in stats.values()) == 0
-    assert [stats[kind].builds for kind in ("planes", "log_tables", "legendre_table")] == [3, 3, 3]
-    assert stats["planes"].hits == 6 and sum(s.bytes for s in stats.values()) > charsum.TABLE_BYTES
-    form_shift_sum_q(qt, make_modulus(4013), (1, 2, 3, 4))
-    assert table_stats()["planes"].evictions > 0 and ("planes", 4013, (1, 0, -find_nonresidue(4013), 2007)) in charsum._tables
-
-
-def test_grid_and_incomplete_sums_hold_the_tables_of_all_their_primes(monkeypatch):
-    # three Legendre tables of about 30 KB pass a 64 KB cap together; the
-    # calls over q's primes hold them, so repeat calls build nothing
-    monkeypatch.setattr(charsum, "TABLE_BYTES", 64 << 10)
-    clear_tables()
-    primes = [next(p for p in range(n, n + 100) if is_prime(p)) for n in (30_000, 31_000, 32_000)]
-    q, f = prod(primes), BinaryForm(1, 1, 3)
-    for _ in range(3):
-        full_grid_sum(f, make_modulus(q))
-        incomplete_sum(make_character(q), f, Box(0, 9, 0, 9))
-    stats = table_stats()["legendre_table"]
-    assert (stats.builds, stats.hits, stats.evictions) == (3, 15, 0) and stats.bytes > charsum.TABLE_BYTES
+        values.append(form_shift_sum_q(qt, mod, (1, 2, 3, 4)))
+        stats = table_stats()
+        last = sum(size for (_, d, _), (_, size) in charsum._tables.items() if d == 4007)
+        assert sum(s.bytes for s in stats.values()) <= charsum.TABLE_BYTES + last
+        assert {kind for kind, d, _ in charsum._tables if d == 4007} == {"planes", "log_tables", "legendre_table"}
+    assert values == [values[0]] * 3 and values[0] == prod(form_shift_sum(p, (1, 2, 3, 4), qt) for p in primes)
+    assert [stats[kind].builds for kind in ("planes", "log_tables", "legendre_table")] == [9, 9, 9]
 
 
 def test_linear_shift_sum_brute():

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from quadcong import charsum, cli, errors
+from quadcong import charsum, cli, errors, modmath
 from quadcong.charsum import clear_tables, table_stats
 from quadcong.cli import (
     ExperimentConfig,
@@ -69,6 +69,16 @@ def test_nearest_odd_squarefree_passes_factoring_failures_on(monkeypatch):
     assert nearest_odd_squarefree(15) == 15
     with pytest.raises(errors.FactoringExhausted, match="no factor of 17"):
         nearest_odd_squarefree(17)
+
+
+def test_q_range_reports_a_modulus_it_cannot_factor(monkeypatch, capsys):
+    # --q-range skips the q --q refuses as invalid, and no other: 5183 = 71 x
+    # 73 needs Pollard rho, and a rho budget of one step cannot split it
+    monkeypatch.setattr(modmath, "_RHO_BUDGET", 1)
+    for argv in (["--q-range", "5179:5189"], ["--q", "5183"]):
+        assert main(["solve", *argv, "--samples", "1", "--out", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"config error: Pollard rho found no factor of 5183\b.*\n", err)
 
 
 def test_parse_config_file(tmp_path):

@@ -9,7 +9,6 @@ from quadcong.charsum import in_lift_lattice, minimal_lift
 from quadcong.errors import DegenerateBasis, NotPrimitive, ZeroClass
 from quadcong.intvec import cross3, dot, floor_sqrt_ratio, norm_sq, vec_key
 from quadcong.lattice import (
-    Basis2,
     congruence_basis2,
     greedy_reduce,
     hnf_rows3,
@@ -59,10 +58,9 @@ def test_orthogonal_basis_invariants(a):
         return
     g = gcd(gcd(a[0], a[1]), a[2])
     a0 = tuple(c // g for c in a)
-    basis = orthogonal_basis(a0)
-    x1, x2 = basis.b1, basis.b2
+    x1, x2 = orthogonal_basis(a0)
     assert dot(x1, a0) == 0 and dot(x2, a0) == 0
-    assert basis.det_gram() == norm_sq(a0)
+    assert norm_sq(x1) * norm_sq(x2) - dot(x1, x2) ** 2 == norm_sq(a0)
     cr = cross3(x1, x2)
     assert cr == a0 or cr == tuple(-c for c in a0)
     # Hermite-quality bound used by the solver's norm chain
@@ -70,8 +68,7 @@ def test_orthogonal_basis_invariants(a):
 
 
 def test_orthogonal_basis_axis():
-    basis = orthogonal_basis((1, 0, 0))
-    assert sorted([norm_sq(basis.b1), norm_sq(basis.b2)]) == [1, 1]
+    assert sorted(norm_sq(b) for b in orthogonal_basis((1, 0, 0))) == [1, 1]
 
 
 def test_shortest_vector3_diagonal():
@@ -259,8 +256,7 @@ def test_iter_vectors_by_norm_order_dim2():
 
 @given(small, small, st.sampled_from([1, 3, 5, 7, 15, 21, 35]))
 def test_congruence_basis2_spans(l1, l2, m):
-    basis = congruence_basis2(l1, l2, m)
-    (u1, v1), (u2, v2) = basis.b1, basis.b2
+    (u1, v1), (u2, v2) = congruence_basis2(l1, l2, m)
     assert (l1 * u1 + l2 * v1) % m == 0
     assert (l1 * u2 + l2 * v2) % m == 0
     det = abs(u1 * v2 - u2 * v1)
@@ -272,8 +268,7 @@ def test_congruence_basis2_spans(l1, l2, m):
 
 
 def test_weighted_short_vectors_sorted():
-    basis = Basis2((1, 0), (0, 1))
-    out = weighted_short_vectors(basis, 1, 2, 10)
+    out = weighted_short_vectors(((1, 0), (0, 1)), 1, 2, 10)
     fs = [f for f, _ in out]
     assert fs == sorted(fs)
     assert out[0][1] in {(0, 1), (0, -1), (1, 0), (-1, 0)}
@@ -298,8 +293,7 @@ def test_weighted_short_vectors_sorted():
 def test_weighted_short_vectors_matches_enumeration(b1, b2, wu, wv, cap):
     if b1[0] * b2[1] == b1[1] * b2[0]:
         return
-    basis = Basis2(b1, b2)
-    out = weighted_short_vectors(basis, wu, wv, cap)
+    out = weighted_short_vectors((b1, b2), wu, wv, cap)
     assert out == sorted(out, key=lambda t: (t[0], vec_key(t[1])))
     det = abs(b1[0] * b2[1] - b1[1] * b2[0])
     expected = set()

@@ -3,6 +3,7 @@ import re
 import time
 import tracemalloc
 from functools import partial
+from itertools import count
 from math import gcd, isqrt, prod
 
 import pytest
@@ -18,7 +19,7 @@ from quadcong.errors import (
     TraceInvariantViolation,
 )
 from quadcong.intvec import norm_sq, vec_key
-from quadcong.modmath import is_square_mod, jacobi, make_modulus
+from quadcong.modmath import Modulus, is_prime, is_square_mod, jacobi, make_modulus
 from quadcong import errors, solver
 from quadcong.qforms import BinaryForm, TernaryForm, adjoint_mod, det_gram2, negate_mod, sample_forms
 from quadcong.solver import (
@@ -33,7 +34,7 @@ from quadcong.solver import (
     trace_lines,
     verify_trace,
 )
-from reference_walk import points_below, square_value_walk, square_value_walk_charged
+from reference_walk import give_up_norm, points_below, square_value_walk, square_value_walk_charged
 
 IDENTITY = TernaryForm(1, 1, 1, 0, 0, 0)
 
@@ -312,7 +313,7 @@ def test_search_exhausted_names_q_and_form(monkeypatch):
     # 5 (x + 107 y)^2 mod 10007: 5 is a non-residue, so a value is a square
     # only where x + 107 y = 0, a lattice whose shortest vector (norm 11437)
     # lies past the search's norm cap 10008
-    with pytest.raises(SearchExhausted, match=re.escape("5 1070 7210 takes no square value mod q = 10007")):
+    with pytest.raises(SearchExhausted, match=re.escape("5 1070 7210 takes no square value mod q = 10007 below norm 10009")):
         square_value_binary(BinaryForm(5, 1070, 7210), make_modulus(10007))
     # every restriction of 3 (x^2 + y^2 + z^2), or of 3 x^2 (rank 1 mod 5),
     # has det4 divisible by 3: the form is refused before any search
@@ -342,6 +343,30 @@ def test_region_too_large_names_huge_binary_form_mod_q(monkeypatch):
     monkeypatch.setattr(errors, "POINT_BUDGET", 10**4)
     with pytest.raises(RegionTooLarge, match=re.escape(f"square_value_binary 5 1070 7210 {REDUCED} mod q = 10007")):
         square_value_binary(BinaryForm(5 + 10007 * HUGE, 1070, 7210), make_modulus(10007))
+
+
+def test_give_up_norm_matches_the_reference():
+    # from q = 2^13 on the norm is q with no root taken; below it the
+    # q^0.3 term wins up to q = 4,212
+    big = random.Random(5)
+    qs = [*range(3, 1 << 14, 2), *(big.randrange(1 << 13, 1 << 1100) | 1 for _ in range(20))]
+    assert all(solver._give_up_norm(q) == give_up_norm(q) for q in qs)
+    assert solver._give_up_norm(4212) == 4213 and solver._give_up_norm(4213) == 4213
+
+
+def test_square_value_search_takes_moduli_past_float_range(monkeypatch):
+    # the give-up norm is an integer, so a 1,051-bit modulus solves and a
+    # 1,310-bit one that the budget cannot search ends in a typed error
+    p1, p2 = (next(p for p in count((1 << k) + 1, 2) if is_prime(p)) for k in (520, 530))
+    mod = Modulus(p1 * p2, (p1, p2))
+    form = TernaryForm(1, 2, 3, 1, 1, 1)
+    trace = solve_ternary(form, mod)
+    verify_trace(trace, mod)
+    check_solution(form, mod, trace)
+    primes = [p for p in range(3, 1000, 2) if is_prime(p)][:160]
+    monkeypatch.setattr(errors, "POINT_BUDGET", 10**5)
+    with pytest.raises(RegionTooLarge, match="square_value_binary"):
+        solve_ternary(IDENTITY, Modulus(prod(primes), tuple(primes)))
 
 
 def test_restriction_search_names_huge_ternary_form_mod_q(monkeypatch):
